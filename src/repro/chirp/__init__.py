@@ -19,7 +19,6 @@ Public API:
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.chirp.client import ChirpClient
 from repro.chirp.server import FileServer, ServerConfig
-from repro.chirp.backend import LocalBackend
 
 __all__ = [
     "ChirpStat",
@@ -28,5 +27,4 @@ __all__ = [
     "ChirpClient",
     "FileServer",
     "ServerConfig",
-    "LocalBackend",
 ]

@@ -12,7 +12,10 @@ ACL files travel through the store like any other blob: the backend
 reads and writes ``.__acl`` entries with ``read_blob``/``write_blob``
 and never touches the disk directly, so a CAS store's ACLs are
 deduplicated pointer records while a local store's are the exact bytes
-the pre-refactor code wrote.
+the pre-refactor code wrote.  Parsed ACLs are kept per blob and checked
+against the store's ``stamp`` on every lookup, so an edit made behind
+the server's back is seen on the next request; stores that cannot
+stamp (memory, fault injection) are re-read every time.
 
 Rights required per operation (one judgment call documented here: the
 paper presents ``D`` as a way to grant *delete-but-not-modify* to others,
@@ -46,7 +49,7 @@ import time
 
 from repro.auth.acl import ACL_FILE_NAME, Acl, parse_rights
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
-from repro.store import BlobHandle, BlobStore, LocalDirStore
+from repro.store import BlobHandle, BlobStore
 from repro.util.errors import (
     AlreadyExistsError,
     BadFileDescriptorError,
@@ -60,7 +63,7 @@ from repro.util.errors import (
 )
 from repro.util.paths import normalize_virtual, split_virtual
 
-__all__ = ["Backend", "LocalBackend"]
+__all__ = ["Backend"]
 
 log = logging.getLogger("repro.chirp.backend")
 
@@ -109,6 +112,11 @@ class Backend:
             "recovered": 0,
             "recovery_probes": 0,
         }
+        # Parsed ACLs by blob vpath, each with the store stamp it was
+        # read at; every lookup re-stamps, so out-of-band edits show.
+        # No lock: a racing lookup can at worst file fresh content under
+        # an older stamp, which only costs the next lookup a re-read.
+        self._acl_cache: dict[str, tuple[object, Acl]] = {}
         if self._load_acl("/") is None:
             self._store_acl("/", root_acl or Acl.owner_default(owner_subject))
         elif root_acl is not None:
@@ -127,17 +135,48 @@ class Backend:
     def _acl_vpath(vdir: str) -> str:
         return posixpath.join(normalize_virtual(vdir), ACL_FILE_NAME)
 
-    def _load_acl(self, vdir: str) -> Acl | None:
+    def _read_acl(self, vpath: str) -> Acl | None:
         try:
-            data = self.store.try_read_blob(self._acl_vpath(vdir))
+            data = self.store.try_read_blob(vpath)
         except ChirpError:
             return None
         if data is None:
             return None
         return Acl.from_text(data.decode("utf-8"))
 
+    def _load_acl(self, vdir: str) -> Acl | None:
+        """The ACL stored in ``vdir`` itself (None when it has none).
+
+        The returned object may be shared with the cache: never mutate it.
+        """
+        vpath = self._acl_vpath(vdir)
+        if not self.store.supports_stamp:
+            return self._read_acl(vpath)
+        stamp = self.store.stamp(vpath)
+        if stamp is None:
+            self._acl_cache.pop(vpath, None)
+            return None
+        cached = self._acl_cache.get(vpath)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        acl = self._read_acl(vpath)
+        if acl is None:
+            self._acl_cache.pop(vpath, None)
+        else:
+            self._acl_cache[vpath] = (stamp, acl)
+        return acl
+
     def _store_acl(self, vdir: str, acl: Acl) -> None:
-        self.store.write_blob(self._acl_vpath(vdir), acl.to_text().encode("utf-8"))
+        vpath = self._acl_vpath(vdir)
+        self.store.write_blob(vpath, acl.to_text().encode("utf-8"))
+        self._acl_cache.pop(vpath, None)
+
+    def _forget_acls(self, vdir: str) -> None:
+        """Drop cached ACLs of ``vdir`` and everything below it."""
+        prefix = normalize_virtual(vdir).rstrip("/") + "/"
+        for vpath in list(self._acl_cache):
+            if vpath.startswith(prefix):
+                self._acl_cache.pop(vpath, None)
 
     def root_acl_text(self) -> str:
         """The root ACL as text (catalog reports advertise it)."""
@@ -150,10 +189,14 @@ class Backend:
             raise NotAuthorizedError("ACL files are managed via getacl/setacl")
 
     def effective_acl(self, vdir: str) -> Acl:
-        """The ACL governing a directory: its own, else the nearest ancestor's."""
+        """The ACL governing a directory: its own, else the nearest ancestor's.
+
+        The result may be shared with other callers: never mutate it.
+        """
         vdir = normalize_virtual(vdir)
         while True:
-            acl = self._load_acl(vdir) if self.store.isdir(vdir) else None
+            # Under a non-directory the ACL blob is simply absent.
+            acl = self._load_acl(vdir)
             if acl is not None:
                 return acl
             if vdir == "/":
@@ -386,6 +429,8 @@ class Backend:
         self._check(subject, new_parent, "w")
         self._refuse_if_read_only()
         self.store.rename(vold, vnew)
+        self._forget_acls(vold)
+        self._forget_acls(vnew)
 
     def mkdir(self, subject: str, vpath: str, mode: int) -> None:
         """Create a directory, applying reserve-right semantics.
@@ -430,6 +475,7 @@ class Backend:
             except ChirpError:
                 pass
         self.store.rmdir(vpath)
+        self._forget_acls(vpath)
 
     def getdir(self, subject: str, vpath: str) -> list[str]:
         self._check(subject, vpath, "l")
@@ -502,7 +548,7 @@ class Backend:
         self._check(subject, vpath, "l")
         if not self.store.isdir(vpath):
             raise DoesNotExistError(vpath)
-        return self.effective_acl(vpath)
+        return Acl(list(self.effective_acl(vpath).entries))
 
     def setacl(self, subject: str, vpath: str, pattern: str, rights_text: str) -> None:
         self._refuse_if_read_only()
@@ -510,11 +556,12 @@ class Backend:
             acl = self._check(subject, vpath, "a")
             if not self.store.isdir(vpath):
                 raise DoesNotExistError(vpath)
-            # Copy-on-write: materialize the inherited ACL before editing,
-            # so the edit affects only this subtree.
+            # Edit a copy -- of this directory's own ACL, else of the
+            # inherited one, so the edit affects only this subtree.  The
+            # loaded ACL may be cached and must keep matching the blob
+            # even when the write below fails.
             own = self._load_acl(vpath)
-            if own is None:
-                own = Acl(list(acl.entries))
+            own = Acl(list((acl if own is None else own).entries))
             rights = parse_rights(rights_text) if rights_text not in ("n", "none") else None
             if rights is None:
                 own.set_entry(pattern, "")
@@ -543,27 +590,3 @@ class Backend:
         with self._lock:
             if self.store.used_bytes() + nbytes > self.quota_bytes:
                 raise NoSpaceError("quota exceeded")
-
-
-class LocalBackend(Backend):
-    """The classic configuration: :class:`Backend` over a local directory.
-
-    Kept as a named class (rather than a factory call) because half the
-    codebase and the paper's prose refer to "the local backend"; it is
-    now nothing but a constructor convention.
-    """
-
-    def __init__(
-        self,
-        root: str,
-        owner_subject: str,
-        *,
-        quota_bytes: int | None = None,
-        root_acl: Acl | None = None,
-        sync_meta: bool = True,
-    ):
-        store = LocalDirStore(root, sync_meta=sync_meta)
-        super().__init__(
-            store, owner_subject, quota_bytes=quota_bytes, root_acl=root_acl
-        )
-        self.sync_meta = sync_meta

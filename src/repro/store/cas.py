@@ -44,7 +44,7 @@ import tempfile
 import time
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.interface import BlobHandle, BlobStore
+from repro.store.interface import BlobHandle, BlobStore, stat_stamp
 from repro.util.checksum import data_checksum, file_checksum, stream_checksum
 from repro.util.errors import (
     AlreadyExistsError,
@@ -264,6 +264,7 @@ class CasStore(BlobStore):
 
     kind = "cas"
     supports_cas = True
+    supports_stamp = True
 
     def __init__(self, root: str, *, sync_meta: bool = True):
         super().__init__()
@@ -510,6 +511,13 @@ class CasStore(BlobStore):
 
     def lstat(self, vpath: str) -> ChirpStat:
         return self.stat(vpath)  # pointer files are not symlinks
+
+    def stamp(self, vpath: str):
+        """Stamped on the pointer file: rebinding a path rewrites it."""
+        try:
+            return stat_stamp(os.stat(self._ns(vpath)))
+        except OSError:
+            return None
 
     def exists(self, vpath: str) -> bool:
         return os.path.exists(self._ns(vpath))

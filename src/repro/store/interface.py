@@ -13,7 +13,9 @@ the server's abstraction layer (ACLs, quotas, fd bookkeeping in
   reads and writes, mirroring the wire protocol's ``pread``/``pwrite``;
 - whole-blob helpers used by the layer above for its own bookkeeping
   (ACL files travel through the store like any other blob, so every
-  store persists them without knowing what they are);
+  store persists them without knowing what they are), plus an optional
+  ``stamp`` -- a cheap content identity -- so that layer can keep what
+  it parsed from a blob until the blob changes;
 - an incrementally maintained usage counter so quota checks are O(1)
   instead of an O(files) tree walk;
 - an optional content-addressed surface (``lookup_key``/``link_key``/
@@ -31,9 +33,11 @@ refcounted blobs behind a path namespace).
 
 from __future__ import annotations
 
+import os
 import threading
+import time
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.util.errors import InvalidRequestError
@@ -45,7 +49,31 @@ __all__ = [
     "HandleWriter",
     "read_all",
     "write_all",
+    "stat_stamp",
 ]
+
+#: How long after a change a file's stat stops vouching for its content.
+#: The kernel stamps files from a clock that ticks every 1-10 ms, so a
+#: second write within the tick of the first can leave inode, times and
+#: size all unchanged; filesystems with whole-second timestamps need a
+#: second or more.
+_SETTLE_NS = 20_000_000
+_SETTLE_WHOLE_SECOND_NS = 2_000_000_000
+
+
+def stat_stamp(st: os.stat_result) -> Hashable:
+    """The :meth:`BlobStore.stamp` of a file, from its ``os.stat``.
+
+    ``(inode, mtime, ctime, size)`` identifies the content once the last
+    change has settled.  Until then the stamp is a fresh token equal to
+    nothing, so callers keep re-reading.  ``ctime`` is the witness
+    because no caller can set it back.
+    """
+    ctime = st.st_ctime_ns
+    settle = _SETTLE_NS if ctime % 1_000_000_000 else _SETTLE_WHOLE_SECOND_NS
+    if time.time_ns() - ctime < settle:
+        return object()
+    return (st.st_ino, st.st_mtime_ns, ctime, st.st_size)
 
 
 class BlobHandle(ABC):
@@ -151,6 +179,8 @@ class BlobStore(ABC):
     kind: str = "abstract"
     #: True when the content-addressed surface is real (CasStore only)
     supports_cas: bool = False
+    #: True when :meth:`stamp` is implemented
+    supports_stamp: bool = False
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -220,6 +250,17 @@ class BlobStore(ABC):
         flags = OpenFlags(write=True, create=True, truncate=True)
         with self.open(vpath, flags, 0o644) as handle:
             write_all(handle, data)
+
+    def stamp(self, vpath: str) -> Optional[Hashable]:
+        """A cheap identity of a blob's current content, None when absent.
+
+        Equal stamps promise equal content, so a caller may keep what it
+        parsed from a blob for as long as the stamp stays the same.  An
+        optional capability (``supports_stamp``): stores that cannot
+        answer more cheaply than a read leave it unimplemented and their
+        callers re-read.
+        """
+        raise InvalidRequestError(f"{self.kind} store does not stamp blobs")
 
     # -- capacity -------------------------------------------------------
 

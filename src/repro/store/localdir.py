@@ -4,9 +4,10 @@ Files and directories are stored *without transformation* in an ordinary
 filesystem under an exported root -- the recursive-abstraction property
 that lets any existing directory be exported as-is, and lets the owner
 inspect what users are doing with ordinary tools.  This store is the
-default and must stay byte-identical in semantics to the pre-refactor
-``LocalBackend``: same on-disk layout, same error mapping, same
-durability (``_fsync_dir`` on namespace changes when ``sync_meta``).
+default and must stay byte-identical in semantics to the server's
+original directory-backed implementation: same on-disk layout, same
+error mapping, same durability (``_fsync_dir`` on namespace changes
+when ``sync_meta``).
 
 The one behavioral upgrade lives here: ``used_bytes`` is maintained
 incrementally.  The first call performs the old full-tree walk; every
@@ -21,7 +22,7 @@ import os
 import stat as stat_mod
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.interface import BlobHandle, BlobStore
+from repro.store.interface import BlobHandle, BlobStore, stat_stamp
 from repro.util import checksum as checksum_mod
 from repro.util.errors import (
     IsADirectoryError_,
@@ -125,6 +126,7 @@ class LocalDirStore(BlobStore):
     """A confined view of a local directory tree (see module doc)."""
 
     kind = "local"
+    supports_stamp = True
 
     def __init__(self, root: str, *, sync_meta: bool = True):
         super().__init__()
@@ -241,6 +243,12 @@ class LocalDirStore(BlobStore):
             return ChirpStat.from_os(os.lstat(self._real(vpath)))
         except OSError as exc:
             raise _wrap_os_error(exc, vpath) from exc
+
+    def stamp(self, vpath: str):
+        try:
+            return stat_stamp(os.stat(self._real(vpath)))
+        except OSError:
+            return None
 
     def exists(self, vpath: str) -> bool:
         return os.path.exists(self._real(vpath))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import posixpath
+import stat
 
 __all__ = ["PathEscapeError", "normalize_virtual", "confine", "split_virtual"]
 
@@ -57,7 +58,8 @@ def split_virtual(path: str) -> tuple[str, str]:
 def confine(root: str, virtual_path: str, *, check_symlinks: bool = True) -> str:
     """Map a virtual path to a real path guaranteed to lie under ``root``.
 
-    :param root: real filesystem directory exported by the server.
+    :param root: real filesystem directory exported by the server, already
+        resolved (``os.path.realpath``): it is not resolved again here.
     :param virtual_path: client-supplied path, interpreted as absolute
         within the export.
     :param check_symlinks: when true, verify that resolving symlinks does
@@ -67,10 +69,26 @@ def confine(root: str, virtual_path: str, *, check_symlinks: bool = True) -> str
     :raises PathEscapeError: on any escape attempt.
     """
     norm = normalize_virtual(virtual_path)
-    root_real = os.path.realpath(root)
-    candidate = os.path.join(root_real, norm.lstrip("/"))
+    candidate = os.path.join(root, norm.lstrip("/"))
     if not check_symlinks:
         return candidate
+    # One lstat per component below the root.  Without a symlink on the
+    # way, the lexically normalised candidate *is* the resolved path; a
+    # missing component ends the walk, since nothing below it can exist.
+    path = root.rstrip("/")
+    for name in norm[1:].split("/"):
+        path = path + "/" + name
+        try:
+            mode = os.lstat(path).st_mode
+        except OSError:
+            return candidate
+        if stat.S_ISLNK(mode):
+            return _confine_resolved(root, virtual_path, candidate)
+    return candidate
+
+
+def _confine_resolved(root_real: str, virtual_path: str, candidate: str) -> str:
+    """``confine`` for a path with a symlink on it: resolve and check."""
     # Resolve the parent fully; the leaf may not exist yet (create paths).
     parent = os.path.dirname(candidate)
     parent_real = os.path.realpath(parent)

@@ -9,7 +9,9 @@ per-test temp directory).
 from __future__ import annotations
 
 import os
+import signal
 import socket
+import sys
 import threading
 
 import pytest
@@ -120,6 +122,53 @@ def socket_pair():
             s.close()
         except OSError:
             pass
+
+
+def _descendants(pid: int) -> list[int]:
+    """Live (non-zombie) descendants of ``pid``, from ``/proc/*/stat``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                # "pid (comm) state ppid ...": comm may hold spaces and parens
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if state != "Z":
+            children.setdefault(int(ppid), []).append(int(entry))
+    found, todo = [], [pid]
+    while todo:
+        kids = children.get(todo.pop(), [])
+        found.extend(kids)
+        todo.extend(kids)
+    return found
+
+
+def _cmdline(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return fh.read().replace(b"\0", b" ").decode(errors="replace").strip()
+    except OSError:
+        return "?"
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a test left a child process running, and kill it."""
+    if not os.path.isdir("/proc"):
+        return
+    leftovers = [(pid, _cmdline(pid)) for pid in _descendants(os.getpid())]
+    if not leftovers:
+        return
+    for pid, _ in leftovers:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    lines = "\n".join(f"  pid {pid}: {cmd}" for pid, cmd in leftovers)
+    sys.stderr.write(f"\nprocesses left running by the test session (killed):\n{lines}\n")
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def run_in_thread(fn, *args, **kwargs):

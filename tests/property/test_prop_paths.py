@@ -1,8 +1,9 @@
 """Property tests: the software chroot never lets a path escape."""
 
 import os
+import tempfile
 
-from hypothesis import given, assume
+from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from repro.util.paths import PathEscapeError, confine, normalize_virtual
@@ -68,3 +69,77 @@ class TestConfine:
         except PathEscapeError:
             return
         assert real == root or real.startswith(root + os.sep)
+
+
+def reference_confine(root: str, virtual_path: str) -> str:
+    """The oracle: ``confine`` as three ``realpath`` walks (root, parent, leaf)."""
+    norm = normalize_virtual(virtual_path)
+    root_real = os.path.realpath(root)
+    candidate = os.path.join(root_real, norm.lstrip("/"))
+    parent_real = os.path.realpath(os.path.dirname(candidate))
+    if parent_real != root_real and not parent_real.startswith(root_real + os.sep):
+        raise PathEscapeError(f"path {virtual_path!r} escapes export root")
+    resolved_leaf = os.path.join(parent_real, os.path.basename(candidate))
+    if os.path.islink(resolved_leaf):
+        target_real = os.path.realpath(resolved_leaf)
+        if target_real != root_real and not target_real.startswith(root_real + os.sep):
+            raise PathEscapeError(f"symlink at {virtual_path!r} points outside export root")
+    return resolved_leaf
+
+
+NAMES = ("a", "b", "c")
+# Where a symlink may point: inside the root (absolute or relative),
+# outside it, nowhere, or at itself.
+LINK_TARGETS = (
+    "{root}", "{root}/a", "{root}/a/b", "{root}/missing",
+    "a", "b/c", ".", "..", "../..", "../outside", "missing",
+    "{outside}", "{outside}/f", "{outside}/missing", "/", "{self}",
+)
+
+nodes = st.tuples(
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+    st.sampled_from(("dir", "file", "link")),
+    st.sampled_from(LINK_TARGETS),
+)
+symlink_paths = st.lists(st.sampled_from(NAMES + ("f", ".", "..")), max_size=5).map(
+    lambda parts: "/" + "/".join(parts)
+)
+
+
+def _build_tree(root: str, outside: str, tree) -> None:
+    """Create the nodes that fit, never writing through a symlink."""
+    for parts, kind, target in sorted(tree, key=lambda node: len(node[0])):
+        path = os.path.join(root, *parts)
+        parent = os.path.dirname(path)
+        if os.path.lexists(path) or os.path.realpath(parent) != parent or not os.path.isdir(parent):
+            continue
+        if kind == "dir":
+            os.mkdir(path)
+        elif kind == "file":
+            with open(path, "w") as fh:
+                fh.write("x")
+        else:
+            os.symlink(target.format(root=root, outside=outside, self=path), path)
+
+
+def _outcome(fn, root: str, path: str):
+    try:
+        return fn(root, path)
+    except PathEscapeError:
+        return PathEscapeError
+
+
+class TestConfineSymlinks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(nodes, max_size=8), st.lists(symlink_paths, min_size=1, max_size=6))
+    def test_matches_realpath_oracle(self, tree, paths):
+        with tempfile.TemporaryDirectory() as base:
+            base = os.path.realpath(base)
+            root, outside = os.path.join(base, "root"), os.path.join(base, "outside")
+            os.mkdir(root)
+            os.mkdir(outside)
+            with open(os.path.join(outside, "f"), "w") as fh:
+                fh.write("secret")
+            _build_tree(root, outside, tree)
+            for path in paths:
+                assert _outcome(confine, root, path) == _outcome(reference_confine, root, path), path

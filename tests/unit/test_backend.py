@@ -1,16 +1,23 @@
 """Unit tests for the file server backend: confinement + ACL enforcement.
 
-These drive :class:`LocalBackend` directly (no sockets) so every
-permission rule from the paper's section 4 is pinned down precisely.
+These drive :class:`Backend` directly (no sockets), mostly over a local
+directory store, so every permission rule from the paper's section 4 is
+pinned down precisely.
 """
 
 import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.auth.acl import ACL_FILE_NAME, Acl
-from repro.chirp.backend import LocalBackend
+from repro.auth.methods import ClientCredentials
+from repro.chirp.backend import Backend
+from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
+from repro.store import LocalDirStore, make_store
+from repro.store.interface import stat_stamp
 from repro.util import errors as E
 
 OWNER = "unix:owner"
@@ -24,7 +31,7 @@ WX = OpenFlags(write=True, create=True, exclusive=True)
 
 @pytest.fixture()
 def backend(tmp_path):
-    return LocalBackend(str(tmp_path), OWNER)
+    return Backend(LocalDirStore(str(tmp_path)), OWNER)
 
 
 def write(backend, subject, path, data):
@@ -177,7 +184,7 @@ class TestNamespace:
 class TestAclEnforcement:
     @pytest.fixture()
     def shared(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
         backend.setacl(OWNER, "/", "hostname:*.cse.nd.edu", "rwl")
         backend.setacl(OWNER, "/", "globus:/O=ND/*", "rl")
         return backend
@@ -214,7 +221,7 @@ class TestAclEnforcement:
         shared.unlink(ALICE, "/a.txt")  # alice holds w
 
     def test_d_right_alone_allows_delete_but_not_write(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
         backend.setacl(OWNER, "/", "unix:janitor", "ld")
         write(backend, OWNER, "/junk", b"1")
         with pytest.raises(E.NotAuthorizedError):
@@ -248,7 +255,7 @@ class TestAclEnforcement:
             write(shared, "unix:carol", "/c", b"1")  # root unchanged
 
     def test_rename_needs_rights_on_both_directories(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
         backend.mkdir(OWNER, "/src", 0o755)
         backend.mkdir(OWNER, "/dst", 0o755)
         backend.setacl(OWNER, "/src", ALICE, "rwl")
@@ -261,7 +268,7 @@ class TestAclEnforcement:
 class TestReserveRight:
     @pytest.fixture()
     def visitors(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
         backend.setacl(OWNER, "/", "hostname:*.cse.nd.edu", "v(rwl)")
         backend.setacl(OWNER, "/", "globus:/O=ND/*", "v(rwla)")
         return backend
@@ -307,28 +314,272 @@ class TestReserveRight:
 
 class TestQuota:
     def test_putfile_path_quota(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER, quota_bytes=10_000)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER, quota_bytes=10_000)
         write(backend, OWNER, "/small", b"x" * 1000)
         with pytest.raises(E.NoSpaceError):
             backend._charge_quota(20_000)
         backend._charge_quota(1_000)  # still room
 
     def test_statfs_reflects_quota(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER, quota_bytes=10_000)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER, quota_bytes=10_000)
         write(backend, OWNER, "/f", b"x" * 4_000)
         fs = backend.statfs()
         assert fs.total_bytes == 10_000
         assert fs.free_bytes <= 6_100  # ACL file consumes a few bytes too
 
     def test_statfs_without_quota_uses_statvfs(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
         fs = backend.statfs()
         assert fs.total_bytes > 0
         assert 0 <= fs.free_bytes <= fs.total_bytes
 
     def test_pwrite_respects_quota(self, tmp_path):
-        backend = LocalBackend(str(tmp_path), OWNER, quota_bytes=5_000)
+        backend = Backend(LocalDirStore(str(tmp_path)), OWNER, quota_bytes=5_000)
         fd = backend.open(OWNER, "/f", W, 0o644)
         with pytest.raises(E.NoSpaceError):
             backend.pwrite(fd, b"x" * 6_000, 0)
         backend.close(fd)
+
+
+# ---------------------------------------------------------------------------
+# ACL cache: parsed ACLs are kept per blob and re-validated by the store's
+# stamp on every lookup.
+# ---------------------------------------------------------------------------
+
+#: longer than the stores' stamp settle window (20 ms): a blob left alone
+#: this long gets a stamp the cache trusts
+SETTLE_S = 0.05
+CAROL = "unix:carol"
+
+
+def count_acl_reads(store) -> list:
+    reads: list = []
+    inner = store.try_read_blob
+
+    def counting(vpath):
+        reads.append(vpath)
+        return inner(vpath)
+
+    store.try_read_blob = counting
+    return reads
+
+
+def blob_file(store, vpath: str) -> str:
+    """The on-disk file holding ``vpath`` (a CAS store's pointer record)."""
+    return store._ns(vpath) if store.kind == "cas" else store._real(vpath)
+
+
+def rewrite_in_place(store, vpath: str, old: str, new: str) -> None:
+    """Edit an ACL behind the backend's back, keeping the file's inode,
+    size and mtime: only the content (and the kernel's ctime) change."""
+    text = store.read_blob(vpath).decode()
+    assert old in text and len(old) == len(new)
+    text = text.replace(old, new)
+    if store.kind == "cas":
+        # Same-length pointer record naming an object that holds ``text``.
+        store.write_blob("/.oob", text.encode())
+        with open(store._ns("/.oob"), "rb") as fh:
+            data = fh.read()
+    else:
+        data = text.encode()
+    real = blob_file(store, vpath)
+    before = os.stat(real)
+    assert len(data) == before.st_size
+    with open(real, "r+b") as fh:
+        fh.write(data)
+    os.utime(real, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(real)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
+
+
+@pytest.fixture(params=["local", "cas"])
+def stamped(request, tmp_path):
+    return Backend(make_store(request.param, str(tmp_path)), OWNER)
+
+
+class TestAclCache:
+    def test_stamp_vouches_only_for_settled_changes(self):
+        second = 1_000_000_000
+        now = time.time_ns()
+
+        def stamps_equal(ctime_ns):
+            st = SimpleNamespace(st_ino=7, st_size=10, st_mtime_ns=ctime_ns, st_ctime_ns=ctime_ns)
+            return stat_stamp(st) == stat_stamp(st)
+
+        assert stamps_equal((now // second - 1) * second + 123)
+        assert not stamps_equal(now - 1_000)  # same clock tick as now
+        # Whole-second timestamps: the filesystem cannot tell apart two
+        # changes within a second.
+        assert not stamps_equal((now // second - 1) * second)
+        assert stamps_equal((now // second - 3) * second)
+
+    def test_settled_acl_is_not_reread(self, stamped):
+        stamped.setacl(OWNER, "/", BOB, "rl")
+        time.sleep(SETTLE_S)
+        stamped.getdir(BOB, "/")
+        reads = count_acl_reads(stamped.store)
+        for _ in range(3):
+            stamped.getdir(BOB, "/")
+        assert reads == []
+
+    @pytest.mark.parametrize("settled", [False, True], ids=["fresh", "settled"])
+    def test_out_of_band_in_place_rewrite_is_seen(self, stamped, settled):
+        stamped.mkdir(OWNER, "/d", 0o755)
+        stamped.setacl(OWNER, "/d", ALICE, "rwl")
+        if settled:
+            time.sleep(SETTLE_S)
+        assert stamped.getdir(ALICE, "/d") == []
+        rewrite_in_place(stamped.store, "/d/" + ACL_FILE_NAME, f"{ALICE} rwl", f"{ALICE} rwd")
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(ALICE, "/d")
+        write(stamped, ALICE, "/d/f", b"1")  # w survived the edit
+
+    def test_out_of_band_delete_falls_back_to_parent(self, stamped):
+        stamped.setacl(OWNER, "/", BOB, "rl")
+        stamped.mkdir(OWNER, "/d", 0o755)
+        stamped.setacl(OWNER, "/d", ALICE, "rwl")
+        stamped.setacl(OWNER, "/d", BOB, "none")
+        time.sleep(SETTLE_S)
+        assert stamped.getdir(ALICE, "/d") == []
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(BOB, "/d")
+        os.unlink(blob_file(stamped.store, "/d/" + ACL_FILE_NAME))
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(ALICE, "/d")
+        assert stamped.getdir(BOB, "/d") == []
+        assert stamped.getacl(OWNER, "/d").to_text() == stamped.getacl(OWNER, "/").to_text()
+
+    def test_setacl_is_seen_on_next_call(self, stamped):
+        stamped.setacl(OWNER, "/", BOB, "rl")
+        time.sleep(SETTLE_S)
+        stamped.getdir(BOB, "/")
+        stamped.setacl(OWNER, "/", BOB, "none")
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(BOB, "/")
+
+    def test_reserve_mkdir_is_seen_on_next_call(self, stamped):
+        stamped.setacl(OWNER, "/", ALICE, "v(rwl)")
+        time.sleep(SETTLE_S)
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(ALICE, "/")  # v alone: no l on the root
+        stamped.mkdir(ALICE, "/mine", 0o755)
+        assert stamped.getdir(ALICE, "/mine") == []
+
+    def test_rmdir_and_remkdir_is_seen_on_next_call(self, stamped):
+        stamped.setacl(OWNER, "/", ALICE, "v(rwl)")
+        stamped.mkdir(ALICE, "/mine", 0o755)
+        time.sleep(SETTLE_S)
+        assert stamped.getdir(ALICE, "/mine") == []
+        stamped.rmdir(OWNER, "/mine")
+        stamped.mkdir(OWNER, "/mine", 0o755)  # owner mkdir: inherits the root's ACL
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(ALICE, "/mine")
+        assert "/mine/" + ACL_FILE_NAME not in stamped._acl_cache
+
+    def test_directory_rename_is_seen_on_next_call(self, stamped):
+        stamped.mkdir(OWNER, "/d", 0o755)
+        stamped.mkdir(OWNER, "/d/sub", 0o755)
+        stamped.setacl(OWNER, "/d", ALICE, "rwl")
+        stamped.setacl(OWNER, "/d/sub", ALICE, "rwl")
+        time.sleep(SETTLE_S)
+        assert stamped.getdir(ALICE, "/d/sub") == []
+        stamped.rename(OWNER, "/d", "/e")
+        # No entry outlives its blob.
+        assert not any(p.startswith("/d/") for p in stamped._acl_cache)
+        stamped.mkdir(OWNER, "/d", 0o755)
+        stamped.mkdir(OWNER, "/d/sub", 0o755)
+        with pytest.raises(E.NotAuthorizedError):
+            stamped.getdir(ALICE, "/d/sub")
+        assert stamped.getdir(ALICE, "/e/sub") == []
+
+    @pytest.mark.parametrize("kind", ["memory", "faulty+local"])
+    def test_unstamped_stores_reread_every_check(self, kind, tmp_path):
+        backend = Backend(make_store(kind, str(tmp_path)), OWNER)
+        backend.setacl(OWNER, "/", BOB, "rl")
+        time.sleep(SETTLE_S)
+        reads = count_acl_reads(backend.store)
+        for _ in range(3):
+            assert backend.getdir(BOB, "/") == []
+        assert reads == ["/" + ACL_FILE_NAME] * 3
+        # An edit straight on the store is seen at once.
+        backend.store.write_blob("/" + ACL_FILE_NAME, Acl.owner_default(OWNER).to_text().encode())
+        with pytest.raises(E.NotAuthorizedError):
+            backend.getdir(BOB, "/")
+        assert backend._acl_cache == {}
+
+
+class _AclWritesFail(LocalDirStore):
+    """A local store whose whole-blob writes fail on demand (disk full)."""
+
+    failing = False
+
+    def write_blob(self, vpath, data):
+        if self.failing:
+            raise E.NoSpaceError(f"{vpath}: injected disk full")
+        super().write_blob(vpath, data)
+
+
+class TestSetaclCopyOnWrite:
+    def test_failed_acl_write_leaves_persisted_rights(self, tmp_path):
+        store = _AclWritesFail(str(tmp_path))
+        backend = Backend(store, OWNER)
+        backend.mkdir(OWNER, "/d", 0o755)
+        backend.setacl(OWNER, "/", BOB, "rl")
+        backend.setacl(OWNER, "/d", BOB, "rl")
+        time.sleep(SETTLE_S)
+        for vdir in ("/", "/d"):
+            backend.getdir(BOB, vdir)  # both ACLs now cached
+        store.failing = True
+        for vdir in ("/", "/d"):
+            with pytest.raises(E.NoSpaceError):
+                backend.setacl(OWNER, vdir, CAROL, "rwl")
+            with pytest.raises(E.NoSpaceError):
+                backend.setacl(OWNER, vdir, BOB, "none")
+        for vdir in ("/", "/d"):
+            with open(os.path.join(str(tmp_path), vdir.lstrip("/"), ACL_FILE_NAME)) as fh:
+                persisted = fh.read()
+            assert backend.getacl(OWNER, vdir).to_text() == persisted
+            assert backend.getdir(BOB, vdir) == (["d"] if vdir == "/" else [])
+            with pytest.raises(E.NotAuthorizedError):
+                write(backend, CAROL, vdir.rstrip("/") + "/c", b"1")
+
+
+class TestAclCacheOverTheWire:
+    @pytest.mark.parametrize("kind", ["local", "cas"])
+    def test_edits_seen_by_a_live_server(self, kind, server_factory, credentials):
+        server = server_factory.new(store=kind)
+        store = server.backend.store
+        visitor_subject = "hostname:localhost"
+        owner = ChirpClient(*server.address, credentials=credentials)
+        visitor = ChirpClient(*server.address, credentials=ClientCredentials(methods=("hostname",)))
+        try:
+            owner.mkdir("/d")
+            owner.setacl("/d", visitor_subject, "rl")
+            time.sleep(SETTLE_S)
+            assert visitor.getdir("/d") == []
+            rewrite_in_place(store, "/d/" + ACL_FILE_NAME, f"{visitor_subject} rl", f"{visitor_subject} rw")
+            with pytest.raises(E.NotAuthorizedError):
+                visitor.getdir("/d")
+            owner.setacl("/d", visitor_subject, "rl")
+            assert visitor.getdir("/d") == []
+            time.sleep(SETTLE_S)
+            os.unlink(blob_file(store, "/d/" + ACL_FILE_NAME))
+            with pytest.raises(E.NotAuthorizedError):
+                visitor.getdir("/d")  # the root's ACL: owner only
+            owner.setacl("/d", visitor_subject, "rl")
+            time.sleep(SETTLE_S)
+            assert visitor.getdir("/d") == []
+            owner.rename("/d", "/e")
+            owner.mkdir("/d")
+            with pytest.raises(E.NotAuthorizedError):
+                visitor.getdir("/d")
+            assert visitor.getdir("/e") == []
+            owner.rmdir("/e")
+            owner.mkdir("/e")
+            with pytest.raises(E.NotAuthorizedError):
+                visitor.getdir("/e")
+        finally:
+            owner.close()
+            visitor.close()
