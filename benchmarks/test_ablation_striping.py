@@ -31,7 +31,7 @@ from repro.chirp.server import FileServer, ServerConfig
 from repro.core.cfs import CFS
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS
 
 FILE_BYTES = 8 * 1024 * 1024

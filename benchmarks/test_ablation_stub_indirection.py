@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.dsfs import DSFS
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.auth.methods import AuthContext, ClientCredentials
 from repro.chirp.client import ChirpClient
 from repro.chirp.server import FileServer, ServerConfig

@@ -27,7 +27,7 @@ from repro import (
 )
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.replfs import ReplicatedFS
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Errors cross this surface as ``OSError`` with correct ``errno`` values,
 because applications written against the Unix interface expect exactly
 that.  Disconnection recovery (exponential backoff, re-open, inode check,
 ``ESTALE``) happens below, in the abstraction handles, governed by the
-:class:`~repro.core.retry.RetryPolicy` given to this adapter.
+:class:`~repro.transport.recovery.RetryPolicy` given to this adapter.
 """
 
 from __future__ import annotations

@@ -17,48 +17,38 @@ Caching is deliberately absent on both sides, matching the paper's
 
 from __future__ import annotations
 
-import logging
 import os
 import secrets
 import socket
 import threading
-from typing import Optional
 
 from repro.chirp.protocol import ChirpStat
 from repro.util.errors import (
-    ChirpError,
-    DisconnectedError,
     DoesNotExistError,
     InvalidRequestError,
     StatusCode,
     error_from_status,
-    status_from_exception,
 )
 from repro.util.paths import PathEscapeError, confine, normalize_virtual
+from repro.util.server import ServerCore, Session
 from repro.util.wire import LineStream
 
 __all__ = ["NfsLikeServer", "NfsLikeClient", "NFS_BLOCK_SIZE"]
 
-log = logging.getLogger("repro.baselines.nfslike")
-
 NFS_BLOCK_SIZE = 4096
 
 
-class NfsLikeServer:
+class NfsLikeServer(ServerCore):
     """A minimal NFS-flavored server over one exported directory."""
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0):
         self.root = os.path.realpath(root)
         if not os.path.isdir(self.root):
             raise NotADirectoryError(root)
-        self.host, self.port = host, port
+        super().__init__(host, port)
         self._fh_to_path: dict[str, str] = {}
         self._path_to_fh: dict[str, str] = {}
         self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self.address = (host, port)
         self.root_fh = self._fh_for("/")
 
     # -- handle table ---------------------------------------------------
@@ -88,76 +78,13 @@ class NfsLikeServer:
         except PathEscapeError as exc:
             raise InvalidRequestError(str(exc)) from exc
 
-    # -- lifecycle ------------------------------------------------------
+    # -- RPCs (no authentication: handles are the only credential) -------
 
-    def start(self) -> "NfsLikeServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(64)
-        sock.settimeout(0.2)  # prompt stop(): see chirp server
-        self._listener = sock
-        self.address = sock.getsockname()[:2]
-        t = threading.Thread(target=self._accept_loop, name="nfslike-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
-        return self
+    def serve(self, sock: socket.socket, addr) -> None:
+        self.serve_requests(sock, Session(LineStream(sock), ""))
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        for t in self._threads:
-            t.join(timeout=5)
-        self._threads.clear()
-
-    def __enter__(self) -> "NfsLikeServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            t.start()
-
-    def _serve(self, sock: socket.socket) -> None:
-        stream = LineStream(sock)
-        try:
-            while not self._stop.is_set():
-                tokens = stream.read_tokens()
-                if not tokens:
-                    continue
-                try:
-                    self._dispatch(stream, tokens)
-                except ChirpError as exc:
-                    stream.write_line(int(exc.status), str(exc))
-                except OSError as exc:
-                    stream.write_line(int(status_from_exception(exc)), str(exc))
-                except (ValueError, IndexError) as exc:
-                    stream.write_line(int(StatusCode.INVALID_REQUEST), str(exc))
-        except DisconnectedError:
-            pass
-        finally:
-            stream.close()
-
-    # -- RPCs --------------------------------------------------------------
-
-    def _dispatch(self, stream: LineStream, tokens: list[str]) -> None:
+    def handle(self, session: Session, tokens: list[str]) -> None:
+        stream = session.stream
         op, args = tokens[0], tokens[1:]
         if op == "lookup":
             parent = self._path_for(args[0])

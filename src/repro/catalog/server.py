@@ -6,9 +6,9 @@ load sharing, or policy (e.g. a private rendezvous catalog for transient
 servers glided into a batch system).  Nothing here coordinates catalogs;
 overlap is handled by clients de-duplicating on the server endpoint.
 
-Query protocol (TCP): the client sends one line, ``query <format>`` where
-format is ``json`` or ``text``; the catalog replies with the document and
-closes the connection.
+Query protocol (TCP, on the shared :class:`~repro.util.server.ServerCore`):
+the client sends one line, ``query <format>`` where format is ``json`` or
+``text``; the catalog replies with the document and closes the connection.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import time
 from typing import Callable, Optional
 
 from repro.catalog.report import ServerReport
+from repro.util.server import ServerCore
 from repro.util.wire import LineStream
 
 __all__ = ["CatalogServer"]
@@ -30,7 +31,7 @@ log = logging.getLogger("repro.catalog.server")
 DEFAULT_LIFETIME = 900.0  # seconds before an unrefreshed entry is dropped
 
 
-class CatalogServer:
+class CatalogServer(ServerCore):
     """A running catalog; context-manager friendly.
 
     :param lifetime: seconds after which a server that has not re-reported
@@ -46,6 +47,7 @@ class CatalogServer:
         lifetime: float = DEFAULT_LIFETIME,
         now: Callable[[], float] = time.time,
     ):
+        super().__init__(host, port)
         self.host = host
         self.port = port
         self.lifetime = lifetime
@@ -53,10 +55,6 @@ class CatalogServer:
         self._entries: dict[tuple[str, int], ServerReport] = {}
         self._lock = threading.Lock()
         self._udp: Optional[socket.socket] = None
-        self._tcp: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self.address: tuple[str, int] = (host, port)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -66,41 +64,17 @@ class CatalogServer:
         # Short poll timeouts make stop() prompt: a blocked recvfrom() is
         # not reliably woken by closing the socket from another thread.
         udp.settimeout(0.2)
-        self.address = udp.getsockname()[:2]
-        tcp = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        tcp.bind(self.address)  # same port number, TCP side
-        tcp.listen(64)
-        tcp.settimeout(0.2)
-        self._udp, self._tcp = udp, tcp
-        for target, name in (
-            (self._udp_loop, "catalog-udp"),
-            (self._tcp_loop, "catalog-tcp"),
-        ):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
-        log.info("catalog listening on %s", self.address)
+        self._udp = udp
+        self.address = udp.getsockname()[:2]  # the TCP side takes the same port
+        super().start()
+        self.spawn(self._udp_loop, "udp")
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        for sock in (self._udp, self._tcp):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        self._udp = self._tcp = None
-        for t in self._threads:
-            t.join(timeout=5)
-        self._threads.clear()
-
-    def __enter__(self) -> "CatalogServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().stop()
+        if self._udp is not None:
+            self._udp.close()
+            self._udp = None
 
     # -- report intake ----------------------------------------------------
 
@@ -151,32 +125,13 @@ class CatalogServer:
 
     # -- query service --------------------------------------------------------
 
-    def _tcp_loop(self) -> None:
-        assert self._tcp is not None
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._tcp.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(10.0)
-            t = threading.Thread(
-                target=self._serve_query, args=(conn,), daemon=True
-            )
-            t.start()
-
-    def _serve_query(self, conn: socket.socket) -> None:
-        stream = LineStream(conn)
+    def serve(self, sock: socket.socket, addr) -> None:
+        sock.settimeout(10.0)
+        stream = LineStream(sock)
+        tokens = stream.read_tokens()
+        fmt = tokens[1] if len(tokens) > 1 and tokens[0] == "query" else "json"
         try:
-            tokens = stream.read_tokens()
-            fmt = tokens[1] if len(tokens) > 1 and tokens[0] == "query" else "json"
-            try:
-                body = self.render(fmt)
-            except ValueError as exc:
-                body = json.dumps({"error": str(exc)}) + "\n"
-            stream.write(body.encode("utf-8"))
-        except Exception:
-            pass
-        finally:
-            stream.close()
+            body = self.render(fmt)
+        except ValueError as exc:
+            body = json.dumps({"error": str(exc)}) + "\n"
+        stream.write(body.encode("utf-8"))

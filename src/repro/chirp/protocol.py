@@ -15,45 +15,76 @@ from __future__ import annotations
 import os
 import stat as stat_mod
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.util.errors import InvalidRequestError
 
-__all__ = ["VERBS", "OpenFlags", "ChirpStat", "StatFs", "PROTOCOL_VERSION"]
+__all__ = [
+    "VERBS",
+    "Verb",
+    "payload_length",
+    "OpenFlags",
+    "ChirpStat",
+    "StatFs",
+    "PROTOCOL_VERSION",
+]
 
 PROTOCOL_VERSION = 3  # v3 adds the content-addressed verbs: lookup, putkey, keyof
 
-#: Every request verb the server understands.
-VERBS = frozenset(
-    {
-        "open",
-        "close",
-        "pread",
-        "pwrite",
-        "fsync",
-        "fstat",
-        "ftruncate",
-        "stat",
-        "lstat",
-        "access",
-        "unlink",
-        "rename",
-        "mkdir",
-        "rmdir",
-        "getdir",
-        "getfile",
-        "putfile",
-        "getacl",
-        "setacl",
-        "whoami",
-        "statfs",
-        "truncate",
-        "utime",
-        "checksum",
-        "lookup",
-        "putkey",
-        "keyof",
-    }
-)
+
+class Verb(NamedTuple):
+    """The shape of one request line."""
+
+    #: arguments after the verb
+    nargs: int
+    #: how many trailing arguments a client may leave out
+    optional: int = 0
+    #: index (among the arguments) of the length of the payload that
+    #: follows the line, for verbs that carry one
+    payload: Optional[int] = None
+
+
+#: Every request verb the server understands, with its line shape.
+VERBS: dict[str, Verb] = {
+    "open": Verb(3),  # path flags mode
+    "close": Verb(1),  # fd
+    "pread": Verb(3),  # fd length offset
+    "pwrite": Verb(3, payload=1),  # fd length offset
+    "fsync": Verb(1),
+    "fstat": Verb(1),
+    "ftruncate": Verb(2),  # fd size
+    "stat": Verb(1),
+    "lstat": Verb(1),
+    "access": Verb(2, optional=1),  # path [rights]
+    "unlink": Verb(1),
+    "rename": Verb(2),  # old new
+    "mkdir": Verb(2, optional=1),  # path [mode]
+    "rmdir": Verb(1),
+    "getdir": Verb(1),
+    "getfile": Verb(1),
+    "putfile": Verb(3, payload=2),  # path mode length
+    "getacl": Verb(1),
+    "setacl": Verb(3),  # path pattern rights
+    "whoami": Verb(0),
+    "statfs": Verb(0),
+    "truncate": Verb(2),  # path size
+    "utime": Verb(3),  # path atime mtime
+    "checksum": Verb(1),
+    "lookup": Verb(1),  # key
+    "putkey": Verb(3),  # path mode key
+    "keyof": Verb(1),
+}
+
+
+def payload_length(tokens: list[str]) -> int:
+    """Payload bytes that follow the request line ``tokens`` on the wire.
+
+    Raises ``ValueError`` when the stated length is not an integer.
+    """
+    verb = VERBS.get(tokens[0])
+    if verb is None or verb.payload is None or len(tokens) <= verb.payload + 1:
+        return 0
+    return int(tokens[verb.payload + 1])
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ Deployable by an ordinary user with one call::
     server = FileServer(ServerConfig(root="/scratch/me", owner="unix:me"))
     server.start()
 
-One thread accepts connections; one thread per connection authenticates
-the client and then serves Unix-like RPCs against a
-:class:`~repro.chirp.backend.Backend` layered over the configured
-:class:`~repro.store.BlobStore` (``--store local|memory|cas``).  A
-reporter thread announces
-the server to its catalogs over UDP.  Failure semantics follow the paper:
-when a connection drops, every resource associated with it -- in
-particular all open file descriptors -- is freed immediately.
+The accept loop, admission control, drain and the idle reaper are the
+shared :class:`~repro.util.server.ServerCore`; this module supplies one
+connection's work: authenticate the client, then serve Unix-like RPCs
+against a :class:`~repro.chirp.backend.Backend` layered over the
+configured :class:`~repro.store.BlobStore` (``--store local|memory|cas``).
+A reporter thread announces the server to its catalogs over UDP.
+Failure semantics follow the paper: when a connection drops, every
+resource associated with it -- in particular all open file descriptors
+-- is freed immediately.
 """
 
 from __future__ import annotations
@@ -20,30 +21,25 @@ from __future__ import annotations
 import json
 import logging
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.auth.methods import AuthContext, AuthFailed, authenticate_server
 from repro.chirp.backend import Backend
-from repro.chirp.protocol import OpenFlags, PROTOCOL_VERSION, VERBS
+from repro.chirp.protocol import OpenFlags, PROTOCOL_VERSION, VERBS, payload_length
 from repro.store import BlobHandle, HandleReader, HandleWriter, make_store
 from repro.util.errors import (
     BadFileDescriptorError,
     ChirpError,
-    DisconnectedError,
     InvalidRequestError,
     StatusCode,
-    busy_message,
-    status_from_exception,
 )
+from repro.util.server import ServerCore, Session
 from repro.util.wire import LineStream, pack_line
 
 __all__ = ["ServerConfig", "FileServer"]
 
 log = logging.getLogger("repro.chirp.server")
-
-_DRAIN_CHUNK = 1 << 20
 
 
 @dataclass
@@ -124,12 +120,11 @@ class _CountingWriter:
         return self._writer.write(data)
 
 
-class _Connection:
+class _Connection(Session):
     """Per-connection state: the stream, the subject, and the fd table."""
 
     def __init__(self, stream: LineStream, subject: str, max_open: int):
-        self.stream = stream
-        self.subject = subject
+        super().__init__(stream, subject)
         self.max_open = max_open
         self.fds: dict[int, BlobHandle] = {}  # client fd -> store handle
         self.next_fd = 3
@@ -169,10 +164,19 @@ class _Connection:
         self.fds.clear()
 
 
-class FileServer:
+class FileServer(ServerCore):
     """A running Chirp file server; also usable as a context manager."""
 
     def __init__(self, config: ServerConfig):
+        super().__init__(
+            config.host,
+            config.port,
+            max_conns=config.max_conns,
+            max_inflight_per_subject=config.max_inflight_per_subject,
+            idle_timeout=config.idle_timeout,
+            drain_timeout=config.drain_timeout,
+            busy_retry_ms=config.busy_retry_ms,
+        )
         self.config = config
         self.store = make_store(
             config.store, config.root, sync_meta=config.sync_meta
@@ -188,67 +192,23 @@ class FileServer:
             config.metrics.attach_section("store", self.store)
             config.metrics.attach_section("volume", self.backend)
             config.metrics.attach_section("server", self)
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conn_socks: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-        # socket -> monotonic time of its last observed activity
-        # (accept, auth progress, or a completed dispatch); the reaper
-        # closes sockets whose entry goes stale past idle_timeout.
-        self._activity: dict[socket.socket, float] = {}
-        self.reaped_connections = 0
-        self._stop = threading.Event()
+        # verb -> (fewest args, most args, handler), resolved once
+        self._verbs = {
+            verb: (shape.nargs - shape.optional, shape.nargs, getattr(self, f"_op_{verb}"))
+            for verb, shape in VERBS.items()
+        }
         self._started_at = 0.0
-        self.address: tuple[str, int] = (config.host, config.port)
-        # Lifecycle / admission state.  One lock guards the in-flight
-        # accounting so the drain wait and the per-request admission
-        # check can never race past each other: a request is either
-        # admitted (counted, and drain waits for it) or refused.
-        self._flow_lock = threading.Lock()
-        self._idle_cv = threading.Condition(self._flow_lock)
-        self._draining = False
-        self._drain_deadline = 0.0
-        self._inflight = 0
-        self._inflight_by_subject: dict[str, int] = {}
-        self.shed_connections = 0
-        self.shed_requests = 0
-        self.drain_refusals = 0
         self.janitor_swept = 0
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "FileServer":
-        if self._listener is not None:
-            raise RuntimeError("server already started")
-        self._run_janitor()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(128)
-        # Poll timeout so stop() is prompt even where closing a socket
-        # does not wake a blocked accept().
-        sock.settimeout(0.2)
-        self._listener = sock
-        self.address = sock.getsockname()[:2]
+        if self._listener is None:  # a second start() is refused below
+            self._run_janitor()
+        super().start()
         self._started_at = time.time()
-        accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"chirp-accept-{self.address[1]}", daemon=True
-        )
-        accept_thread.start()
-        self._threads.append(accept_thread)
         if self.config.catalog_addrs:
-            reporter = threading.Thread(
-                target=self._report_loop, name="chirp-reporter", daemon=True
-            )
-            reporter.start()
-            self._threads.append(reporter)
-        if self.config.idle_timeout is not None:
-            reaper = threading.Thread(
-                target=self._reap_loop, name="chirp-reaper", daemon=True
-            )
-            reaper.start()
-            self._threads.append(reaper)
-        log.info("file server %s listening on %s", self.name, self.address)
+            self.spawn(self._report_loop, "reporter")
         return self
 
     def _run_janitor(self) -> None:
@@ -274,303 +234,43 @@ class FileServer:
             except (ChirpError, OSError) as exc:
                 log.warning("post-janitor usage reconcile failed: %s", exc)
 
-    def drain(self, timeout: float | None = None) -> bool:
-        """Graceful shutdown: refuse new work, finish in-flight, stop.
-
-        Flips the server to *draining* (advertised immediately to the
-        catalogs), sheds new connections and new requests with ``BUSY``,
-        waits up to ``timeout`` (default ``config.drain_timeout``) for
-        every in-flight request to write its status line, then closes.
-        Returns ``True`` when all in-flight work finished inside the
-        window -- an acknowledged op is never dropped by a clean drain.
-        """
-        if timeout is None:
-            timeout = self.config.drain_timeout
-        with self._flow_lock:
-            first = not self._draining
-            self._draining = True
-            self._drain_deadline = time.monotonic() + timeout
-        if first:
-            log.info("server %s draining (timeout %.1fs)", self.name, timeout)
-            try:
-                self.report_now()
-            except OSError:
-                pass
-        with self._idle_cv:
-            drained = self._idle_cv.wait_for(lambda: self._inflight == 0, timeout)
-        self.stop()
-        return drained
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        with self._conn_lock:
-            socks = list(self._conn_socks)
-        for s in socks:
-            try:
-                s.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                s.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=5)
-        self._threads.clear()
-
-    def __enter__(self) -> "FileServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def announce_drain(self) -> None:
+        try:
+            self.report_now()
+        except OSError:
+            pass
 
     @property
     def name(self) -> str:
         return self.config.name or f"{self.address[0]}:{self.address[1]}"
 
-    # -- accept / serve ---------------------------------------------------
+    # -- serve / dispatch -------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed
-            conn.settimeout(None)
-            refusal = self._admit_connection()
-            if refusal is not None:
-                self._refuse_connection(conn, addr, refusal)
-                continue
-            with self._conn_lock:
-                self._conn_socks.add(conn)
-                self._activity[conn] = time.monotonic()
-            t = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, addr),
-                name=f"chirp-conn-{addr[1]}",
-                daemon=True,
-            )
-            t.start()
+    payload_length = staticmethod(payload_length)
 
-    def _admit_connection(self) -> tuple[str, int] | None:
-        """Decide whether a fresh connection gets a worker thread.
-
-        Returns ``None`` to admit, or ``(reason, retry_after_ms)`` to
-        shed.  Shedding is deterministic: connections are admitted in
-        accept order until the cap, everything past it is refused.
-        """
-        with self._flow_lock:
-            if self._draining:
-                self.drain_refusals += 1
-                return ("draining", self._drain_hint_ms_locked())
-        cap = self.config.max_conns
-        if cap is not None:
-            with self._conn_lock:
-                if len(self._conn_socks) >= cap:
-                    self.shed_connections += 1
-                    return ("server at max-conns", self.config.busy_retry_ms)
-        return None
-
-    def _refuse_connection(
-        self, sock: socket.socket, addr, refusal: tuple[str, int]
-    ) -> None:
-        """Answer a shed connection with one BUSY line and close it.
-
-        Runs inline in the accept thread: the refusal is a few dozen
-        bytes, fits any socket send buffer, and carries a short timeout,
-        so a flood of connections costs one bounded write each instead
-        of a thread apiece.  The client has not been read from -- the
-        protocol has the client speak first, so its auth line simply
-        dies with the socket and the refusal line is the first (and
-        only) thing it reads.
-        """
-        reason, retry_ms = refusal
-        log.debug("shedding connection from %s: %s", addr, reason)
-        try:
-            sock.settimeout(0.5)
-            sock.sendall(pack_line(int(StatusCode.BUSY), busy_message(retry_ms, reason)))
-        except OSError:
-            pass
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _drain_hint_ms_locked(self) -> int:
-        """Backoff hint for drain refusals: the remaining drain window.
-
-        A client retrying after that long will find either a dead
-        address (fail over) or a restarted, non-draining server.
-        """
-        remaining = max(0.0, self._drain_deadline - time.monotonic())
-        return int(remaining * 1000) + self.config.busy_retry_ms
-
-    def _begin_request(self, subject: str) -> tuple[str, int] | None:
-        """Admit or refuse one request; admitted requests are counted.
-
-        The check and the count are atomic under ``_flow_lock``, so once
-        drain has observed ``_inflight == 0`` no new request can slip
-        in: it either incremented the gauge before the observation (and
-        drain waited for it) or it sees ``_draining`` and is refused.
-        """
-        with self._flow_lock:
-            if self._draining or self._stop.is_set():
-                self.drain_refusals += 1
-                return ("draining", self._drain_hint_ms_locked())
-            cap = self.config.max_inflight_per_subject
-            if cap is not None and self._inflight_by_subject.get(subject, 0) >= cap:
-                self.shed_requests += 1
-                return ("subject at in-flight cap", self.config.busy_retry_ms)
-            self._inflight += 1
-            self._inflight_by_subject[subject] = (
-                self._inflight_by_subject.get(subject, 0) + 1
-            )
-            return None
-
-    def _end_request(self, subject: str) -> None:
-        with self._idle_cv:
-            self._inflight -= 1
-            left = self._inflight_by_subject.get(subject, 1) - 1
-            if left <= 0:
-                self._inflight_by_subject.pop(subject, None)
-            else:
-                self._inflight_by_subject[subject] = left
-            if self._inflight == 0:
-                self._idle_cv.notify_all()
-
-    def _refuse_request(
-        self, conn: _Connection, tokens: list[str], refusal: tuple[str, int]
-    ) -> None:
-        """Refuse one request with BUSY, keeping the stream in sync.
-
-        Payload-bearing verbs state their payload length in the request
-        line; the payload is already on the wire, so it must be drained
-        before the status line or the next request would be parsed out
-        of the middle of it.
-        """
-        reason, retry_ms = refusal
-        try:
-            payload = 0
-            if tokens[0] == "pwrite" and len(tokens) >= 3:
-                payload = int(tokens[2])
-            elif tokens[0] == "putfile" and len(tokens) >= 4:
-                payload = int(tokens[3])
-            if payload > 0:
-                self._drain(conn.stream, payload)
-        except ValueError:
-            pass
-        conn.stream.write_line(int(StatusCode.BUSY), busy_message(retry_ms, reason))
-
-    def _serve_connection(self, sock: socket.socket, addr) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def serve(self, sock: socket.socket, addr) -> None:
         stream = LineStream(sock)
-        conn: _Connection | None = None
         try:
             subject = authenticate_server(stream, self.config.auth, addr[0])
-            self._touch(sock)
-            conn = _Connection(stream, subject, self.config.max_open_files)
-            log.debug("connection from %s authenticated as %s", addr, subject)
-            while not self._stop.is_set():
-                tokens = stream.read_tokens()
-                self._touch(sock)
-                if not tokens:
-                    continue
-                refusal = self._begin_request(subject)
-                if refusal is not None:
-                    self._refuse_request(conn, tokens, refusal)
-                    if refusal[0] == "draining":
-                        # The session is over; closing prompts the
-                        # client onto its reconnect/failover path.
-                        break
-                    continue
-                try:
-                    self._dispatch(conn, tokens)
-                finally:
-                    self._end_request(subject)
-        except (DisconnectedError, AuthFailed):
-            pass
-        except Exception:  # pragma: no cover - diagnostic guard
-            log.exception("connection handler crashed")
+        except AuthFailed:
+            return
+        log.debug("connection from %s authenticated as %s", addr, subject)
+        conn = _Connection(stream, subject, self.config.max_open_files)
+        try:
+            self.serve_requests(sock, conn)
         finally:
             # Failure semantics: free everything on disconnect.
-            if conn is not None:
-                conn.close_all()
-            stream.close()
-            with self._conn_lock:
-                self._conn_socks.discard(sock)
-                self._activity.pop(sock, None)
+            conn.close_all()
 
-    def _touch(self, sock: socket.socket) -> None:
-        with self._conn_lock:
-            if sock in self._activity:
-                self._activity[sock] = time.monotonic()
-
-    def _reap_loop(self) -> None:
-        """Close connections silent for longer than ``idle_timeout``.
-
-        "Silent" means no completed auth step and no request line since
-        the last mark -- a slow-loris client dribbling bytes without ever
-        finishing a request never refreshes its mark, so it is reaped
-        like one sending nothing at all.  Closing the socket wakes the
-        connection's worker thread out of its blocking read; the normal
-        disconnect path then frees the session's fds.
-        """
-        timeout = self.config.idle_timeout
-        assert timeout is not None
-        interval = max(0.05, min(timeout / 4.0, 1.0))
-        while not self._stop.wait(interval):
-            now = time.monotonic()
-            with self._conn_lock:
-                stale = [
-                    s for s, last in self._activity.items() if now - last > timeout
-                ]
-                for s in stale:
-                    self._activity.pop(s, None)
-            for s in stale:
-                log.info("reaping idle connection %r", s)
-                self.reaped_connections += 1
-                try:
-                    s.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    s.close()
-                except OSError:
-                    pass
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _dispatch(self, conn: _Connection, tokens: list[str]) -> None:
-        verb = tokens[0]
-        args = tokens[1:]
-        if verb not in VERBS:
-            conn.stream.write_line(int(StatusCode.INVALID_REQUEST), f"unknown verb {verb}")
-            return
-        handler = getattr(self, f"_op_{verb}")
-        try:
-            handler(conn, args)
-        except ChirpError as exc:
-            conn.stream.write_line(int(exc.status), str(exc))
-        except DisconnectedError:
-            raise
-        except (ValueError, IndexError) as exc:
-            conn.stream.write_line(int(StatusCode.INVALID_REQUEST), str(exc))
-        except OSError as exc:
-            conn.stream.write_line(int(status_from_exception(exc)), str(exc))
+    def handle(self, conn: _Connection, tokens: list[str]) -> None:
+        verb, args = tokens[0], tokens[1:]
+        entry = self._verbs.get(verb)
+        if entry is None:
+            raise InvalidRequestError(f"unknown verb {verb}")
+        fewest, most, op = entry
+        if not fewest <= len(args) <= most:
+            raise InvalidRequestError(f"{verb} takes {most} arguments")
+        op(conn, args)
 
     # Each _op_* reads any request payload, performs the operation, and
     # writes exactly one status line (plus reply payload where defined).
@@ -673,7 +373,7 @@ class FileServer:
         try:
             handle = self.backend.open(conn.subject, path, flags, int(mode_text))
         except ChirpError as exc:
-            self._drain(conn.stream, length)
+            conn.stream.discard(length)
             conn.stream.write_line(int(exc.status), str(exc))
             return
         try:
@@ -683,7 +383,7 @@ class FileServer:
                 handle.close()
             except ChirpError:
                 pass
-            self._drain(conn.stream, length)
+            conn.stream.discard(length)
             conn.stream.write_line(int(exc.status), str(exc))
             return
         # Count bytes consumed from the stream so a store failure midway
@@ -699,7 +399,7 @@ class FileServer:
                 handle.close()
             except ChirpError:
                 pass
-            self._drain(conn.stream, length - sink.consumed)
+            conn.stream.discard(length - sink.consumed)
             conn.stream.write_line(int(exc.status), str(exc))
             return
         try:
@@ -725,14 +425,6 @@ class FileServer:
     def _op_keyof(self, conn: _Connection, args: list[str]) -> None:
         key = self.backend.keyof(conn.subject, args[0])
         conn.stream.write_line(0, key)
-
-    @staticmethod
-    def _drain(stream: LineStream, length: int) -> None:
-        """Discard a request payload so the stream stays in sync."""
-        remaining = length
-        while remaining > 0:
-            chunk = stream.read_exact(min(_DRAIN_CHUNK, remaining))
-            remaining -= len(chunk)
 
     def _op_getacl(self, conn: _Connection, args: list[str]) -> None:
         acl = self.backend.getacl(conn.subject, args[0])
@@ -768,24 +460,7 @@ class FileServer:
 
     def snapshot(self) -> dict:
         """Lifecycle metrics, published as the ``server`` section."""
-        with self._flow_lock:
-            inflight = self._inflight
-            subjects = len(self._inflight_by_subject)
-            draining = self._draining
-        with self._conn_lock:
-            connections = len(self._conn_socks)
-        return {
-            "draining": draining,
-            "connections": connections,
-            "max_conns": self.config.max_conns,
-            "in_flight": inflight,
-            "in_flight_subjects": subjects,
-            "shed_connections": self.shed_connections,
-            "shed_requests": self.shed_requests,
-            "drain_refusals": self.drain_refusals,
-            "reaped_connections": self.reaped_connections,
-            "janitor_swept": self.janitor_swept,
-        }
+        return {**super().snapshot(), "janitor_swept": self.janitor_swept}
 
     # -- catalog reporting --------------------------------------------------
 
@@ -805,7 +480,7 @@ class FileServer:
             "root_acl": self.backend.root_acl_text(),
             "read_only": self.backend.read_only,
             "read_only_reason": self.backend.read_only_reason,
-            "draining": self._draining,
+            "draining": self.draining,
             "uptime": time.time() - self._started_at,
             "report_time": time.time(),
         }

@@ -20,7 +20,7 @@ on it unavailable; the namespace (or database) stays navigable.
 """
 
 from repro.core.interface import Filesystem, FileHandle, StatResult, to_stat_result
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.pool import ClientPool
 from repro.core.localfs import LocalFilesystem
 from repro.core.cfs import CFS

@@ -61,7 +61,7 @@ class FileHandle(ABC):
 
     Handles own their recovery: an implementation that talks to a remote
     server transparently reconnects and re-opens according to its
-    :class:`~repro.core.retry.RetryPolicy`, raising
+    :class:`~repro.transport.recovery.RetryPolicy`, raising
     :class:`~repro.util.errors.StaleHandleError` if the file changed
     identity underneath (the paper's NFS-style stale-handle rule).
     """

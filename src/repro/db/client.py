@@ -76,12 +76,14 @@ class DatabaseClient:
     def _call(self, cmd: dict) -> dict:
         conn = self.endpoint.checkout()
         try:
-            reply = conn.rpc(
+            # The result comes back as a length-prefixed payload, so a
+            # large query reply is not bound by the wire's line limit.
+            body = conn.fetch(
                 "dbcmd", json.dumps(cmd), metric=f"db.{cmd.get('op', 'cmd')}"
             )
         finally:
             self.endpoint.checkin(conn)
-        return json.loads(reply[1])
+        return json.loads(body)
 
     # -- typed operations -------------------------------------------------
 

@@ -1,15 +1,19 @@
 """TCP front-end for the metadata database.
 
-Reuses the Chirp authentication handshake, then serves one JSON command
-per line::
+Runs on the shared :class:`~repro.util.server.ServerCore` (admission,
+``BUSY``, drain, stop) and reuses the Chirp authentication handshake,
+then serves one JSON command per line::
 
     C: dbcmd <json>
-    S: 0 <json-result>      |  <negative status> <message>
+    S: <n>                               followed by n bytes of JSON result
+    S: <negative status> <message>       on failure
 
-Commands are JSON objects: ``{"op": "insert", "record": {...}}`` etc.
-Write access can be restricted to a subject allow-list, matching the
-paper's GEMS deployments where "one research group may establish a file
-server allowing all of its members to read and write data, while allowing
+The result travels as a length-prefixed payload, like ``getfile``, so a
+reply is not bound by the wire's line limit.  Commands are JSON
+objects: ``{"op": "insert", "record": {...}}`` etc.  Write access can be
+restricted to a subject allow-list, matching the paper's GEMS
+deployments where "one research group may establish a file server
+allowing all of its members to read and write data, while allowing
 external users only to read."
 """
 
@@ -18,20 +22,17 @@ from __future__ import annotations
 import json
 import logging
 import socket
-import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.auth.methods import AuthContext, AuthFailed, authenticate_server
 from repro.auth.subjects import subject_matches
 from repro.db.engine import MetadataDB
 from repro.db.query import Query
-from repro.util.errors import DisconnectedError, StatusCode
-from repro.util.wire import LineStream
+from repro.util.errors import DoesNotExistError, InvalidRequestError, NotAuthorizedError
+from repro.util.server import ServerCore, Session
+from repro.util.wire import LineStream, pack_line
 
 __all__ = ["DatabaseServer", "DatabaseConfig"]
-
-log = logging.getLogger("repro.db.server")
 
 _WRITE_OPS = {"insert", "update", "delete"}
 
@@ -47,78 +48,13 @@ class DatabaseConfig:
     readers: tuple[str, ...] = ()
 
 
-class DatabaseServer:
+class DatabaseServer(ServerCore):
     """A running metadata-database server."""
 
     def __init__(self, db: MetadataDB, config: DatabaseConfig | None = None):
         self.db = db
         self.config = config or DatabaseConfig()
-        self._listener: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._conn_socks: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-        self._stop = threading.Event()
-        self.address: tuple[str, int] = (self.config.host, self.config.port)
-
-    def start(self) -> "DatabaseServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(64)
-        sock.settimeout(0.2)  # prompt stop(): see chirp server
-        self._listener = sock
-        self.address = sock.getsockname()[:2]
-        t = threading.Thread(target=self._accept_loop, name="db-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
-        log.info("database server listening on %s", self.address)
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        with self._conn_lock:
-            socks = list(self._conn_socks)
-        for s in socks:
-            try:
-                s.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                s.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=5)
-        self._threads.clear()
-
-    def __enter__(self) -> "DatabaseServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            with self._conn_lock:
-                self._conn_socks.add(conn)
-            t = threading.Thread(
-                target=self._serve, args=(conn, addr), daemon=True
-            )
-            t.start()
+        super().__init__(self.config.host, self.config.port)
 
     def _allowed(self, subject: str, op: str) -> bool:
         patterns = self.config.writers if op in _WRITE_OPS else self.config.readers
@@ -126,46 +62,32 @@ class DatabaseServer:
             return True
         return any(subject_matches(p, subject) for p in patterns)
 
-    def _serve(self, sock: socket.socket, addr) -> None:
+    def serve(self, sock: socket.socket, addr) -> None:
         stream = LineStream(sock)
         try:
             subject = authenticate_server(stream, self.config.auth, addr[0])
-            while not self._stop.is_set():
-                tokens = stream.read_tokens()
-                if not tokens or tokens[0] != "dbcmd" or len(tokens) != 2:
-                    stream.write_line(int(StatusCode.INVALID_REQUEST), "expected dbcmd")
-                    continue
-                self._execute(stream, subject, tokens[1])
-        except (DisconnectedError, AuthFailed):
-            pass
-        except Exception:  # pragma: no cover - diagnostic guard
-            log.exception("db connection handler crashed")
-        finally:
-            stream.close()
-            with self._conn_lock:
-                self._conn_socks.discard(sock)
+        except AuthFailed:
+            return
+        self.serve_requests(sock, Session(stream, subject))
 
-    def _execute(self, stream: LineStream, subject: str, raw: str) -> None:
+    def handle(self, session: Session, tokens: list[str]) -> None:
+        if len(tokens) != 2 or tokens[0] != "dbcmd":
+            raise InvalidRequestError("expected dbcmd")
         try:
-            cmd = json.loads(raw)
+            cmd = json.loads(tokens[1])
             op = cmd["op"]
         except (ValueError, KeyError, TypeError):
-            stream.write_line(int(StatusCode.INVALID_REQUEST), "malformed command")
-            return
-        if not self._allowed(subject, op):
-            stream.write_line(
-                int(StatusCode.NOT_AUTHORIZED), f"{subject} may not {op}"
-            )
-            return
+            raise InvalidRequestError("malformed command") from None
+        if not self._allowed(session.subject, op):
+            raise NotAuthorizedError(f"{session.subject} may not {op}")
         try:
             result = self._apply(op, cmd)
         except KeyError as exc:
-            stream.write_line(int(StatusCode.DOESNT_EXIST), str(exc))
-            return
-        except (ValueError, TypeError) as exc:
-            stream.write_line(int(StatusCode.INVALID_REQUEST), str(exc))
-            return
-        stream.write_line(0, json.dumps(result))
+            raise DoesNotExistError(str(exc)) from None
+        except TypeError as exc:
+            raise InvalidRequestError(str(exc)) from None
+        body = json.dumps(result).encode("utf-8")
+        session.stream.write(pack_line(len(body)) + body)
 
     def _apply(self, op: str, cmd: dict):
         if op == "insert":
@@ -216,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     server = DatabaseServer(db, DatabaseConfig(host=args.host, port=args.port))
     server.start()
     print(f"tss-db: listening on {server.address[0]}:{server.address[1]}", flush=True)
-    signals = GracefulSignals().install()
-    signals.wait()
-    server.stop()
+    GracefulSignals().install().wait()
+    # Finish admitted commands (refusing new ones with BUSY), then close.
+    server.drain()
     db.close()
     return 0
 

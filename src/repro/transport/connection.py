@@ -211,14 +211,20 @@ class Connection:
     def close_fd(self, fd: int) -> None:
         self.rpc("close", fd)
 
-    def pread(
+    def fetch(
         self,
-        fd: int,
-        length: int,
-        offset: int,
+        verb: str,
+        *tokens: object,
+        metric: Optional[str] = None,
         deadline: Optional[Deadline] = None,
     ) -> bytes:
+        """One request line; the reply is ``<n>`` then ``n`` payload bytes.
+
+        Negative statuses raise like :meth:`rpc`; a transport failure
+        tears the connection down.
+        """
         start = time.perf_counter()
+        line = pack_line(verb, *tokens)
         bytes_in = 0
         error = True
         with self._lock:
@@ -226,7 +232,7 @@ class Connection:
                 stream = self._require_stream()
                 self._apply_deadline(stream, deadline)
                 try:
-                    stream.write_line("pread", fd, length, offset)
+                    stream.write(line)
                     reply = stream.read_tokens()
                     status = int(reply[0])
                     if status < 0:
@@ -241,7 +247,16 @@ class Connection:
                 error = False
                 return data
             finally:
-                self._observe("pread", start, bytes_in, 0, error)
+                self._observe(metric or verb, start, bytes_in, len(line), error)
+
+    def pread(
+        self,
+        fd: int,
+        length: int,
+        offset: int,
+        deadline: Optional[Deadline] = None,
+    ) -> bytes:
+        return self.fetch("pread", fd, length, offset, deadline=deadline)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         reply = self.rpc("pwrite", fd, len(data), offset, payload=bytes(data))

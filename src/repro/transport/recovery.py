@@ -5,8 +5,7 @@ attempting to reconnect to the server with an exponentially increasing
 delay.  (Users may place an upper limit on these retries with a
 command-line argument.)"  This module is that behaviour.  It lives in the
 transport layer so every session type (Chirp, database) and every handle
-shares one recovery discipline; :mod:`repro.core.retry` re-exports it for
-older imports.
+shares one recovery discipline (:mod:`repro.core` re-exports it).
 
 Optional decorrelated jitter (``jitter=True``) spreads mass reconnects
 after a server restart: instead of every client sleeping the same

@@ -4,15 +4,18 @@ Every long-running process (file server, catalog, keeper, database)
 wants the same discipline:
 
 - the first SIGTERM/SIGINT requests a *graceful* stop -- the handler
-  sets an event the main thread is waiting on, which returns
-  immediately (CPython runs signal handlers on the main thread, so the
-  ``Event.wait`` is interrupted rather than riding out its timeout);
+  sets an event the main thread is waiting on;
 - a repeated signal means the operator is done waiting: escalate to
   ``os._exit`` so a wedged drain can never hold the process hostage.
 
-The daemons' worker loops are woken by their ``stop()`` methods closing
-the listening socket, which bounds total shutdown latency to one accept
-poll tick rather than a full poll interval.
+The kernel may deliver a process-directed signal to any thread that
+does not block it.  CPython's C-level handler then only records it; the
+Python handler runs later, on the main thread, when that thread next
+returns to the interpreter loop.  A main thread parked in an untimed
+``Event.wait`` never does, so the signal would sit unhandled until
+another one happened to land on the main thread -- and a second signal
+only re-sets the same pending flag.  Hence every wait on the stop path
+(here and in :meth:`repro.util.server.ServerCore.drain`) is bounded.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ import signal
 import threading
 
 __all__ = ["GracefulSignals"]
+
+#: Longest a pending stop signal waits for its Python handler.
+_WAKE_INTERVAL = 0.2
 
 
 class GracefulSignals:
@@ -49,4 +55,5 @@ class GracefulSignals:
 
     def wait(self) -> None:
         """Block the main thread until the first stop signal."""
-        self.stop.wait()
+        while not self.stop.wait(_WAKE_INTERVAL):
+            pass

@@ -160,6 +160,11 @@ class LineStream:
         del self._buf[:length]
         return data
 
+    def discard(self, length: int) -> None:
+        """Read and drop ``length`` payload bytes so the stream stays in sync."""
+        while length > 0:
+            length -= len(self.read_exact(min(1 << 20, length)))
+
     def read_into_file(self, fobj, length: int, chunk_size: int = 1 << 20) -> None:
         """Stream ``length`` payload bytes directly into a file object.
 

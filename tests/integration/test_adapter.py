@@ -12,7 +12,7 @@ from repro.adapter.interpose import interposed
 from repro.adapter.mountlist import Mountlist
 from repro.core.dsfs import DSFS
 from repro.core.localfs import LocalFilesystem
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)
 

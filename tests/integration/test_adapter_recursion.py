@@ -16,7 +16,7 @@ from repro.adapter.interpose import interposed
 from repro.core.dsfs import DSFS
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.replfs import ReplicatedFS
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS
 from repro.core.versionfs import VersionedFS
 

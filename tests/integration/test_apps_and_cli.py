@@ -10,7 +10,7 @@ from repro.apps.protomol import generate_runs
 from repro.apps.sp5 import SyntheticSP5
 from repro.cli import main as tss_main
 from repro.core.dsdb import DSDB
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.db.engine import MetadataDB
 from repro.db.query import Query
 

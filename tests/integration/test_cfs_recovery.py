@@ -14,7 +14,7 @@ from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
 from repro.chirp.server import FileServer, ServerConfig
 from repro.core.cfs import CFS
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.util import errors as E
 
 FAST = dict(max_attempts=8, initial_delay=0.05, multiplier=1.5, max_delay=0.4)

@@ -20,7 +20,7 @@ from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
 from repro.core.replfs import ReplicatedFS
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.transport.deadline import Deadline
 from repro.transport.faults import FaultPlan, FaultyListener
 from repro.transport.health import STATE_OPEN

@@ -15,7 +15,7 @@ from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
 from repro.core.dsfs import DSFS
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.util import errors as E
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)

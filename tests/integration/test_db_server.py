@@ -126,3 +126,37 @@ class TestAccessControl:
         reply = stream.read_tokens()
         assert int(reply[0]) == int(E.StatusCode.INVALID_REQUEST)
         assert db_client.get("x") is None  # connection survives
+
+
+class TestLargeReplies:
+    """Replies longer than the wire's line limit arrive as a framed payload."""
+
+    @pytest.fixture()
+    def big_server(self, auth_context):
+        db = MetadataDB(None)
+        for i in range(2000):
+            db.insert({"tss_kind": "file", "name": f"run{i:04d}/traj.dcd", "size": i})
+        with DatabaseServer(db, DatabaseConfig(auth=auth_context)) as server:
+            yield server
+
+    def test_query_over_2000_records(self, big_server, credentials):
+        c = DatabaseClient(*big_server.address, credentials=credentials)
+        try:
+            hits = c.query(Query.where(tss_kind="file"))
+            assert sorted(r["size"] for r in hits) == list(range(2000))
+            assert c.count(Query()) == 2000  # the connection is still in sync
+        finally:
+            c.close()
+
+    def test_dsdb_scan_records_against_live_server(self, big_server, credentials, pool):
+        from repro.core.dsdb import DSDB
+
+        c = DatabaseClient(*big_server.address, credentials=credentials)
+        try:
+            dsdb = DSDB(c, pool, [("127.0.0.1", 1)])  # scanning never dials it
+            ids = [r["id"] for r in dsdb.scan_records()]
+            assert len(ids) == 2000 and ids == sorted(ids)
+            page = dsdb.scan_records(after=ids[999], limit=10)
+            assert [r["id"] for r in page] == ids[1000:1010]
+        finally:
+            c.close()

@@ -13,7 +13,7 @@ from repro.core.dpfs import DPFS
 from repro.core.dsfs import DSFS
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.util import errors as E
 
 FAST = RetryPolicy(max_attempts=4, initial_delay=0.05, multiplier=1.5)

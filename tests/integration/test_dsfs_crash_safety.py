@@ -17,7 +17,7 @@ from repro.chirp.protocol import OpenFlags
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.stubfs import StubFilesystem
 from repro.core.stubs import Stub, unique_data_name
 from repro.transport.faults import FaultyListener

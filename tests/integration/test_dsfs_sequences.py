@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.dsfs import DSFS
 from repro.core.placement import RoundRobinPlacement
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.util import errors as E
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)

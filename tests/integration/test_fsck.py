@@ -5,7 +5,7 @@ import pytest
 from repro.core.dsfs import DSFS
 from repro.core.fsck import fsck_volume
 from repro.core.placement import RoundRobinPlacement
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)
 

@@ -15,7 +15,7 @@ from repro.core.dsdb import DSDB
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import RoundRobinPlacement
 from repro.core.replfs import MultiStub, ReplicatedFS
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.db.engine import MetadataDB
 from repro.db.query import Query
 from repro.gems.recovery import rebuild_database, rescan_servers

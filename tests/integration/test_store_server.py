@@ -13,7 +13,7 @@ from repro.core.dsdb import DSDB
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.versionfs import VersionedFS
 from repro.db.engine import MetadataDB
 from repro.gems import Auditor, FixedCountPolicy, Keeper, KeeperConfig

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chirp.protocol import OpenFlags
 from repro.core.metastore import ChirpMetadataStore
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS, StripeStub
 from repro.util import errors as E
 

@@ -7,7 +7,7 @@ import pytest
 from repro.chirp.protocol import OpenFlags
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import RoundRobinPlacement
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.versionfs import VersionedFS
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)

@@ -7,7 +7,7 @@ from repro.core.placement import (
     RandomPlacement,
     RoundRobinPlacement,
 )
-from repro.core.retry import RetryPolicy
+from repro.transport.recovery import RetryPolicy
 from repro.core.stubs import Stub, unique_data_name
 from repro.util.clock import ManualClock
 from repro.util.errors import DisconnectedError, InvalidRequestError, StaleHandleError
