@@ -13,6 +13,7 @@ the client sends one line, ``query <format>`` where format is ``json`` or
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import socket
@@ -29,6 +30,7 @@ __all__ = ["CatalogServer"]
 log = logging.getLogger("repro.catalog.server")
 
 DEFAULT_LIFETIME = 900.0  # seconds before an unrefreshed entry is dropped
+_BIND_ATTEMPTS = 8  # UDP+TCP port pairs tried when the port is ephemeral
 
 
 class CatalogServer(ServerCore):
@@ -59,16 +61,40 @@ class CatalogServer(ServerCore):
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "CatalogServer":
+        # The TCP side takes the port the UDP bind got.  With port 0 that
+        # number may already be taken on TCP; then a fresh pair is tried.
+        # A fixed port fails as it is.
+        for attempt in range(_BIND_ATTEMPTS):
+            udp = self._bind_udp()
+            self.address = udp.getsockname()[:2]
+            try:
+                super().start()
+            except OSError as exc:
+                udp.close()
+                self.address = (self.host, self.port)
+                if (
+                    self.port != 0
+                    or exc.errno != errno.EADDRINUSE
+                    or attempt + 1 == _BIND_ATTEMPTS
+                ):
+                    raise
+                continue
+            break
+        self._udp = udp
+        self.spawn(self._udp_loop, "udp")
+        return self
+
+    def _bind_udp(self) -> socket.socket:
         udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        udp.bind((self.host, self.port))
+        try:
+            udp.bind((self.host, self.port))
+        except OSError:
+            udp.close()
+            raise
         # Short poll timeouts make stop() prompt: a blocked recvfrom() is
         # not reliably woken by closing the socket from another thread.
         udp.settimeout(0.2)
-        self._udp = udp
-        self.address = udp.getsockname()[:2]  # the TCP side takes the same port
-        super().start()
-        self.spawn(self._udp_loop, "udp")
-        return self
+        return udp
 
     def stop(self) -> None:
         super().stop()

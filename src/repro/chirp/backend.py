@@ -27,6 +27,7 @@ delete their dangling stub files):
 open (read)      ``r`` on the containing directory
 open (write)     ``w`` on the containing directory
 stat/access      ``l`` on the containing directory
+statget          ``l``; the content also needs ``r`` (else stat only)
 getdir           ``l`` on the directory itself
 unlink           ``w`` or ``d`` on the containing directory
 rename           ``w``/``d`` on the source dir, ``w`` on the target dir
@@ -46,6 +47,7 @@ import logging
 import posixpath
 import threading
 import time
+from typing import Optional
 
 from repro.auth.acl import ACL_FILE_NAME, Acl, parse_rights
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
@@ -345,13 +347,21 @@ class Backend:
             raise BadFileDescriptorError(f"not an open handle: {handle!r}")
         return handle
 
-    def open(self, subject: str, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle:
-        """Open a file, returning a store handle."""
+    def open(
+        self, subject: str, vpath: str, flags: OpenFlags, mode: int, charge: int = 0
+    ) -> BlobHandle:
+        """Open a file, returning a store handle.
+
+        ``charge`` is the size of a whole-file write about to follow: its
+        quota check happens before the store is touched, so a refused
+        put creates and truncates nothing.
+        """
         self._forbid_acl_name(vpath)
         parent, _name = split_virtual(vpath)
         if flags.write or flags.create or flags.truncate:
             self._check(subject, parent, "w")
             self._refuse_if_read_only()
+            self._charge_quota(charge)
             return self._store_write(self.store.open, vpath, flags, mode)
         self._check(subject, parent, "r")
         return self.store.open(vpath, flags, mode)
@@ -394,6 +404,23 @@ class Backend:
         parent, _ = split_virtual(vpath)
         self._check(subject, parent, "l")
         return self.store.stat(vpath)
+
+    def stat_read(
+        self, subject: str, vpath: str, limit: int
+    ) -> tuple[ChirpStat, Optional[bytes]]:
+        """``stat`` plus the content of a small regular file, in one call.
+
+        Needs ``l`` like ``stat``; the content comes back only when the
+        subject also holds ``r`` (tested on the same ACL, so the path is
+        resolved and checked once) and the file is at most ``limit``
+        bytes.
+        """
+        self._forbid_acl_name(vpath)
+        parent, _ = split_virtual(vpath)
+        acl = self._check(subject, parent, "l")
+        if subject != self.owner_subject and not acl.check(subject, "r"):
+            limit = -1
+        return self.store.stat_read(vpath, limit)
 
     def lstat(self, subject: str, vpath: str) -> ChirpStat:
         self._forbid_acl_name(vpath)

@@ -55,10 +55,15 @@ from repro.util.errors import (
     DisconnectedError,
     DoesNotExistError,
     IntegrityError,
+    InvalidRequestError,
+    TimedOutError,
 )
 from repro.util.paths import normalize_virtual
 
 __all__ = ["ChirpClient"]
+
+#: Failures that carry no answer from the server (nothing to learn from).
+_NO_ANSWER = (DisconnectedError, TimedOutError, BusyError)
 
 
 class _HashingSink:
@@ -393,6 +398,72 @@ class ChirpClient:
         return self._cached_meta(
             "lstat", path, lambda: self._stateless(lambda c: c.lstat(path))
         )
+
+    # -- protocol v4: compound verbs, learnt per session ------------------
+
+    def statget(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """``stat`` plus the content of a small regular file, one RPC.
+
+        The content is None for anything but a regular file of at most
+        ``limit`` bytes that the subject may read.  Every answer teaches
+        the session whether the server speaks protocol v4; a server that
+        predates the verb answers ``INVALID_REQUEST``
+        (:class:`InvalidRequestError`), and after that refusal this
+        session raises it without asking again.
+        """
+        endpoint = self.endpoint
+        known = endpoint.v4
+        if known is False:
+            raise InvalidRequestError(f"{self.host}:{self.port} predates statget")
+        generation = endpoint.generation
+        try:
+            result = self._stateless(lambda c: c.statget(path, limit))
+        except InvalidRequestError:
+            if known is None:
+                endpoint.learn_v4(False, generation)
+            raise
+        except _NO_ANSWER:
+            raise
+        except ChirpError:
+            if known is None:
+                endpoint.learn_v4(True, generation)  # refused, but understood
+            raise
+        if known is None:
+            endpoint.learn_v4(True, generation)
+        return result
+
+    def speaks_v4(self) -> bool:
+        """Whether this session may use the protocol-v4 verbs.
+
+        Answered from what earlier ``statget`` calls taught the session;
+        when none has gone out yet this generation, one probe
+        (``statget / 0``) asks.
+        """
+        if self.endpoint.v4 is None:
+            try:
+                self.statget("/", 0)
+            except _NO_ANSWER:
+                raise
+            except ChirpError:
+                pass  # a refusal still answers the question
+        return bool(self.endpoint.v4)
+
+    def putflags(
+        self, path: str, data: bytes, flags: OpenFlags, mode: int = 0o644
+    ) -> int:
+        """Open with ``flags``, write ``data`` whole and close, in one RPC.
+
+        ``wcx`` is an exclusive create-and-write; ``wt`` replaces an
+        existing file and never creates one.  Sent only to a server known
+        to speak protocol v4 (an old server would parse the payload as
+        request lines): raises :class:`InvalidRequestError` otherwise,
+        without sending.
+        """
+        if not self.speaks_v4():
+            raise InvalidRequestError(f"{self.host}:{self.port} predates putflags")
+        n = self._stateless(lambda c: c.putflags(path, data, flags.encode(), mode))
+        self._cache_entry_changed(path, data=True)
+        return n
 
     def access(self, path: str, rights: str = "l") -> None:
         self._stateless(lambda c: c.access(path, rights))

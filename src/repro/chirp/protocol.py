@@ -27,9 +27,15 @@ __all__ = [
     "ChirpStat",
     "StatFs",
     "PROTOCOL_VERSION",
+    "STATGET_MAX_BYTES",
 ]
 
-PROTOCOL_VERSION = 3  # v3 adds the content-addressed verbs: lookup, putkey, keyof
+# v3 adds the content-addressed verbs: lookup, putkey, keyof
+# v4 adds the compound verbs: statget, putflags
+PROTOCOL_VERSION = 4
+
+#: The most content one ``statget`` returns, whatever limit is asked for.
+STATGET_MAX_BYTES = 64 * 1024
 
 
 class Verb(NamedTuple):
@@ -73,6 +79,8 @@ VERBS: dict[str, Verb] = {
     "lookup": Verb(1),  # key
     "putkey": Verb(3),  # path mode key
     "keyof": Verb(1),
+    "statget": Verb(2),  # path limit
+    "putflags": Verb(4, payload=3),  # path flags mode length
 }
 
 

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 from repro.auth.methods import AuthContext, AuthFailed, authenticate_server
 from repro.chirp.backend import Backend
-from repro.chirp.protocol import OpenFlags, PROTOCOL_VERSION, VERBS, payload_length
+from repro.chirp.protocol import (
+    OpenFlags,
+    PROTOCOL_VERSION,
+    STATGET_MAX_BYTES,
+    VERBS,
+    payload_length,
+)
 from repro.store import BlobHandle, HandleReader, HandleWriter, make_store
 from repro.util.errors import (
     BadFileDescriptorError,
@@ -321,6 +327,19 @@ class FileServer(ServerCore):
         st = self.backend.stat(conn.subject, args[0])
         conn.stream.write_line(0, *st.to_tokens())
 
+    def _op_statget(self, conn: _Connection, args: list[str]) -> None:
+        path, limit_text = args
+        limit = int(limit_text)
+        if limit < 0:
+            raise InvalidRequestError("negative statget limit")
+        st, data = self.backend.stat_read(
+            conn.subject, path, min(limit, STATGET_MAX_BYTES)
+        )
+        if data is None:
+            conn.stream.write_line(0, *st.to_tokens(), -1)
+        else:
+            conn.stream.write(pack_line(0, *st.to_tokens(), len(data)) + data)
+
     def _op_lstat(self, conn: _Connection, args: list[str]) -> None:
         st = self.backend.lstat(conn.subject, args[0])
         conn.stream.write_line(0, *st.to_tokens())
@@ -366,25 +385,34 @@ class FileServer(ServerCore):
 
     def _op_putfile(self, conn: _Connection, args: list[str]) -> None:
         path, mode_text, length_text = args
+        self._put(conn, path, "wct", mode_text, length_text)
+
+    def _op_putflags(self, conn: _Connection, args: list[str]) -> None:
+        self._put(conn, *args)
+
+    def _put(
+        self, conn: _Connection, path: str, flags_text: str, mode_text: str, length_text: str
+    ) -> None:
+        """Open ``path`` with ``flags_text``, write the request payload
+        whole, close: ``putfile`` is the ``wct`` case of ``putflags``.
+
+        Every refusal drains the payload first, so the error travels as
+        a status line and the next request still parses.
+        """
         length = int(length_text)
         if length < 0:
-            raise InvalidRequestError("negative putfile length")
-        flags = OpenFlags(write=True, create=True, truncate=True)
+            raise InvalidRequestError("negative put length")
         try:
-            handle = self.backend.open(conn.subject, path, flags, int(mode_text))
-        except ChirpError as exc:
+            flags = OpenFlags.decode(flags_text)
+            if not flags.write:
+                raise InvalidRequestError("a put needs the w flag")
+            handle = self.backend.open(
+                conn.subject, path, flags, int(mode_text), charge=length
+            )
+        except (ChirpError, ValueError) as exc:
+            status = exc.status if isinstance(exc, ChirpError) else StatusCode.INVALID_REQUEST
             conn.stream.discard(length)
-            conn.stream.write_line(int(exc.status), str(exc))
-            return
-        try:
-            self.backend._charge_quota(length)
-        except ChirpError as exc:
-            try:
-                handle.close()
-            except ChirpError:
-                pass
-            conn.stream.discard(length)
-            conn.stream.write_line(int(exc.status), str(exc))
+            conn.stream.write_line(int(status), str(exc))
             return
         # Count bytes consumed from the stream so a store failure midway
         # through the payload (ENOSPC, EIO) can drain the unread tail and
@@ -399,6 +427,13 @@ class FileServer(ServerCore):
                 handle.close()
             except ChirpError:
                 pass
+            if flags.exclusive:
+                # This request created the file: a failed exclusive put
+                # leaves nothing behind, so a retry may reuse the name.
+                try:
+                    self.backend.unlink(conn.subject, path)
+                except ChirpError:
+                    pass
             conn.stream.discard(length - sink.consumed)
             conn.stream.write_line(int(exc.status), str(exc))
             return

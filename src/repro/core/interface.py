@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 
-__all__ = ["FileHandle", "Filesystem", "StatResult", "to_stat_result"]
+__all__ = ["FileHandle", "Filesystem", "StatResult", "to_stat_result", "write_whole"]
 
 
 class StatResult(NamedTuple):
@@ -89,6 +89,15 @@ class FileHandle(ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def write_whole(handle: FileHandle, data: bytes) -> int:
+    """Write ``data`` from offset 0 in 1 MiB ``pwrite`` calls."""
+    offset = 0
+    view = memoryview(data)
+    while offset < len(data):
+        offset += handle.pwrite(bytes(view[offset : offset + (1 << 20)]), offset)
+    return offset
 
 
 class Filesystem(ABC):
@@ -162,12 +171,7 @@ class Filesystem(ABC):
         """Create/replace a whole file via the handle interface."""
         flags = OpenFlags(write=True, create=True, truncate=True)
         with self.open(path, flags, mode) as h:
-            offset = 0
-            view = memoryview(data)
-            while offset < len(data):
-                n = h.pwrite(bytes(view[offset : offset + (1 << 20)]), offset)
-                offset += n
-            return offset
+            return write_whole(h, data)
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
         """Create a directory and any missing ancestors."""

@@ -23,10 +23,12 @@ from typing import Optional
 
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags
+from repro.store.localdir import stat_read_path
 from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     AlreadyExistsError,
     ChirpError,
+    InvalidRequestError,
     error_from_status,
     status_from_exception,
 )
@@ -35,6 +37,8 @@ from repro.util.paths import PathEscapeError, confine, normalize_virtual
 __all__ = ["MetadataStore", "LocalMetadataStore", "ChirpMetadataStore", "VOLUME_FILE"]
 
 VOLUME_FILE = ".tssvolume"
+
+_WCX = OpenFlags(write=True, create=True, exclusive=True)
 
 
 class MetadataStore(ABC):
@@ -50,13 +54,26 @@ class MetadataStore(ABC):
     def read(self, path: str) -> bytes:
         """Read a whole (small) metadata file, e.g. a stub."""
 
+    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """An entry's stat and, for a regular file of at most ``limit``
+        bytes, its content (None otherwise): what a stub lookup needs.
+
+        Stores that can answer in one step override this stat-then-read
+        default.
+        """
+        st = self.stat(path)
+        if not st.is_file or st.size > limit:
+            return st, None
+        return st, self.read(path)
+
     @abstractmethod
     def create_exclusive(self, path: str, content: bytes) -> bool:
         """Create a metadata file with ``O_EXCL``; False if it exists.
 
-        The exclusivity of the *create* is the atomic primitive; content
-        is written immediately after, so readers must tolerate a briefly
-        empty file (see ``StubFilesystem._read_stub``).
+        The exclusivity of the *create* is the atomic primitive; where
+        the content cannot travel with the create it is written
+        immediately after, so readers must tolerate a briefly empty file
+        (see ``StubFilesystem._lookup``).
         """
 
     @abstractmethod
@@ -141,6 +158,13 @@ class LocalMetadataStore(MetadataStore):
         except OSError as exc:
             raise self._wrap(exc, path) from exc
 
+    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        try:
+            st, data = stat_read_path(self._real(path), limit)
+        except OSError as exc:
+            raise self._wrap(exc, path) from exc
+        return ChirpStat.from_os(st), data
+
     def create_exclusive(self, path: str, content: bytes) -> bool:
         try:
             fd = os.open(self._real(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
@@ -218,14 +242,31 @@ class ChirpMetadataStore(MetadataStore):
     def read(self, path: str) -> bytes:
         return self._run(lambda: self.client.getfile(self._path(path)))
 
+    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """One ``statget``; a server that predates it gets stat + getfile."""
+        if self.client.endpoint.v4 is not False:
+            real = self._path(path)
+            try:
+                return self._run(lambda: self.client.statget(real, limit))
+            except InvalidRequestError:
+                if self.client.endpoint.v4 is not False:
+                    raise
+        return super().stat_read(path, limit)
+
     def create_exclusive(self, path: str, content: bytes) -> bool:
+        """One ``putflags wcx`` (the create carries the content), else
+        exclusive open + pwrite + close on a server that predates it."""
         real = self._path(path)
+        if self._run(self.client.speaks_v4):
+            try:
+                self._run(lambda: self.client.putflags(real, content, _WCX))
+            except AlreadyExistsError:
+                return False
+            return True
 
         def attempt() -> bool:
             try:
-                fd = self.client.open(
-                    real, OpenFlags(write=True, create=True, exclusive=True), 0o644
-                )
+                fd = self.client.open(real, _WCX, 0o644)
             except AlreadyExistsError:
                 return False
             try:

@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 import posixpath
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro.cache.handle import CachedFileHandle
 from repro.cache.manager import CacheManager, file_key
 from repro.cache.meta import MetaCache
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle, Filesystem
+from repro.core.interface import FileHandle, Filesystem, write_whole
 from repro.core.metastore import MetadataStore, VOLUME_FILE
 from repro.core.placement import PlacementPolicy, RoundRobinPlacement
 from repro.core.pool import ClientPool
@@ -44,11 +44,12 @@ from repro.util.errors import (
     InvalidRequestError,
     IsADirectoryError_,
     NotAuthorizedError,
-    TryAgainError,
 )
 from repro.util.paths import normalize_virtual
 
 __all__ = ["StubFilesystem"]
+
+_T = TypeVar("_T")
 
 _CREATE_ATTEMPTS = 4  # retries on data-name collision
 _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
@@ -105,18 +106,50 @@ class StubFilesystem(Filesystem):
             raise NotAuthorizedError("the volume file is managed by the filesystem")
         return norm
 
-    def _read_stub(self, path: str) -> Stub:
-        """Read and decode a stub, tolerating the create-then-write window."""
-        last: Exception | None = None
+    def _lookup(self, path: str) -> tuple[ChirpStat, Optional[Stub]]:
+        """The namespace entry at ``path`` and, for a file, its stub.
+
+        One metadata lookup (a ``statget`` on a DSFS directory server).
+        A stub still empty because its creator sits between the
+        exclusive create and the write is re-read a few times before it
+        is declared never completed.
+        """
         for _ in range(_STUB_READ_ATTEMPTS):
-            raw = self.meta.read(path)
-            if len(raw) > STUB_MAX_BYTES:
+            st, raw = self.meta.stat_read(path, STUB_MAX_BYTES)
+            if st.is_dir:
+                return st, None
+            if raw is None:
+                if st.is_file and st.size <= STUB_MAX_BYTES:
+                    raise NotAuthorizedError(f"{path}: stub is not readable")
                 raise InvalidRequestError(f"{path}: not a stub file")
             if raw:
-                return Stub.decode(raw)
-            last = TryAgainError(f"{path}: stub is mid-creation")
+                return st, Stub.decode(raw)
             self.policy.clock.sleep(0.01)
-        raise DoesNotExistError(f"{path}: stub never completed creation") from last
+        raise DoesNotExistError(f"{path}: stub never completed creation")
+
+    def _stub(self, path: str) -> Stub:
+        """The stub of the file at ``path`` (a directory has none)."""
+        stub = self._lookup(path)[1]
+        if stub is None:
+            raise IsADirectoryError_(path)
+        return stub
+
+    def _on_data(self, path: str, op: Callable[[Stub], _T]) -> _T:
+        """Run ``op`` against the data file behind ``path``'s stub.
+
+        A concurrent creator may be between steps 2 and 3 (stub exists,
+        data file not yet created); give it a moment before declaring
+        the stub dangling.  Truly dangling stubs (crashed creator, data
+        evicted) still surface as "file not found", per the paper.
+        """
+        for attempt in range(_STUB_READ_ATTEMPTS):
+            stub = self._stub(path)
+            try:
+                return op(stub)
+            except DoesNotExistError:
+                if attempt + 1 < _STUB_READ_ATTEMPTS:
+                    self.policy.clock.sleep(0.01)
+        raise DoesNotExistError(f"{path}: dangling stub (no data file)")
 
     def _merged_key(self, path: str) -> str:
         return file_key(self._cache_host, 0, normalize_virtual(path))
@@ -154,11 +187,20 @@ class StubFilesystem(Filesystem):
 
         return CachedFileHandle(handle, cache, data_key, on_mutate=on_mutate)
 
-    def _is_dir(self, path: str) -> bool:
-        try:
-            return self.meta.stat(path).is_dir
-        except ChirpError:
-            return False
+    def _put_data(
+        self, stub: Stub, data: bytes, flags: OpenFlags, mode: int, path: str
+    ) -> int:
+        """Write ``data`` as the whole data file behind ``stub``: one
+        ``putflags`` where the data server speaks protocol v4, else open +
+        pwrite + close through a handle."""
+        client = self.pool.get(*stub.endpoint)
+        if not self.policy.run(client.speaks_v4, client.ensure_connected):
+            with self._data_handle(stub, flags, mode, path) as handle:
+                return write_whole(handle, data)
+        return self.policy.run(
+            lambda: client.putflags(stub.path, data, flags, mode),
+            client.ensure_connected,
+        )
 
     # ------------------------------------------------------------------
     # open / create
@@ -173,21 +215,8 @@ class StubFilesystem(Filesystem):
         return self._open_existing(path, flags, mode)
 
     def _open_existing(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
         dflags = replace(flags, create=False, exclusive=False)
-        # A concurrent creator may be between steps 2 and 3 (stub exists,
-        # data file not yet created); give it a moment before declaring
-        # the stub dangling.  Truly dangling stubs (crashed creator, data
-        # evicted) still surface as "file not found", per the paper.
-        for attempt in range(_STUB_READ_ATTEMPTS):
-            stub = self._read_stub(path)
-            try:
-                return self._data_handle(stub, dflags, mode, path)
-            except DoesNotExistError:
-                if attempt + 1 < _STUB_READ_ATTEMPTS:
-                    self.policy.clock.sleep(0.01)
-        raise DoesNotExistError(f"{path}: dangling stub (no data file)")
+        return self._on_data(path, lambda stub: self._data_handle(stub, dflags, mode, path))
 
     def _excluded(self, dead: set[tuple[str, int]]) -> frozenset:
         """Placement exclusions: observed-dead plus advisory avoidance.
@@ -203,7 +232,12 @@ class StubFilesystem(Filesystem):
             return frozenset(dead)
         return frozenset(avoid)
 
-    def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
+    def _create(self, path: str, make_data: Callable[[Stub], _T]) -> _T:
+        """The crash-safe 3-step creation protocol; ``make_data`` is step 3.
+
+        Raises :class:`AlreadyExistsError` when ``path`` already has a
+        stub.  A step 3 that fails removes the step-2 stub again.
+        """
         dead: set[tuple[str, int]] = set()
         for _ in range(_CREATE_ATTEMPTS):
             # Step 1: choose a server and generate a unique data name.
@@ -217,16 +251,10 @@ class StubFilesystem(Filesystem):
             stub = Stub(endpoint[0], endpoint[1], data_path)
             # Step 2: exclusively create the stub entry.
             if not self.meta.create_exclusive(path, stub.encode()):
-                if flags.exclusive:
-                    raise AlreadyExistsError(path)
-                return self._open_existing(path, flags, mode)
+                raise AlreadyExistsError(path)
             # Step 3: exclusively create the data file.
-            dflags = replace(flags, create=True, exclusive=True, write=True)
             try:
-                handle = self._data_handle(stub, dflags, mode, path)
-                # The path may have been cached as absent before creation.
-                self._entry_changed(path)
-                return handle
+                result = make_data(stub)
             except AlreadyExistsError:
                 # Unlikely data-name collision: abort this creation
                 # (paper's rule) and retry with a fresh name.
@@ -239,7 +267,21 @@ class StubFilesystem(Filesystem):
             except Exception:
                 self.meta.unlink(path)
                 raise
+            # The path may have been cached as absent before creation.
+            self._entry_changed(path)
+            return result
         raise DisconnectedError(f"{path}: no data server accepted the new file")
+
+    def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
+        dflags = replace(flags, create=True, exclusive=True, write=True)
+        try:
+            return self._create(
+                path, lambda stub: self._data_handle(stub, dflags, mode, path)
+            )
+        except AlreadyExistsError:
+            if flags.exclusive:
+                raise
+        return self._open_existing(path, flags, mode)
 
     # ------------------------------------------------------------------
     # metadata operations
@@ -275,10 +317,9 @@ class StubFilesystem(Filesystem):
         return merged
 
     def _stat_uncached(self, path: str) -> ChirpStat:
-        mst = self.meta.stat(path)
-        if mst.is_dir:
+        mst, stub = self._lookup(path)
+        if stub is None:
             return mst
-        stub = self._read_stub(path)
         client = self.pool.get(*stub.endpoint)
         try:
             dst = self.policy.run(
@@ -318,9 +359,7 @@ class StubFilesystem(Filesystem):
         unreachable -- the escape hatch for permanently lost servers.
         """
         path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         try:
             client = self.pool.get(*stub.endpoint)
             self.policy.run(
@@ -358,7 +397,7 @@ class StubFilesystem(Filesystem):
 
     def truncate(self, path: str, size: int) -> None:
         path = self._guard_name(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         client = self.pool.get(*stub.endpoint)
         self.policy.run(
             lambda: client.truncate(stub.path, size), client.ensure_connected
@@ -367,7 +406,7 @@ class StubFilesystem(Filesystem):
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         path = self._guard_name(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         client = self.pool.get(*stub.endpoint)
         self.policy.run(
             lambda: client.utime(stub.path, atime, mtime), client.ensure_connected
@@ -408,19 +447,45 @@ class StubFilesystem(Filesystem):
         if self.cache is not None and self.cache.data_enabled:
             return super().read_file(path)
         path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        for attempt in range(_STUB_READ_ATTEMPTS):
-            stub = self._read_stub(path)
+
+        def getfile(stub: Stub) -> bytes:
             client = self.pool.get(*stub.endpoint)
-            try:
-                return self.policy.run(
-                    lambda: client.getfile(stub.path), client.ensure_connected
-                )
-            except DoesNotExistError:
-                if attempt + 1 < _STUB_READ_ATTEMPTS:
-                    self.policy.clock.sleep(0.01)
-        raise DoesNotExistError(f"{path}: dangling stub (no data file)")
+            return self.policy.run(
+                lambda: client.getfile(stub.path), client.ensure_connected
+            )
+
+        return self._on_data(path, getfile)
+
+    def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
+        """Whole-file create-or-replace in the fewest round trips.
+
+        Create-first: ``putflags wcx`` of the stub, then ``putflags wcx``
+        of the data file -- the 3-step protocol's order, each step one
+        RPC, and a failed data write rolls the stub back as
+        :meth:`open` does.  When the stub already exists the file is
+        replaced in place: one lookup, then ``putflags wt`` on its data
+        file, which never creates one, so a dangling stub stays dangling.
+        With a data-caching policy the handle path is used instead, as
+        :meth:`read_file` does.
+        """
+        if self.cache is not None and self.cache.data_enabled:
+            return super().write_file(path, data, mode)
+        path = self._guard_name(path)
+        create = OpenFlags(write=True, create=True, exclusive=True, sync=self.sync_writes)
+        try:
+            return self._create(
+                path, lambda stub: self._put_data(stub, data, create, mode, path)
+            )
+        except AlreadyExistsError:
+            pass
+        overwrite = OpenFlags(write=True, truncate=True, sync=self.sync_writes)
+
+        def put(stub: Stub) -> int:
+            n = self._put_data(stub, data, overwrite, mode, path)
+            self._entry_changed(path, stub)
+            return n
+
+        return self._on_data(path, put)
 
     # ------------------------------------------------------------------
     # introspection used by tools and tests
@@ -428,4 +493,4 @@ class StubFilesystem(Filesystem):
 
     def stub_for(self, path: str) -> Stub:
         """Expose the stub for a path (tools, tests, repair scripts)."""
-        return self._read_stub(self._guard_name(path))
+        return self._stub(self._guard_name(path))

@@ -229,6 +229,21 @@ class BlobStore(ABC):
     @abstractmethod
     def checksum(self, vpath: str) -> str: ...
 
+    def stat_read(self, vpath: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """``stat`` plus the content of a small regular file.
+
+        The content comes back only when ``vpath`` is a regular file of
+        at most ``limit`` bytes (a negative ``limit`` asks for the stat
+        alone); otherwise it is None.  Stores that can answer both from
+        one open override this two-step default.
+        """
+        st = self.stat(vpath)
+        if limit < 0 or not st.is_file or st.size > limit:
+            return st, None
+        with self.open(vpath, OpenFlags(read=True), 0) as handle:
+            data = handle.pread(st.size, 0)
+        return st, data
+
     # -- whole blobs (backend bookkeeping, e.g. ACL files) --------------
 
     def read_blob(self, vpath: str) -> bytes:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import stat as stat_mod
+from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.interface import BlobHandle, BlobStore, stat_stamp
@@ -32,7 +33,7 @@ from repro.util.errors import (
 )
 from repro.util.paths import PathEscapeError, confine
 
-__all__ = ["LocalDirStore", "STAGING_PREFIX"]
+__all__ = ["LocalDirStore", "STAGING_PREFIX", "stat_read_path"]
 
 #: Reserved basename prefix for write_blob staging files.  The prefix
 #: must be distinctive: a plain ``<name>.tmp`` convention would make the
@@ -43,6 +44,31 @@ STAGING_PREFIX = ".tss-tmp."
 
 def _wrap_os_error(exc: OSError, path: str = "") -> Exception:
     return error_from_status(status_from_exception(exc), f"{path}: {exc.strerror or exc}")
+
+
+def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[bytes]]:
+    """``os.stat`` of ``real`` plus its bytes when it is a regular file of
+    at most ``limit`` bytes, from one open/fstat/pread/close.
+
+    The open is non-blocking, so a FIFO or device is stat'ed and never
+    read or waited on; an entry that cannot be opened at all (no read
+    permission, a socket) is stat'ed only.  Raises ``OSError`` when the
+    entry does not exist.
+    """
+    if limit >= 0:
+        try:
+            fd = os.open(real, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY)
+        except OSError:
+            pass
+        else:
+            try:
+                st = os.fstat(fd)
+                if not stat_mod.S_ISREG(st.st_mode) or st.st_size > limit:
+                    return st, None
+                return st, os.pread(fd, st.st_size, 0)
+            finally:
+                os.close(fd)
+    return os.stat(real), None
 
 
 class _OsFdHandle(BlobHandle):
@@ -243,6 +269,13 @@ class LocalDirStore(BlobStore):
             return ChirpStat.from_os(os.lstat(self._real(vpath)))
         except OSError as exc:
             raise _wrap_os_error(exc, vpath) from exc
+
+    def stat_read(self, vpath: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        try:
+            st, data = stat_read_path(self._real(vpath), limit)
+        except OSError as exc:
+            raise _wrap_os_error(exc, vpath) from exc
+        return ChirpStat.from_os(st), data
 
     def stamp(self, vpath: str):
         try:

@@ -43,6 +43,8 @@ from repro.util.wire import LineStream, pack_line
 __all__ = ["Connection"]
 
 _STREAM_CHUNK = 1 << 20
+#: payloads up to this size are sent in one write with their request line
+_COALESCE_MAX = 64 * 1024
 
 
 class Connection:
@@ -223,6 +225,21 @@ class Connection:
         Negative statuses raise like :meth:`rpc`; a transport failure
         tears the connection down.
         """
+        return self._fetch(verb, tokens, metric, deadline)[1]
+
+    def _fetch(
+        self,
+        verb: str,
+        tokens: tuple,
+        metric: Optional[str] = None,
+        deadline: Optional[Deadline] = None,
+    ) -> tuple[list[str], Optional[bytes]]:
+        """One request line; a reply line whose *last* token is a payload
+        length (negative: no payload), then that many bytes.
+
+        Returns the reply tokens and the payload (None when the length
+        was negative).
+        """
         start = time.perf_counter()
         line = pack_line(verb, *tokens)
         bytes_in = 0
@@ -239,13 +256,14 @@ class Connection:
                         raise error_from_status(
                             status, reply[1] if len(reply) > 1 else ""
                         )
-                    data = stream.read_exact(status)
+                    length = int(reply[-1])
+                    data = stream.read_exact(length) if length >= 0 else None
                 except DisconnectedError:
                     self._teardown()
                     raise
-                bytes_in = len(data)
+                bytes_in = length if data is not None else 0
                 error = False
-                return data
+                return reply, data
             finally:
                 self._observe(metric or verb, start, bytes_in, len(line), error)
 
@@ -281,6 +299,12 @@ class Connection:
     def lstat(self, path: str) -> ChirpStat:
         reply = self.rpc("lstat", path)
         return ChirpStat.from_tokens(reply[1:])
+
+    def statget(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """``stat`` plus, for a regular file of at most ``limit`` bytes the
+        subject may read, its content (protocol v4; else None)."""
+        reply, data = self._fetch("statget", (path, limit))
+        return ChirpStat.from_tokens(reply[1:-1]), data
 
     def access(self, path: str, rights: str = "l") -> None:
         self.rpc("access", path, rights)
@@ -401,6 +425,21 @@ class Connection:
         mode: int = 0o644,
         length: Optional[int] = None,
     ) -> int:
+        return self._put("putfile", (path, mode), data, length)
+
+    def putflags(self, path: str, data: bytes, flags_text: str, mode: int = 0o644) -> int:
+        """A whole-file put opened with ``flags_text`` (protocol v4)."""
+        return self._put("putflags", (path, flags_text, mode), data, None)
+
+    def _put(
+        self,
+        verb: str,
+        tokens: tuple,
+        data: Union[bytes, BinaryIO],
+        length: Optional[int],
+    ) -> int:
+        """One request line ending in the payload length, the payload, and
+        a one-token reply."""
         start = time.perf_counter()
         error = True
         with self._lock:
@@ -416,13 +455,18 @@ class Connection:
                     data.seek(pos)
                 total = length
             try:
+                line = pack_line(verb, *tokens, total)
                 stream = self._require_stream()
                 try:
-                    stream.write_line("putfile", path, mode, total)
-                    if payload is not None:
-                        stream.write(payload)
-                    else:
+                    if payload is None:
+                        stream.write(line)
                         stream.write_from_file(data, total, _STREAM_CHUNK)
+                    elif total <= _COALESCE_MAX:
+                        # A small file leaves in the same send as its line.
+                        stream.write(line + payload)
+                    else:
+                        stream.write(line)
+                        stream.write(payload)
                     reply = stream.read_tokens()
                     status = int(reply[0])
                     if status < 0:
@@ -435,7 +479,7 @@ class Connection:
                     self._teardown()
                     raise
             finally:
-                self._observe("putfile", start, 0, total if not error else 0, error)
+                self._observe(verb, start, 0, total if not error else 0, error)
 
     # -- ACLs and server state -------------------------------------------
 

@@ -158,9 +158,13 @@ class ServerCore:
         if self._listener is not None:
             raise RuntimeError("server already started")
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(self.address)
-        sock.listen(128)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(self.address)
+            sock.listen(128)
+        except OSError:
+            sock.close()
+            raise
         sock.settimeout(_POLL)
         self._listener = sock
         self.address = sock.getsockname()[:2]

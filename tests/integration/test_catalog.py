@@ -1,6 +1,7 @@
 """Integration tests: catalogs, discovery, and staleness."""
 
 import json
+import socket
 import time
 
 import pytest
@@ -60,6 +61,59 @@ class TestReportIntake:
         server.report_now()
         assert wait_for(lambda: len(catalog.entries()) == 1)
         assert "rwldav" in catalog.entries()[0].root_acl
+
+
+class TestPortPair:
+    """UDP and TCP share one port number; TCP may already hold it."""
+
+    @pytest.fixture()
+    def taken(self):
+        """A TCP port held by someone else, and a UDP bind that lands on it
+        first -- what an ephemeral UDP bind can return on a busy host."""
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        calls = []
+        real_bind = CatalogServer._bind_udp
+
+        def bind_udp(server):
+            calls.append(server.port)
+            if len(calls) == 1:
+                udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                udp.bind(("127.0.0.1", port))
+                udp.settimeout(0.2)
+                return udp
+            return real_bind(server)
+
+        yield port, bind_udp, calls
+        holder.close()
+
+    def test_ephemeral_port_retries_with_a_fresh_pair(self, taken, monkeypatch):
+        port, bind_udp, calls = taken
+        monkeypatch.setattr(CatalogServer, "_bind_udp", bind_udp)
+        report = {
+            "type": "chirp", "name": "s", "owner": "unix:x",
+            "host": "10.0.0.1", "port": 9094,
+        }
+        with CatalogServer() as cat:
+            assert len(calls) == 2
+            assert cat.address[1] != port
+            # Both halves answer on the new port.
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+                s.sendto(json.dumps(report).encode(), cat.address)
+            assert wait_for(lambda: len(cat.entries()) == 1)
+            assert json.loads(query_catalog(*cat.address, "json"))[0]["name"] == "s"
+
+    def test_fixed_port_still_raises(self, taken):
+        port, _bind_udp, _calls = taken
+        cat = CatalogServer(port=port)
+        with pytest.raises(OSError):
+            cat.start()
+        cat.stop()
+        # The failed start released its UDP socket.
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+            s.bind(("127.0.0.1", port))
 
 
 class TestStaleness:

@@ -1,0 +1,271 @@
+"""Protocol v4: the compound verbs and the DSFS paths built on them.
+
+``statget`` answers a stat plus the bytes of a small file in one round
+trip; ``putflags`` is a whole-file put carrying open flags (``wcx`` for
+an exclusive create, ``wt`` to replace without creating).  A session
+learns per generation whether its server speaks them, never sends
+``putflags`` blind, and falls back to the older verb sequences on a
+server that refuses them.  Exact RPC counts per DSFS operation are the
+contract, read from a :class:`MetricsRegistry`.
+"""
+
+from __future__ import annotations
+
+import getpass
+
+import pytest
+
+from repro.chirp.client import ChirpClient
+from repro.chirp.protocol import OpenFlags
+from repro.core.dsfs import DSFS
+from repro.core.pool import ClientPool
+from repro.store.faulty import EIO, DiskFaultScript
+from repro.transport.metrics import MetricsRegistry
+from repro.util.errors import (
+    AlreadyExistsError,
+    DoesNotExistError,
+    InvalidRequestError,
+    NotAuthorizedError,
+    StatusCode,
+    UnknownError,
+)
+from repro.util.wire import pack_line
+
+WCX = OpenFlags(write=True, create=True, exclusive=True)
+WT = OpenFlags(write=True, truncate=True)
+ME = f"unix:{getpass.getuser()}"
+
+
+def calls(metrics: MetricsRegistry) -> dict[str, int]:
+    return {verb: s["calls"] for verb, s in metrics.snapshot()["verbs"].items()}
+
+
+def rpcs(metrics: MetricsRegistry, op) -> dict[str, int]:
+    """The RPCs ``op`` sent, by verb."""
+    before = calls(metrics)
+    op()
+    after = calls(metrics)
+    return {v: n - before.get(v, 0) for v, n in after.items() if n != before.get(v, 0)}
+
+
+def record_requests(server) -> list[list[str]]:
+    """Every request line ``server`` receives from now on, as tokens."""
+    seen: list[list[str]] = []
+    handle = server.handle
+
+    def recording(conn, tokens):
+        seen.append(tokens)
+        return handle(conn, tokens)
+
+    server.handle = recording
+    return seen
+
+
+def predating_v4(server):
+    """Make ``server`` answer the v4 verbs as unknown, like an old server."""
+    del server._verbs["statget"], server._verbs["putflags"]
+    return server
+
+
+@pytest.fixture(params=["local", "cas", "memory"])
+def server(request, server_factory):
+    return server_factory.new(store=request.param)
+
+
+@pytest.fixture()
+def client(server, credentials):
+    c = ChirpClient(*server.address, credentials=credentials, timeout=10.0, metrics=MetricsRegistry())
+    yield c
+    c.close()
+
+
+def raw_reply(client, *request, payload=b""):
+    """Send one hand-made request on a live connection; the reply tokens."""
+    stream = client._stream
+    stream.write(pack_line(*request) + payload)
+    return stream.read_tokens()
+
+
+def still_parses(client):
+    assert raw_reply(client, "whoami") == ["0", client.whoami()]
+
+
+class TestStatget:
+    def test_small_file_comes_back_whole(self, client):
+        client.putfile("/f", b"hello")
+        st, data = client.statget("/f", 4096)
+        assert (st.size, data) == (5, b"hello")
+
+    def test_no_data_answers_minus_one(self, client):
+        client.mkdir("/d")
+        client.putfile("/big", b"x" * 100)
+        for path, limit in (("/d", 4096), ("/big", 99)):
+            reply = raw_reply(client, "statget", path, limit)
+            assert (reply[0], len(reply), reply[-1]) == ("0", 12, "-1")
+            still_parses(client)  # no payload followed the -1
+        assert client.statget("/big", 99)[1] is None
+
+    def test_limit_is_capped_by_the_server(self, client):
+        client.putfile("/huge", b"h" * (100 * 1024))
+        assert raw_reply(client, "statget", "/huge", 10**9)[-1] == "-1"
+        still_parses(client)
+
+    def test_list_without_read_gets_the_stat_only(self, server, client):
+        client.putfile("/f", b"secret")
+        # Hand the export to another owner, so this client is a visitor.
+        owner = server.backend.owner_subject = "unix:someone-else"
+        server.backend.setacl(owner, "/", ME, "none")
+        outsider = ChirpClient(*server.address, credentials=client.credentials)
+        try:
+            with pytest.raises(NotAuthorizedError):
+                outsider.statget("/f", 4096)
+            server.backend.setacl(owner, "/", ME, "l")
+            st, data = outsider.statget("/f", 4096)
+            assert (st.size, data) == (6, None)
+            server.backend.setacl(owner, "/", ME, "rl")
+            assert outsider.statget("/f", 4096)[1] == b"secret"
+        finally:
+            outsider.close()
+
+    def test_acl_file_is_refused(self, client):
+        with pytest.raises(NotAuthorizedError):
+            client.statget("/.__acl", 4096)
+
+
+class TestPutflags:
+    def test_wcx_is_an_exclusive_create(self, client):
+        assert client.putflags("/n", b"abc", WCX) == 3
+        with pytest.raises(AlreadyExistsError):
+            client.putflags("/n", b"other", WCX)
+        assert client.getfile("/n") == b"abc"
+
+    def test_wt_replaces_and_never_creates(self, client):
+        with pytest.raises(DoesNotExistError):
+            client.putflags("/missing", b"x", WT)
+        with pytest.raises(DoesNotExistError):
+            client.stat("/missing")
+        client.putfile("/f", b"old and longer")
+        assert client.putflags("/f", b"new", WT) == 3
+        assert client.getfile("/f") == b"new"
+
+    def test_quota_refusal_keeps_the_connection_parseable(self, server_factory, credentials):
+        server = server_factory.new(quota_bytes=1000)
+        with ChirpClient(*server.address, credentials=credentials) as c:
+            c.speaks_v4()
+            reply = raw_reply(c, "putflags", "/f", "wcx", 0o644, 5000, payload=b"q" * 5000)
+            assert int(reply[0]) == StatusCode.NO_SPACE
+            still_parses(c)
+            with pytest.raises(DoesNotExistError):
+                c.stat("/f")  # refused before anything was created
+
+    def test_read_only_refusal_keeps_the_connection_parseable(self, server, client):
+        server.backend._enter_read_only("eio")
+        reply = raw_reply(client, "putflags", "/f", "wcx", 0o644, 3000, payload=b"r" * 3000)
+        assert int(reply[0]) == StatusCode.TRY_AGAIN
+        still_parses(client)
+
+    def test_failed_exclusive_put_leaves_nothing(self, server_factory, credentials):
+        server = server_factory.new(store="faulty+local")
+        server.store.plan.script(DiskFaultScript(op="pwrite", action=EIO, path="/f"))
+        with ChirpClient(*server.address, credentials=credentials) as c:
+            with pytest.raises(UnknownError):
+                c.putflags("/f", b"doomed", WCX)
+            with pytest.raises(DoesNotExistError):
+                c.stat("/f")
+            assert c.putflags("/f", b"second try", WCX) == 10
+
+
+class TestSessionLearning:
+    def test_one_probe_per_generation(self, client):
+        metrics = client.endpoint.metrics
+        assert client.speaks_v4() and client.speaks_v4()
+        assert calls(metrics)["statget"] == 1
+        client.connect()  # a new generation may be a different server
+        assert client.endpoint.v4 is None
+        assert client.speaks_v4()
+        assert calls(metrics)["statget"] == 2
+
+    def test_a_refusal_pins_the_old_verbs(self, server_factory, credentials):
+        server = predating_v4(server_factory.new())
+        seen = record_requests(server)
+        with ChirpClient(*server.address, credentials=credentials) as c:
+            assert c.speaks_v4() is False
+            with pytest.raises(InvalidRequestError):
+                c.statget("/", 0)
+            with pytest.raises(InvalidRequestError):
+                c.putflags("/f", b"x", WCX)
+            c.whoami()
+        assert [tokens[0] for tokens in seen] == ["statget", "whoami"]
+
+
+class DsfsRig:
+    """A DSFS volume: the directory tree on one server, data on another."""
+
+    def __init__(self, server_factory, credentials, old: bool = False):
+        make = (lambda: predating_v4(server_factory.new())) if old else server_factory.new
+        self.servers = [make(), make()]
+        self.seen = [record_requests(s) for s in self.servers]
+        self.metrics = MetricsRegistry()
+        self.pool = ClientPool(credentials, metrics=self.metrics)
+        dir_server, data_server = self.servers
+        self.fs = DSFS.create(
+            self.pool, *dir_server.address, "/vol", [data_server.address]
+        )
+        self.fs.write_file("/warm", b"both sessions have answered a statget")
+
+    def count(self, op) -> int:
+        return sum(rpcs(self.metrics, op).values())
+
+    def close(self):
+        self.pool.close()
+
+
+@pytest.fixture(params=[False, True], ids=["v4", "old-server"])
+def rig(request, server_factory, credentials):
+    r = DsfsRig(server_factory, credentials, old=request.param)
+    r.old = request.param
+    yield r
+    r.close()
+
+
+class TestDsfsRoundTrips:
+    # operation -> (RPCs on a v4 server, RPCs on an old server)
+    EXPECTED = {
+        "create": (2, 7),
+        "overwrite": (3, 7),
+        "stat": (2, 3),
+        "read": (2, 3),
+        "open-existing": (3, 4),
+        "unlink": (3, 4),
+    }
+
+    def test_rpcs_per_operation(self, rig):
+        fs = rig.fs
+        handles = []
+        ops = {
+            "create": lambda: fs.write_file("/f", b"first"),
+            "overwrite": lambda: fs.write_file("/f", b"second!"),
+            "stat": lambda: fs.stat("/f"),
+            "read": lambda: fs.read_file("/f"),
+            "open-existing": lambda: handles.append(fs.open("/f", OpenFlags(read=True))),
+        }
+        for name, op in ops.items():
+            assert rig.count(op) == self.EXPECTED[name][rig.old], name
+        handles[0].close()
+        assert fs.stat("/f").size == 7
+        assert fs.read_file("/f") == b"second!"
+        assert rig.count(lambda: fs.unlink("/f")) == self.EXPECTED["unlink"][rig.old]
+        assert not fs.exists("/f")
+        if rig.old:
+            assert all(t[0] != "putflags" for seen in rig.seen for t in seen)
+
+    def test_sync_writes_add_s(self, rig):
+        data_requests = rig.seen[1]
+        start = len(data_requests)
+        fs = DSFS.open_volume(rig.pool, *rig.servers[0].address, "/vol", sync_writes=True)
+        fs.write_file("/synced", b"durable")
+        fs.write_file("/synced", b"durable again")
+        assert fs.read_file("/synced") == b"durable again"
+        # putflags on a v4 data server, open (+ pwrite + close) on an old one
+        opened = [t[2] for t in data_requests[start:] if t[0] in ("putflags", "open")]
+        assert opened == ["wcxs", "wts"]

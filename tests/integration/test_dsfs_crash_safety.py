@@ -11,6 +11,8 @@ fault proxy and check exactly that -- no half-created file is ever
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.chirp.protocol import OpenFlags
@@ -137,6 +139,16 @@ class TestCrashAfterStub:
         finally:
             handle.close()
 
+    def test_overwrite_never_brings_it_back(self, rig):
+        """A whole-file write onto a dangling stub replaces data in place
+        (``putflags wt``), which never creates a data file."""
+        self.plant_dangling_stub(rig)
+        with pytest.raises(DoesNotExistError, match="dangling stub"):
+            rig.fs.write_file("/ghost", b"never lands")
+        assert rig.data_files() == []
+        with pytest.raises(DoesNotExistError, match="dangling stub"):
+            rig.fs.stat("/ghost")
+
 
 class TestCrashDuringDataCreate:
     def test_surviving_client_rolls_back_the_stub(self, rig):
@@ -174,3 +186,32 @@ class TestCrashDuringDataCreate:
             rig.fs.open("/cut", CREATE)
         assert rig.fs.listdir("/") == []
         assert rig.data_files() == []
+
+    def test_write_file_cut_mid_payload_rolls_back_the_stub(self, rig):
+        """Step 3 of a whole-file write is one ``putflags wcx``; cut the
+        data wire inside its payload on every attempt."""
+        from repro.transport.faults import RESET, FaultPlan, FaultScript
+
+        rig.fs.write_file("/warm", b"the data session speaks v4 now")
+        before = rig.data_files()
+        rig.data_proxy.plan = FaultPlan(
+            default=FaultScript(cut_after_in=64 * 1024, action=RESET)
+        )
+        rig.data_proxy.break_now(refuse_new=False)
+        with pytest.raises(DisconnectedError):
+            rig.fs.write_file("/cut", b"p" * (256 * 1024))
+        assert rig.fs.listdir("/") == ["warm"]
+        with pytest.raises(DoesNotExistError):
+            rig.fs.lstat("/cut")
+        # Each cut exclusive put removed the file it had created.
+        assert _wait_for(lambda: rig.data_files() == before)
+        assert rig.fs.read_file("/warm") == b"the data session speaks v4 now"
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()

@@ -157,8 +157,12 @@ class TestChirpRefusedPayloads:
 
     @pytest.mark.parametrize(
         "request_line",
-        [("pwrite", 3, 3000, 0), ("putfile", "/refused", 0o644, 3000)],
-        ids=["pwrite", "putfile"],
+        [
+            ("pwrite", 3, 3000, 0),
+            ("putfile", "/refused", 0o644, 3000),
+            ("putflags", "/refused", "wcx", 0o644, 3000),
+        ],
+        ids=["pwrite", "putfile", "putflags"],
     )
     def test_refusal_keeps_the_connection_parseable(
         self, server_factory, credentials, request_line
@@ -189,6 +193,9 @@ class TestChirpRefusedPayloads:
         finally:
             gate.set()
             assert held.result() == 4
+        # The holder reads its reply before the server ends that request,
+        # and the next request must not find the subject's slot taken.
+        assert _wait_for(lambda: server.snapshot()["in_flight"] == 0)
         try:
             # Had the payload stayed on the wire, this line would be read
             # as the tail of a 3000-byte junk request.

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util.errors import InvalidRequestError
 from repro.util.wire import decode_token, encode_token, pack_line, unpack_line
 
 token_text = st.text(min_size=0, max_size=200)
@@ -35,3 +36,76 @@ class TestTokenRoundtrip:
     def test_distinct_tokens_stay_distinct(self, a, b):
         if a != b:
             assert encode_token(a) != encode_token(b)
+
+
+# The per-character codec the pass-through fast paths must agree with.
+_REFERENCE_SAFE = set(
+    "abcdefghijklmnopqrstuvwxyz"
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    "0123456789"
+    "-_.~/:@+=,*()[]{}!$&'#^|"
+)
+
+
+def reference_encode(token: str) -> str:
+    if token == "":
+        return "%"
+    out = []
+    for ch in token:
+        if ch in _REFERENCE_SAFE:
+            out.append(ch)
+        else:
+            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
+    return "".join(out)
+
+
+def reference_decode(token: str) -> str:
+    if token == "%":
+        return ""
+    raw = bytearray()
+    i = 0
+    while i < len(token):
+        if token[i] == "%":
+            if i + 3 > len(token):
+                raise InvalidRequestError("truncated escape")
+            try:
+                raw.append(int(token[i + 1 : i + 3], 16))
+            except ValueError as exc:
+                raise InvalidRequestError("bad escape") from exc
+            i += 3
+        else:
+            raw.extend(token[i].encode("utf-8"))
+            i += 1
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidRequestError("not UTF-8") from exc
+
+
+def _outcome(fn, token):
+    try:
+        return fn(token)
+    except InvalidRequestError:
+        return InvalidRequestError
+
+
+# Biased towards what the fast paths branch on: safe-only tokens,
+# escapes, the empty token, space, NUL and non-ASCII characters.
+edge_text = st.one_of(
+    st.text(alphabet=sorted(_REFERENCE_SAFE), max_size=40),
+    st.text(alphabet=st.sampled_from(["%", " ", "\x00", "é", "漢", "a", "/", "2", "F"]), max_size=12),
+    st.sampled_from(["", "%", " ", "\x00", "%%", "%2", "%zz", "%C3%A9", "%ff"]),
+    token_text,
+)
+
+
+class TestCodecMatchesReference:
+    @settings(max_examples=500)
+    @given(edge_text)
+    def test_encode_matches_per_character_loop(self, text):
+        assert encode_token(text) == reference_encode(text)
+
+    @settings(max_examples=500)
+    @given(edge_text)
+    def test_decode_matches_per_character_loop(self, text):
+        assert _outcome(decode_token, text) == _outcome(reference_decode, text)

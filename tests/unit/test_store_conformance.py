@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import getpass
 import os
+import stat
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.chirp.backend import Backend
 from repro.chirp.protocol import OpenFlags
 from repro.store import make_store
 from repro.store.cas import CasStore
+from repro.store.localdir import LocalDirStore
 from repro.util import errors as E
 from repro.util.checksum import data_checksum
 
@@ -226,6 +229,35 @@ class TestStoreConformance:
         fs = backend.statfs()
         assert fs.total_bytes > 0
 
+    def test_stat_read_small_file(self, backend):
+        write_file(backend, "/f", b"stub bytes")
+        write_file(backend, "/empty", b"")
+        st, data = backend.stat_read(OWNER, "/f", 10)
+        assert (st.is_file, st.size, data) == (True, 10, b"stub bytes")
+        assert backend.stat_read(OWNER, "/empty", 0)[1] == b""
+
+    def test_stat_read_withholds_what_it_may_not_return(self, backend):
+        write_file(backend, "/big", b"x" * 100)
+        backend.mkdir(OWNER, "/d", 0o755)
+        st, data = backend.stat_read(OWNER, "/big", 99)
+        assert (st.size, data) == (100, None)
+        st, data = backend.stat_read(OWNER, "/d", 4096)
+        assert st.is_dir and data is None
+        with pytest.raises(E.DoesNotExistError):
+            backend.stat_read(OWNER, "/missing", 4096)
+        with pytest.raises(E.NotAuthorizedError):
+            backend.stat_read(OWNER, "/.__acl", 4096)
+
+    def test_stat_read_content_needs_r(self, backend):
+        write_file(backend, "/f", b"secret")
+        with pytest.raises(E.NotAuthorizedError):
+            backend.stat_read("unix:visitor", "/f", 4096)
+        backend.setacl(OWNER, "/", "unix:visitor", "l")
+        st, data = backend.stat_read("unix:visitor", "/f", 4096)
+        assert (st.size, data) == (6, None)
+        backend.setacl(OWNER, "/", "unix:visitor", "rl")
+        assert backend.stat_read("unix:visitor", "/f", 4096)[1] == b"secret"
+
 
 class TestQuotaConformance:
     @pytest.fixture(params=ALL_KINDS)
@@ -252,12 +284,47 @@ class TestQuotaConformance:
         assert fs.total_bytes == 10_000
         assert fs.free_bytes <= 6_100
 
+    def test_refused_put_open_touches_nothing(self, quota_backend):
+        # The quota charge of a whole-file put is checked before the open:
+        # a refused put creates nothing and truncates nothing.
+        write_file(quota_backend, "/keep", b"x" * 10)
+        flags = OpenFlags(write=True, create=True, truncate=True)
+        for path in ("/keep", "/new"):
+            with pytest.raises(E.NoSpaceError):
+                quota_backend.open(OWNER, path, flags, 0o644, charge=20_000)
+        assert read_file(quota_backend, "/keep") == b"x" * 10
+        with pytest.raises(E.DoesNotExistError):
+            quota_backend.stat(OWNER, "/new")
+
     def test_unlink_releases_quota(self, quota_backend):
         write_file(quota_backend, "/f", b"x" * 9_000)
         with pytest.raises(E.NoSpaceError):
             quota_backend._charge_quota(5_000)
         quota_backend.unlink(OWNER, "/f")
         quota_backend._charge_quota(5_000)  # freed
+
+
+class TestLocalStatRead:
+    def test_fifo_is_stated_never_read(self, tmp_path):
+        root = tmp_path / "export"
+        root.mkdir()
+        fifo = root / "pipe"
+        os.mkfifo(fifo)
+        backend = Backend(LocalDirStore(str(root)), OWNER)
+        box = {}
+        t = threading.Thread(
+            target=lambda: box.update(result=backend.stat_read(OWNER, "/pipe", 4096)),
+            daemon=True,
+        )
+        t.start()
+        t.join(5.0)
+        blocked = t.is_alive()
+        if blocked:  # release the reader a blocking open would wait for
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            t.join(5.0)
+        assert not blocked
+        st, data = box["result"]
+        assert stat.S_ISFIFO(st.mode) and data is None
 
 
 class TestCasInvariants:
