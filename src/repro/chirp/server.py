@@ -37,6 +37,7 @@ from repro.store import BlobHandle, HandleReader, HandleWriter, make_store
 from repro.util.errors import (
     BadFileDescriptorError,
     ChirpError,
+    DisconnectedError,
     InvalidRequestError,
     StatusCode,
 )
@@ -376,7 +377,16 @@ class FileServer(ServerCore):
         try:
             size = handle.fstat().size
             conn.stream.write_line(size)
-            conn.stream.write_from_file(HandleReader(handle), size)
+            fd = handle.fileno()
+            try:
+                if fd is None:
+                    conn.stream.write_from_file(HandleReader(handle), size)
+                else:
+                    conn.stream.sendfile(fd, 0, size)
+            except ChirpError as exc:
+                # The size line is out: a status line now would be read
+                # as payload, so the only honest answer is to hang up.
+                raise DisconnectedError(f"getfile {path}: {exc}") from exc
         finally:
             try:
                 handle.close()

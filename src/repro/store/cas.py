@@ -122,6 +122,9 @@ class _CasReadHandle(BlobHandle):
     def pwrite(self, data: bytes, offset: int) -> int:
         raise BadFileDescriptorError("handle not open for writing")
 
+    def fileno(self) -> int:
+        return self._fd
+
     def fsync(self) -> None:
         pass  # sealed objects are already durable
 
@@ -548,7 +551,10 @@ class CasStore(BlobStore):
         real_old, real_new = self._ns(vold), self._ns(vnew)
         with self._lock:
             clobbered = None
-            if os.path.isfile(real_new) and not os.path.isdir(real_old):
+            # Renaming a file onto itself is a no-op (POSIX): its blob
+            # is still named, so it must not be released.
+            if (real_old != real_new and os.path.isfile(real_new)
+                    and not os.path.isdir(real_old)):
                 try:
                     clobbered = self._read_pointer(real_new, vnew).key
                 except (DoesNotExistError, UnknownError):

@@ -303,6 +303,11 @@ class _FaultyHandle(BlobHandle):
     def fstat(self) -> ChirpStat:
         return self._inner.fstat()
 
+    def fileno(self) -> None:
+        # Never the inner fd: a kernel send from it would serve around
+        # the plan, so injected read EIO and bitrot would never fire.
+        return None
+
     def ftruncate(self, size: int) -> None:
         fault = self._consult("ftruncate")
         if fault is not None and fault.action == EIO:

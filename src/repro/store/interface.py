@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 from typing import Hashable, Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.util.errors import InvalidRequestError
+from repro.util.errors import InvalidRequestError, UnknownError
 
 __all__ = [
     "BlobStore",
@@ -103,6 +103,16 @@ class BlobHandle(ABC):
     @abstractmethod
     def close(self) -> None: ...
 
+    def fileno(self) -> Optional[int]:
+        """An OS fd whose bytes are exactly this handle's content, or None.
+
+        An optional capability: the server sends ``getfile`` straight
+        from such an fd (``os.sendfile``), so the bytes never enter user
+        space.  A handle that transforms, checks or spools what it reads
+        must answer None, or the kernel would serve around it.
+        """
+        return None
+
     def __enter__(self) -> "BlobHandle":
         return self
 
@@ -136,9 +146,18 @@ class HandleWriter:
         self._offset = offset
 
     def write(self, data: bytes) -> int:
-        n = self._handle.pwrite(data, self._offset)
-        self._offset += n
-        return n
+        """Write all of ``data``: a store may honestly write a prefix
+        (POSIX permits short writes), so loop on the rest; a handle that
+        makes no progress raises rather than losing the tail."""
+        view = memoryview(data)
+        done = 0
+        while done < len(view):
+            n = self._handle.pwrite(view[done:], self._offset)
+            if n <= 0:
+                raise UnknownError("store wrote 0 bytes")
+            self._offset += n
+            done += n
+        return done
 
 
 def read_all(handle: BlobHandle, chunk_size: int = 1 << 20) -> bytes:
@@ -155,11 +174,11 @@ def read_all(handle: BlobHandle, chunk_size: int = 1 << 20) -> bytes:
 
 def write_all(handle: BlobHandle, data: bytes, chunk_size: int = 1 << 20) -> int:
     """Write a whole byte string from offset 0."""
+    writer = HandleWriter(handle)
     view = memoryview(data)
-    offset = 0
-    while offset < len(data):
-        offset += handle.pwrite(bytes(view[offset : offset + chunk_size]), offset)
-    return offset
+    for start in range(0, len(view), chunk_size):
+        writer.write(view[start : start + chunk_size])
+    return len(view)
 
 
 class BlobStore(ABC):

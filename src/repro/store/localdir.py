@@ -100,6 +100,9 @@ class _OsFdHandle(BlobHandle):
         finally:
             self._account_after(before)
 
+    def fileno(self) -> int:
+        return self._fd
+
     def fsync(self) -> None:
         try:
             os.fsync(self._fd)

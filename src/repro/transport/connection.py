@@ -394,6 +394,7 @@ class Connection:
         with self._lock:
             try:
                 stream = self._require_stream()
+                self._apply_deadline(stream, None)
                 try:
                     stream.write_line("getfile", path)
                     reply = stream.read_tokens()
@@ -403,11 +404,10 @@ class Connection:
                             status, reply[1] if len(reply) > 1 else ""
                         )
                     if sink is None:
-                        buf = io.BytesIO()
-                        stream.read_into_file(buf, status, _STREAM_CHUNK)
+                        data = stream.read_payload(status)
                         bytes_in = status
                         error = False
-                        return buf.getvalue()
+                        return data
                     stream.read_into_file(sink, status, _STREAM_CHUNK)
                     bytes_in = status
                     error = False
@@ -457,6 +457,7 @@ class Connection:
             try:
                 line = pack_line(verb, *tokens, total)
                 stream = self._require_stream()
+                self._apply_deadline(stream, None)
                 try:
                     if payload is None:
                         stream.write(line)
@@ -489,6 +490,7 @@ class Connection:
         with self._lock:
             try:
                 stream = self._require_stream()
+                self._apply_deadline(stream, None)
                 try:
                     stream.write_line("getacl", path)
                     reply = stream.read_tokens()

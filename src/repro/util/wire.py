@@ -14,6 +14,8 @@ percent-escaped with :func:`encode_token` / :func:`decode_token`.
 
 from __future__ import annotations
 
+import io
+import os
 import re
 import socket
 
@@ -26,9 +28,12 @@ __all__ = [
     "unpack_line",
     "LineStream",
     "MAX_LINE",
+    "SINGLE_COPY_MIN",
 ]
 
 MAX_LINE = 64 * 1024  # longest request/response line we will accept
+#: unread payload bytes above which read_payload receives in place
+SINGLE_COPY_MIN = 64 * 1024
 _SAFE_CHARS = (
     "abcdefghijklmnopqrstuvwxyz"
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -168,6 +173,32 @@ class LineStream:
         del self._buf[:length]
         return data
 
+    def read_payload(self, length: int) -> bytes:
+        """:meth:`read_exact` for whole-file payloads: one copy per byte.
+
+        A large payload is received straight into the ``bytes`` object
+        returned: ``BufferedReader.read`` allocates it once and hands
+        views of it to :class:`_PayloadReader`, which fills them from the
+        line buffer, then with ``recv_into``.  Payloads with at most
+        ``SINGLE_COPY_MIN`` bytes still unread take :meth:`read_exact`:
+        the reader's set-up only pays for itself on large payloads.
+        """
+        if length - len(self._buf) <= SINGLE_COPY_MIN:
+            return self.read_exact(length)
+        data = io.BufferedReader(_PayloadReader(self), 1).read(length)
+        if len(data) < length:
+            raise DisconnectedError("connection closed mid-payload")
+        return data
+
+    def _readinto(self, view: memoryview) -> int:
+        """Fill a prefix of ``view`` from the line buffer, else the socket."""
+        if self._buf:
+            n = min(len(self._buf), len(view))
+            view[:n] = self._buf[:n]
+            del self._buf[:n]
+            return n
+        return self._recv_into(view)
+
     def discard(self, length: int) -> None:
         """Read and drop ``length`` payload bytes so the stream stays in sync."""
         while length > 0:
@@ -176,8 +207,12 @@ class LineStream:
     def read_into_file(self, fobj, length: int, chunk_size: int = 1 << 20) -> None:
         """Stream ``length`` payload bytes directly into a file object.
 
-        Used by ``putfile`` so large uploads never materialize in memory --
-        the streaming discipline the HPC guides call for on hot paths.
+        Used by ``putfile`` so large uploads never materialize in memory.
+        Bytes are received into one buffer reused for every chunk, and
+        ``fobj.write`` is passed ``memoryview`` slices of it: **a sink
+        copies what it keeps** (``os.pwrite``, ``BytesIO``, a bytearray
+        slice assignment and ``hashlib`` all do), because the next chunk
+        overwrites the view it was given.
         """
         remaining = length
         if self._buf:
@@ -190,12 +225,13 @@ class LineStream:
             del self._buf[:take]
             remaining -= take
             fobj.write(chunk)
+        view = memoryview(bytearray(min(chunk_size, remaining)))
         while remaining > 0:
-            chunk = self._recv(min(chunk_size, remaining))
-            if not chunk:
+            n = self._recv_into(view[: min(len(view), remaining)])
+            if not n:
                 raise DisconnectedError("connection closed mid-payload")
-            fobj.write(chunk)
-            remaining -= len(chunk)
+            remaining -= n
+            fobj.write(view[:n])
 
     def write(self, data: bytes) -> None:
         try:
@@ -226,11 +262,61 @@ class LineStream:
             self.write(chunk)
             remaining -= len(chunk)
 
+    def sendfile(self, fd: int, offset: int, length: int) -> None:
+        """Send ``length`` bytes of the file ``fd`` from ``offset``.
+
+        ``os.sendfile`` moves them from the page cache to the socket in
+        the kernel; none enters user space.  Like
+        :meth:`write_from_file`, a file that ends early raises
+        :class:`DisconnectedError`: the peer was promised ``length``
+        bytes and the stream cannot carry a status line any more, so any
+        failure -- of the file or of the socket -- ends the connection.
+        """
+        if self._closed:
+            raise DisconnectedError("stream already closed")
+        if self._sock.gettimeout() is not None:
+            # A socket with a timeout is non-blocking underneath, where
+            # os.sendfile answers EAGAIN instead of waiting.
+            self._send_fd_copying(fd, offset, length)
+            return
+        out = self._sock.fileno()
+        end = offset + length
+        while offset < end:
+            try:
+                sent = os.sendfile(out, fd, offset, end - offset)
+            except OSError as exc:
+                self._closed = True
+                raise DisconnectedError(f"sendfile failed: {exc}") from exc
+            if not sent:
+                raise DisconnectedError("source file truncated during send")
+            offset += sent
+
+    def _send_fd_copying(self, fd: int, offset: int, length: int) -> None:
+        end = offset + length
+        while offset < end:
+            try:
+                chunk = os.pread(fd, min(1 << 20, end - offset), offset)
+            except OSError as exc:
+                raise DisconnectedError(f"source read failed: {exc}") from exc
+            if not chunk:
+                raise DisconnectedError("source file truncated during send")
+            self.write(chunk)
+            offset += len(chunk)
+
     def _recv(self, n: int) -> bytes:
         if self._closed:
             raise DisconnectedError("stream already closed")
         try:
             return self._sock.recv(n)
+        except (ConnectionError, OSError) as exc:
+            self._closed = True
+            raise DisconnectedError(f"recv failed: {exc}") from exc
+
+    def _recv_into(self, view: memoryview) -> int:
+        if self._closed:
+            raise DisconnectedError("stream already closed")
+        try:
+            return self._sock.recv_into(view)
         except (ConnectionError, OSError) as exc:
             self._closed = True
             raise DisconnectedError(f"recv failed: {exc}") from exc
@@ -242,3 +328,17 @@ class LineStream:
                 self._sock.close()
             except OSError:
                 pass
+
+
+class _PayloadReader(io.RawIOBase):
+    """The raw side of :meth:`LineStream.read_payload`."""
+
+    def __init__(self, stream: LineStream):
+        super().__init__()
+        self._stream = stream
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, view) -> int:
+        return self._stream._readinto(view)

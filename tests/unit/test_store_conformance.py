@@ -174,6 +174,11 @@ class TestStoreConformance:
         with pytest.raises(E.DoesNotExistError):
             backend.stat(OWNER, "/a")
 
+    def test_rename_onto_itself_keeps_content(self, backend):
+        write_file(backend, "/a", b"stay")
+        backend.rename(OWNER, "/a", "/a")
+        assert read_file(backend, "/a") == b"stay"
+
     def test_rename_into_subdirectory(self, backend):
         backend.mkdir(OWNER, "/d", 0o755)
         write_file(backend, "/f", b"move me")
@@ -325,6 +330,40 @@ class TestLocalStatRead:
         assert not blocked
         st, data = box["result"]
         assert stat.S_ISFIFO(st.mode) and data is None
+
+
+class TestFilenoCapability:
+    """``BlobHandle.fileno()``: an fd holding exactly the handle's bytes
+    (the server ``sendfile``s from it), or None where none may be used."""
+
+    PAYLOAD = bytes(range(256)) * 300 + b"tail"
+
+    @pytest.mark.parametrize("kind", ["local", "cas"])
+    def test_read_handle_fd_holds_the_handle_bytes(self, tmp_path, kind):
+        store = _make_backend(kind, tmp_path).store
+        store.write_blob("/f", self.PAYLOAD)
+        with store.open("/f", OpenFlags(read=True), 0) as h:
+            fd = h.fileno()
+            assert isinstance(fd, int)
+            size = len(self.PAYLOAD)
+            assert os.pread(fd, size + 1, 0) == h.pread(size + 1, 0) == self.PAYLOAD
+            assert os.pread(fd, 100, 1000) == h.pread(100, 1000)
+
+    @pytest.mark.parametrize("kind", ["memory"] + ["faulty+" + k for k in STORE_KINDS])
+    def test_no_fd_on_read_handles(self, tmp_path, kind):
+        # faulty+* must hide the inner fd, or a kernel send would bypass
+        # injected read faults.
+        store = _make_backend(kind, tmp_path).store
+        store.write_blob("/f", self.PAYLOAD)
+        with store.open("/f", OpenFlags(read=True), 0) as h:
+            assert h.fileno() is None
+
+    def test_no_fd_on_cas_write_handles(self, tmp_path):
+        store = _make_backend("cas", tmp_path).store
+        flags = OpenFlags(read=True, write=True, create=True)
+        with store.open("/f", flags, 0o644) as h:
+            h.pwrite(b"spooled", 0)
+            assert h.fileno() is None
 
 
 class TestCasInvariants:

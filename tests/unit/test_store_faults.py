@@ -24,7 +24,13 @@ import pytest
 
 from repro.chirp.backend import Backend
 from repro.chirp.protocol import OpenFlags
-from repro.store import DiskFaultPlan, DiskFaultScript, FaultyStore, make_store
+from repro.store import (
+    DiskFaultPlan,
+    DiskFaultScript,
+    FaultyStore,
+    HandleWriter,
+    make_store,
+)
 from repro.store.faulty import (
     BITROT,
     DELAY,
@@ -101,6 +107,30 @@ class TestScriptedFaults:
         assert h.pwrite(b"0123456789", 0) == 5
         h.close()
         assert store.read_blob("/f") == b"01234"
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_cursor_writers_finish_a_short_write(self, tmp_path, kind):
+        # HandleWriter (puts) and write_blob (backend bookkeeping) both
+        # keep writing after an honest short count instead of dropping
+        # the tail of the chunk.
+        store = faulty(tmp_path, kind)
+        store.plan.script(DiskFaultScript(op="pwrite", action=SHORT_WRITE))
+        h = store.open("/f", OpenFlags(write=True, create=True), 0o644)
+        assert HandleWriter(h).write(b"0123456789") == 10
+        h.close()
+        assert store.read_blob("/f") == b"0123456789"
+        store.plan.script(DiskFaultScript(op="pwrite", action=SHORT_WRITE))
+        store.write_blob("/g", b"abcdefgh" * 1000)
+        assert store.plan.injected == 2
+        assert store.read_blob("/g") == b"abcdefgh" * 1000
+
+    def test_cursor_writer_refuses_a_store_that_makes_no_progress(self):
+        class Stuck:
+            def pwrite(self, data, offset):
+                return 0
+
+        with pytest.raises(E.UnknownError):
+            HandleWriter(Stuck()).write(b"data")
 
     def test_torn_write_lies_about_the_count(self, tmp_path):
         store = faulty(tmp_path)

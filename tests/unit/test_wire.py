@@ -1,11 +1,13 @@
 """Unit tests for the wire codec and LineStream."""
 
 import io
+import os
 
 import pytest
 
 from repro.util.errors import DisconnectedError, InvalidRequestError
 from repro.util.wire import (
+    SINGLE_COPY_MIN,
     LineStream,
     decode_token,
     encode_token,
@@ -86,6 +88,11 @@ class FakeSocket:
         chunk = self.chunks.pop(0)
         return chunk[:n] if len(chunk) <= n else self._split(chunk, n)
 
+    def recv_into(self, view):
+        chunk = self.recv(len(view))
+        view[: len(chunk)] = chunk
+        return len(chunk)
+
     def _split(self, chunk, n):
         head, tail = chunk[:n], chunk[n:]
         self.chunks.insert(0, tail)
@@ -147,6 +154,36 @@ class TestLineStream:
         stream.read_into_file(sink, 7)
         assert sink.getvalue() == b"PAYLOAD"
 
+    def test_read_into_file_reuses_one_receive_buffer(self):
+        # Sinks get views of one buffer that the next chunk overwrites,
+        # which is why a sink must copy what it keeps.
+        kept = []
+        sink = type("Sink", (), {"write": lambda self, chunk: kept.append(chunk)})()
+        stream = LineStream(FakeSocket([b"aaaa", b"bbbb", b"cc"]))
+        stream.read_into_file(sink, 10)
+        assert all(isinstance(chunk, memoryview) for chunk in kept)
+        assert len({id(chunk.obj) for chunk in kept}) == 1
+        assert bytes(kept[-1]) == b"cc"
+
+    def test_read_payload_small_is_read_exact(self):
+        stream = LineStream(FakeSocket([b"abc", b"defg\n"]))
+        assert stream.read_payload(7) == b"abcdefg"
+        assert stream.read_line() == b"\n"
+
+    def test_read_payload_large_fills_one_bytes_object(self):
+        big = bytes(range(256)) * 1024
+        head, body = b"7\n" + big[:1000], big[1000:]
+        stream = LineStream(FakeSocket([head, body[:70000], body[70000:] + b"next\n"]))
+        assert stream.read_tokens() == ["7"]
+        data = stream.read_payload(len(big))
+        assert type(data) is bytes and data == big
+        assert stream.read_line() == b"next\n"
+
+    def test_read_payload_eof_raises(self):
+        stream = LineStream(FakeSocket([b"x" * (SINGLE_COPY_MIN * 2)]))
+        with pytest.raises(DisconnectedError):
+            stream.read_payload(SINGLE_COPY_MIN * 3)
+
     def test_write_from_file(self):
         sock = FakeSocket([])
         stream = LineStream(sock)
@@ -187,3 +224,36 @@ class TestLineStream:
         stream.close()
         stream.close()
         assert sock.closed
+
+
+class TestSendfile:
+    DATA = bytes(range(251)) * 200
+
+    @pytest.fixture()
+    def source(self, tmp_path):
+        path = tmp_path / "src"
+        path.write_bytes(self.DATA)
+        fd = os.open(path, os.O_RDONLY)
+        yield fd
+        os.close(fd)
+
+    def test_sends_a_file_range(self, socket_pair, source):
+        a, b = socket_pair
+        LineStream(a).sendfile(source, 10, 30000)
+        assert LineStream(b).read_exact(30000) == self.DATA[10:30010]
+
+    def test_truncated_source_raises_disconnected(self, socket_pair, source):
+        a, _ = socket_pair
+        with pytest.raises(DisconnectedError, match="truncated"):
+            LineStream(a).sendfile(source, 0, len(self.DATA) + 100)
+
+    def test_socket_with_timeout_copies_through_user_space(
+        self, socket_pair, source, monkeypatch
+    ):
+        # A timeout makes the socket non-blocking underneath, where
+        # os.sendfile would answer EAGAIN instead of waiting.
+        a, b = socket_pair
+        a.settimeout(5.0)
+        monkeypatch.setattr(os, "sendfile", lambda *args: pytest.fail("sendfile used"))
+        LineStream(a).sendfile(source, 0, len(self.DATA))
+        assert LineStream(b).read_exact(len(self.DATA)) == self.DATA
