@@ -197,14 +197,17 @@ class DSDB:
         metadata: Optional[dict] = None,
         replicas: int = 1,
     ) -> dict:
-        """Store a file and index it.
+        """Store a file and index it with one record.
 
         ``data`` may be bytes, a binary file object, or a local path.
-        The record is inserted as soon as *one* copy is safely stored
-        (GEMS: "once a single copy of the data is accepted, the
-        replicator process then works to replicate"); additional copies
-        requested here are added before returning, on distinct servers
-        when possible.
+        The requested copies are placed one after another on distinct
+        servers when possible, then a single ``insert`` lists them all.
+        The first copy is required (its failure fails the ingest); extra
+        copies are best-effort (GEMS: "once a single copy of the data is
+        accepted, the replicator process then works to replicate"), so a
+        refused one is left for the keeper to restore.  Copies go out in
+        series, not concurrently: servers sharing a CPU and a journal
+        made two concurrent puts slower than two in a row.
         """
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
@@ -226,36 +229,25 @@ class DSDB:
                 size = spool.seek(0, io.SEEK_END)
                 source = spool
 
-            first = self._place_bytes(source, frozenset())
+            copies = [self._place_bytes(source, frozenset())]
+            exclude = {(copies[0]["host"], copies[0]["port"])}
+            for _ in range(replicas - 1):
+                try:
+                    rep = self._place_bytes(source, frozenset(exclude))
+                except (LookupError, ChirpError):
+                    break  # fewer servers than copies, or none would take one
+                copies.append(rep)
+                exclude.add((rep["host"], rep["port"]))
             record = {
                 "tss_kind": FILE_KIND,
                 "name": name,
                 "size": size,
                 "checksum": checksum,
-                "replicas": [first],
+                "replicas": copies,
             }
             for key, value in (metadata or {}).items():
                 record.setdefault(key, value)
-            rid = self.db.insert(record)
-            record["id"] = rid
-            exclude = {(first["host"], first["port"])}
-            for _ in range(replicas - 1):
-                try:
-                    rep = self._place_bytes(source, frozenset(exclude))
-                except LookupError:
-                    break  # fewer servers than requested copies
-                except ChirpError:
-                    # Extra copies are best-effort: the write was acked
-                    # the moment one copy was durable, and the keeper
-                    # restores the replication factor once servers
-                    # return (GEMS: the replicator process works to
-                    # replicate).
-                    break
-                record["replicas"].append(rep)
-                exclude.add((rep["host"], rep["port"]))
-            if len(record["replicas"]) > 1:
-                record = self.db.update(rid, {"replicas": record["replicas"]})
-                record["id"] = rid
+            record["id"] = self.db.insert(record)
             return record
         finally:
             if spool is not None and isinstance(data, str):

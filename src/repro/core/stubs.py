@@ -11,6 +11,7 @@ files remain in distinguishable per-volume directories on each server.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import secrets
@@ -63,6 +64,18 @@ class Stub:
         return (self.host, self.port)
 
 
+@functools.lru_cache(maxsize=1)
+def _ip_tag() -> str:
+    """This host's IP address, dashed, resolved once per process: the
+    resolver call is most of what naming a data file would otherwise
+    cost."""
+    try:
+        ip = socket.gethostbyname(socket.gethostname())
+    except OSError:
+        ip = "0.0.0.0"
+    return ip.replace(".", "-")
+
+
 def unique_data_name() -> str:
     """Generate a collision-resistant data file name.
 
@@ -71,9 +84,4 @@ def unique_data_name() -> str:
     then *enforced* by exclusive create on the data server, so this only
     needs to make collisions rare, not impossible.
     """
-    try:
-        ip = socket.gethostbyname(socket.gethostname())
-    except OSError:
-        ip = "0.0.0.0"
-    ip_tag = ip.replace(".", "-")
-    return f"file-{ip_tag}-{time.time_ns():x}-{secrets.token_hex(4)}"
+    return f"file-{_ip_tag()}-{time.time_ns():x}-{secrets.token_hex(4)}"

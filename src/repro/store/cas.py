@@ -16,11 +16,15 @@ Invariants:
 
 - an object file's name always equals the checksum of its bytes (bitrot
   breaks this; ``scrub`` detects and optionally quarantines it);
+- the empty blob (``EMPTY_KEY``) is implicit: no object file backs it,
+  so it is never ingested, GC'd or scrubbed, and every store holds it;
 - refcount(key) == number of ns pointers naming ``key``, rebuilt by a
-  startup walk and maintained under the store lock;
+  startup walk and maintained under the store lock (a truncating open
+  keeps the blob it unbinds referenced until its handle seals);
 - refcount 0 => the object is deleted immediately (eager GC);
 - pointer replacement is atomic (write-temp + rename), so readers see
-  either the old or the new binding, never a torn one.
+  either the old or the new binding, never a torn one; a new pointer is
+  created exclusively (staged, then hard-linked into place).
 
 Mutation happens on a write-handle *spool* (seeded from the current blob
 when opening an existing file without truncate) and is sealed back --
@@ -28,6 +32,14 @@ hash, ingest, repoint -- on ``fsync``/``close``.  Mid-write bytes are
 thus invisible to other readers: snapshot isolation at file granularity,
 slightly stronger than the local store, identical at whole-op
 granularity.
+
+Durability is the seal's, and a seal pays the crash-atomic floor: fsync
+the object, fsync its shard directory, fsync the pointer, fsync its
+namespace directory -- four fsyncs for new content, two for a dedup hit
+(the object is already durable under its name).  A create or truncate
+open only makes the empty file visible, with no fsync, just as the local
+store's ``O_CREAT``/``O_TRUNC`` promise no more.  ``snapshot()`` counts
+``fsyncs`` and ``files_created`` so tests can pin this ledger.
 
 Copy-by-reference falls out of the naming scheme: ``link_key`` binds a
 path to an already-present blob without moving payload bytes, and
@@ -58,10 +70,20 @@ from repro.util.errors import (
 )
 from repro.util.paths import PathEscapeError, confine
 
-__all__ = ["CasStore"]
+__all__ = ["CasStore", "EMPTY_KEY"]
 
 _PTR_MAGIC = "casptr"
 _SPOOL_MAX = 8 << 20  # spill write spools to disk beyond 8 MiB
+# The empty blob is implicit: every store holds it and no object file
+# backs it, so it is never ingested, never GC'd and never scrubbed.
+EMPTY_KEY = data_checksum(b"")
+
+
+def _discard(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _wrap_os_error(exc: OSError, path: str = "") -> Exception:
@@ -106,7 +128,8 @@ class _Pointer:
 
 
 class _CasReadHandle(BlobHandle):
-    """A read-only handle: an OS fd on the sealed object itself."""
+    """A read-only handle: an OS fd on the sealed object itself (on
+    ``/dev/null`` for the implicit empty blob)."""
 
     def __init__(self, fd: int, ptr: _Pointer, ptr_real: str):
         self._fd = fd
@@ -154,6 +177,10 @@ class _CasWriteHandle(BlobHandle):
             max_size=_SPOOL_MAX, dir=store.tmp_root
         )
         self._closed = False
+        # The blob a create/truncate open unbound from this path.  The
+        # open's empty pointer is not durable, so the blob stays
+        # referenced until the seal's pointer is.
+        self._held: str | None = None
 
     def _check_open(self) -> None:
         if self._closed:
@@ -231,6 +258,10 @@ class _CasWriteHandle(BlobHandle):
         self._spool.seek(0)
         self._store._ingest(self._spool, key, size)
         self._store._repoint(self._vpath, key, size, self._mode)
+        if self._held is not None:
+            with self._store._lock:
+                self._store._decref(self._held)
+            self._held = None
         self._store._count("seals")
 
     def close(self) -> None:
@@ -283,6 +314,7 @@ class CasStore(BlobStore):
             os.makedirs(d, exist_ok=True)
         self._refs: dict[str, int] = {}
         self._used = 0
+        self._counters.update(fsyncs=0, files_created=0)
         self._rebuild()
 
     # -- startup --------------------------------------------------------
@@ -318,6 +350,15 @@ class CasStore(BlobStore):
             raise DoesNotExistError(f"malformed content key {key!r}")
         return os.path.join(self.obj_root, key[:2], key)
 
+    def _content_path(self, key: str) -> str:
+        """Where ``key``'s bytes are read from (``/dev/null`` for the
+        implicit empty blob)."""
+        return os.devnull if key == EMPTY_KEY else self._object_path(key)
+
+    def _fsync(self, fd: int) -> None:
+        os.fsync(fd)
+        self._count("fsyncs")
+
     def _fsync_dir(self, real_path: str) -> None:
         if not self.sync_meta:
             return
@@ -326,11 +367,15 @@ class CasStore(BlobStore):
         except OSError:
             return
         try:
-            os.fsync(fd)
+            self._fsync(fd)
         except OSError:
             pass
         finally:
             os.close(fd)
+
+    def _mkstemp(self) -> tuple[int, str]:
+        self._count("files_created")
+        return tempfile.mkstemp(dir=self.tmp_root)
 
     def _read_pointer(self, real: str, vpath: str) -> _Pointer:
         try:
@@ -345,49 +390,57 @@ class CasStore(BlobStore):
         except (ValueError, KeyError) as exc:
             raise UnknownError(f"{vpath}: corrupt CAS pointer record") from exc
 
-    def _write_pointer(self, real: str, ptr: _Pointer, *, exclusive: bool = False) -> None:
-        data = ptr.to_bytes()
-        if exclusive:
-            try:
-                fd = os.open(real, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except OSError as exc:
-                raise _wrap_os_error(exc, real) from exc
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            return
+    def _write_pointer(self, real: str, ptr: _Pointer, *, exclusive: bool = False,
+                       sync: bool = True) -> None:
+        """Bind ``real`` to ``ptr`` whole: readers see the old record or
+        the new one, never a torn one.
+
+        ``exclusive`` is ``O_CREAT|O_EXCL`` with the content already in
+        place: the staged record is hard-linked to ``real``, which fails
+        with EEXIST if anything got there first.  ``sync`` fsyncs the
+        record before it becomes visible; the directory entry is the
+        caller's to fsync.
+        """
         # Stage through tmp_root, not next to the pointer: a crashed
         # predecessor's staging files must be sweepable by the boot
         # janitor, and only tmp_root is wholly store-owned -- an
         # ns-plane ``<name>.tmp`` could be a legitimate pointer for a
         # client file literally named ``<name>.tmp``.
-        fd, tmp = tempfile.mkstemp(dir=self.tmp_root)
+        fd, tmp = self._mkstemp()
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, real)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+                fh.write(ptr.to_bytes())
+                if sync:
+                    fh.flush()
+                    self._fsync(fh.fileno())
+            if not exclusive:
+                os.replace(tmp, real)
+                return
+            os.link(tmp, real)
+        except OSError as exc:
+            _discard(tmp)
+            if exclusive:
+                raise _wrap_os_error(exc, real) from exc
             raise
+        _discard(tmp)
 
     # -- object plane ---------------------------------------------------
 
     def _ingest(self, source, key: str, size: int) -> None:
         """Copy a readable stream into the object plane (no-op when the
-        key is already present: dedup)."""
+        key is already present -- dedup -- or is the empty blob)."""
+        if key == EMPTY_KEY:
+            return
         obj = self._object_path(key)
+        shard = os.path.dirname(obj)
         with self._lock:
             if os.path.exists(obj):
                 self._count("dedup_hits")
                 return
-            os.makedirs(os.path.dirname(obj), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.tmp_root)
+            if not os.path.isdir(shard):
+                os.makedirs(shard, exist_ok=True)
+                self._fsync_dir(self.obj_root)
+            fd, tmp = self._mkstemp()
             try:
                 with os.fdopen(fd, "wb") as out:
                     while True:
@@ -396,16 +449,13 @@ class CasStore(BlobStore):
                             break
                         out.write(chunk)
                     out.flush()
-                    os.fsync(out.fileno())
-                os.chmod(tmp, 0o444)
+                    self._fsync(out.fileno())
+                    os.fchmod(out.fileno(), 0o444)
                 os.replace(tmp, obj)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                _discard(tmp)
                 raise
-            self._fsync_dir(os.path.dirname(obj))
+            self._fsync_dir(shard)
             self._used += size
             self._count("objects_ingested")
             self._count("bytes_ingested", size)
@@ -419,15 +469,25 @@ class CasStore(BlobStore):
             self._refs[key] = count
             return
         self._refs.pop(key, None)
+        if key == EMPTY_KEY:
+            return
         obj = self._object_path(key)
         try:
             size = os.lstat(obj).st_size
-            os.chmod(obj, 0o644)  # objects are chmod'd read-only
             os.unlink(obj)
             self._used -= size
             self._count("objects_gc")
         except OSError:
             pass
+
+    def _key_at(self, real: str, vpath: str) -> str | None:
+        """The key ``vpath`` is bound to; None when unbound or corrupt."""
+        if not os.path.isfile(real):
+            return None
+        try:
+            return self._read_pointer(real, vpath).key
+        except UnknownError:
+            return None
 
     def _repoint(self, vpath: str, key: str, size: int, mode: int,
                  atime: int | None = None, mtime: int | None = None) -> None:
@@ -437,12 +497,7 @@ class CasStore(BlobStore):
         ptr = _Pointer(key, size, mode, atime if atime is not None else now,
                        mtime if mtime is not None else now)
         with self._lock:
-            old_key = None
-            if os.path.isfile(real):
-                try:
-                    old_key = self._read_pointer(real, vpath).key
-                except UnknownError:
-                    old_key = None
+            old_key = self._key_at(real, vpath)
             self._write_pointer(real, ptr)
             self._incref(key)
             if old_key is not None:
@@ -459,12 +514,13 @@ class CasStore(BlobStore):
         if not writable:
             ptr = self._read_pointer(real, vpath)
             try:
-                fd = os.open(self._object_path(ptr.key), os.O_RDONLY)
+                fd = os.open(self._content_path(ptr.key), os.O_RDONLY)
             except OSError as exc:
                 raise _wrap_os_error(exc, vpath) from exc
             self._count("open")
             return _CasReadHandle(fd, ptr, real)
 
+        handle = _CasWriteHandle(self, vpath, flags, mode)
         with self._lock:
             exists = os.path.isfile(real)
             if not exists:
@@ -474,15 +530,27 @@ class CasStore(BlobStore):
                     raise DoesNotExistError(vpath)
             elif flags.exclusive and flags.create:
                 raise AlreadyExistsError(vpath)
+            if not exists or flags.truncate:
+                # A created or truncated file is visible as empty right
+                # away, like the local store -- and, like its O_CREAT,
+                # not yet durable: durability is the seal's.  The check
+                # above and this write share the lock, and a new pointer
+                # is created exclusively, so two exclusive creates of one
+                # path never both succeed.
+                now = int(time.time())
+                empty = _Pointer(EMPTY_KEY, 0, handle._mode, now, now)
+                if exists:
+                    handle._held = self._key_at(real, vpath)
+                self._write_pointer(real, empty, exclusive=not exists, sync=False)
+                self._incref(EMPTY_KEY)
 
-        handle = _CasWriteHandle(self, vpath, flags, mode)
         if exists and not flags.truncate:
             # r+/w-without-truncate: seed the spool with current content
             # so offset writes edit in place.
             ptr = self._read_pointer(real, vpath)
             handle._mode = ptr.mode
             try:
-                with open(self._object_path(ptr.key), "rb") as src:
+                with open(self._content_path(ptr.key), "rb") as src:
                     while True:
                         chunk = src.read(1 << 20)
                         if not chunk:
@@ -490,10 +558,6 @@ class CasStore(BlobStore):
                         handle._spool.write(chunk)
             except OSError as exc:
                 raise _wrap_os_error(exc, vpath) from exc
-        else:
-            # Materialize immediately (a created or truncated file is
-            # visible as empty right away, like the local store).
-            handle._seal()
         self._count("open")
         return handle
 
@@ -628,7 +692,7 @@ class CasStore(BlobStore):
         if os.path.isdir(real):
             raise IsADirectoryError_(vpath)
         key = self._read_pointer(real, vpath).key
-        if not os.path.exists(self._object_path(key)):
+        if key != EMPTY_KEY and not os.path.exists(self._object_path(key)):
             raise DoesNotExistError(f"{vpath}: object {key} is missing")
         return key
 
@@ -680,6 +744,8 @@ class CasStore(BlobStore):
 
     def lookup_key(self, key: str) -> bool:
         self._count("lookups")
+        if key == EMPTY_KEY:
+            return True
         try:
             return os.path.isfile(self._object_path(key))
         except DoesNotExistError:
@@ -691,9 +757,8 @@ class CasStore(BlobStore):
             raise IsADirectoryError_(vpath)
         if not os.path.isdir(os.path.dirname(real)):
             raise DoesNotExistError(vpath)
-        obj = self._object_path(key)
         try:
-            size = os.lstat(obj).st_size
+            size = 0 if key == EMPTY_KEY else os.lstat(self._object_path(key)).st_size
         except OSError as exc:
             raise DoesNotExistError(f"content key {key} not present") from exc
         self._repoint(vpath, key, size, mode & 0o777)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
+from repro.store.cas import EMPTY_KEY
 from repro.store.interface import BlobHandle, BlobStore
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.errors import InvalidRequestError, NoSpaceError, UnknownError
@@ -444,6 +445,8 @@ class FaultyStore(BlobStore):
         """
         digest = self.inner.checksum(vpath)
         inner = self.inner
+        if digest == EMPTY_KEY:
+            raise InvalidRequestError(f"{vpath}: nothing to rot")
         if inner.supports_cas and hasattr(inner, "_object_path"):
             obj = inner._object_path(inner.key_of(vpath))
             idx = self._flip_file(obj, sealed=True)

@@ -1,11 +1,11 @@
 """Integration tests: DSDB and the GEMS preservation machinery."""
 
-import os
-
 import pytest
 
+from repro.chirp.protocol import OpenFlags
 from repro.core.dsdb import DSDB, live_replicas
 from repro.core.placement import RoundRobinPlacement
+from repro.core.pool import ClientPool
 from repro.db.client import DatabaseClient
 from repro.db.engine import MetadataDB
 from repro.db.query import Query
@@ -17,6 +17,7 @@ from repro.gems import (
     PreservationService,
     Replicator,
 )
+from repro.transport.metrics import MetricsRegistry
 from repro.util import errors as E
 from repro.util.clock import ManualClock
 
@@ -36,20 +37,30 @@ def dsdb(server_factory, pool):
     return store
 
 
-def data_roots(dsdb):
-    return {s.address: s.backend.root for s in dsdb._test_servers}
+def store_of(dsdb, endpoint):
+    """The storage resource behind one server.  Damage goes through it,
+    not through raw paths, so it lands on every store kind."""
+    return next(s.backend.store for s in dsdb._test_servers if s.address == endpoint)
 
 
 def kill_server_data(dsdb, endpoint) -> int:
     """Owner eviction: delete every gems file on one server's disk."""
-    root = data_roots(dsdb)[endpoint]
-    d = os.path.join(root, "tssdata", "gems")
+    store = store_of(dsdb, endpoint)
+    d = "/tssdata/gems"
     killed = 0
-    if os.path.isdir(d):
-        for name in os.listdir(d):
-            os.unlink(os.path.join(d, name))
+    if store.isdir(d):
+        for name in store.listdir(d):
+            store.unlink(f"{d}/{name}")
             killed += 1
     return killed
+
+
+def damage(dsdb, rep, data: bytes) -> None:
+    """Overwrite the head of one replica's bytes in place (same size
+    when ``data`` is no longer than the file)."""
+    store = store_of(dsdb, (rep["host"], rep["port"]))
+    with store.open(rep["path"], OpenFlags(write=True), 0) as handle:
+        handle.pwrite(data, 0)
 
 
 class TestDsdbMechanism:
@@ -97,11 +108,7 @@ class TestDsdbMechanism:
 
     def test_fetch_with_verify_skips_corrupt_replica(self, dsdb):
         rec = dsdb.ingest("r", b"good data!", replicas=2)
-        bad = rec["replicas"][0]
-        root = data_roots(dsdb)[(bad["host"], bad["port"])]
-        real = os.path.join(root, bad["path"].lstrip("/"))
-        with open(real, "wb") as f:
-            f.write(b"corrupted!")
+        damage(dsdb, rec["replicas"][0], b"corrupted!")
         assert dsdb.fetch(rec["id"], verify=True) == b"good data!"
 
     def test_all_replicas_gone_raises(self, dsdb):
@@ -144,6 +151,54 @@ class TestDsdbMechanism:
             remote.close()
 
 
+class TestIngestShape:
+    """An ingest is its copies in series, then one record listing them:
+    a ``putfile`` per copy and a single ``db.insert``."""
+
+    @pytest.fixture(params=["local", "cas"])
+    def rig(self, request, server_factory, auth_context, credentials):
+        servers = [server_factory.new(store=request.param) for _ in range(2)]
+        metrics = MetricsRegistry()
+        pool = ClientPool(credentials, timeout=10.0, metrics=metrics)
+        db = MetadataDB(None, indexes=("tss_kind",))
+        with DatabaseServer(db, DatabaseConfig(auth=auth_context)) as dbs:
+            remote = DatabaseClient(*dbs.address, credentials=credentials, metrics=metrics)
+            dsdb = DSDB(remote, pool, [s.address for s in servers], volume="gems")
+            dsdb._test_servers = servers
+            yield dsdb, metrics
+            remote.close()
+        pool.close()
+
+    @staticmethod
+    def rpcs(metrics, op) -> tuple:
+        """``op``'s result and the RPCs it sent, by verb (counted as
+        test_compound_verbs counts them)."""
+        def calls():
+            return {v: s["calls"] for v, s in metrics.snapshot()["verbs"].items()}
+
+        before = calls()
+        result = op()
+        return result, {v: n - before.get(v, 0) for v, n in calls().items() if n != before.get(v, 0)}
+
+    def test_two_copies_then_one_insert(self, rig):
+        dsdb, metrics = rig
+        dsdb.ingest("warm-up", b"w", replicas=2)  # makes the volume directories
+        rec, sent = self.rpcs(metrics, lambda: dsdb.ingest("r", b"x" * 1000, replicas=2))
+        assert sent == {"putfile": 2, "db.insert": 1}
+        assert len({(r["host"], r["port"]) for r in rec["replicas"]}) == 2
+        assert dsdb.get(rec["id"])["replicas"] == rec["replicas"]
+
+    def test_a_refused_second_copy_still_acks(self, rig):
+        dsdb, _metrics = rig
+        dsdb._test_servers[1].stop()
+        rec = dsdb.ingest("r", b"one copy", replicas=2)
+        assert [(r["host"], r["port"], r["state"]) for r in rec["replicas"]] == [
+            dsdb._test_servers[0].address + ("ok",)
+        ]
+        assert dsdb.get(rec["id"])["replicas"] == rec["replicas"]
+        assert dsdb.fetch(rec["id"]) == b"one copy"
+
+
 class TestAuditor:
     def test_clean_system_audits_clean(self, dsdb):
         dsdb.ingest("a", b"1", replicas=2)
@@ -163,11 +218,7 @@ class TestAuditor:
 
     def test_detects_damaged_replicas(self, dsdb):
         rec = dsdb.ingest("a", b"pristine bytes", replicas=2)
-        bad = rec["replicas"][1]
-        root = data_roots(dsdb)[(bad["host"], bad["port"])]
-        real = os.path.join(root, bad["path"].lstrip("/"))
-        with open(real, "r+b") as f:
-            f.write(b"XX")
+        damage(dsdb, rec["replicas"][1], b"XX")
         report = Auditor(dsdb).audit_once()
         assert report.damaged == 1
 
@@ -175,11 +226,7 @@ class TestAuditor:
         """The cheap audit mode catches deletion but not bit rot --
         documented behaviour, pinned here."""
         rec = dsdb.ingest("a", b"pristine bytes", replicas=1)
-        bad = rec["replicas"][0]
-        root = data_roots(dsdb)[(bad["host"], bad["port"])]
-        real = os.path.join(root, bad["path"].lstrip("/"))
-        with open(real, "r+b") as f:
-            f.write(b"XX")  # same size, different content
+        damage(dsdb, rec["replicas"][0], b"XX")  # same size, different content
         report = Auditor(dsdb, verify_checksums=False).audit_once()
         assert report.damaged == 0
 
@@ -235,10 +282,7 @@ class TestReplicatorAndPreservation:
 
     def test_damaged_replica_is_replaced(self, dsdb):
         rec = dsdb.ingest("a", b"precious cargo", replicas=2)
-        bad = rec["replicas"][0]
-        root = data_roots(dsdb)[(bad["host"], bad["port"])]
-        with open(os.path.join(root, bad["path"].lstrip("/")), "r+b") as f:
-            f.write(b"XXXX")
+        damage(dsdb, rec["replicas"][0], b"XXXX")
         svc = PreservationService(dsdb, FixedCountPolicy(2), clock=ManualClock())
         point = svc.step()
         assert point.damaged == 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import getpass
 import os
 import stat
+import sys
 import threading
 
 import pytest
@@ -22,7 +23,7 @@ import pytest
 from repro.chirp.backend import Backend
 from repro.chirp.protocol import OpenFlags
 from repro.store import make_store
-from repro.store.cas import CasStore
+from repro.store.cas import EMPTY_KEY, CasStore
 from repro.store.localdir import LocalDirStore
 from repro.util import errors as E
 from repro.util.checksum import data_checksum
@@ -366,6 +367,43 @@ class TestFilenoCapability:
             assert h.fileno() is None
 
 
+class TestExclusiveCreate:
+    """Exclusive create is the uniqueness primitive DSFS's crash-safe
+    create rests on: of two racing ``wcx`` opens of one new path,
+    exactly one may succeed."""
+
+    WCX = OpenFlags(write=True, create=True, exclusive=True)
+
+    @pytest.mark.parametrize("kind", ["local", "cas"])
+    def test_racing_exclusive_creates_have_one_winner(self, tmp_path, kind):
+        store = _make_backend(kind, tmp_path).store
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(200):
+                path = f"/race{trial}"
+                barrier = threading.Barrier(2, timeout=10)
+                handles, refused = [], []
+
+                def create():
+                    barrier.wait()
+                    try:
+                        handles.append(store.open(path, self.WCX, 0o644))
+                    except E.AlreadyExistsError as exc:
+                        refused.append(exc)
+
+                threads = [threading.Thread(target=create) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(10)
+                    assert not t.is_alive()
+                assert (len(handles), len(refused)) == (1, 1), f"trial {trial}"
+                handles[0].close()
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestCasInvariants:
     @pytest.fixture()
     def store(self, tmp_path) -> CasStore:
@@ -379,8 +417,8 @@ class TestCasInvariants:
         key = store.key_of("/a")
         assert store.key_of("/b") == key
         assert store.refcount(key) == 2
-        # exactly one object backs both paths (plus the empty blob that
-        # eager file materialization creates and GC then removes)
+        # exactly one object backs both paths (the empty blob each
+        # create/truncate open binds first is implicit: no object file)
         assert store.object_count() == 1
 
     def test_unreferenced_blobs_are_garbage_collected(self, store):
@@ -490,3 +528,119 @@ class TestCasInvariants:
         assert snap["dedup_hits"] >= 1
         assert snap["objects_ingested"] >= 1
         assert snap["used_bytes"] == len(b"counted")
+
+    def test_empty_blob_is_implicit(self, store):
+        store.write_blob("/e", b"")
+        with store.open("/t", OpenFlags(write=True, create=True, truncate=True), 0o644):
+            pass
+        assert EMPTY_KEY == data_checksum(b"")
+        for path in ("/e", "/t"):
+            assert store.read_blob(path) == b""
+            assert store.checksum(path) == store.key_of(path) == EMPTY_KEY
+        assert store.lookup_key(EMPTY_KEY)
+        assert store.link_key("/linked", EMPTY_KEY) == 0
+        assert store.read_blob("/linked") == b""
+        # no object file backs it, so neither counting nor scrub sees it
+        assert store.object_count() == 0
+        report = store.scrub()
+        assert report["objects"] == 0 and report["orphans"] == []
+        for path in ("/e", "/t", "/linked"):
+            store.unlink(path)
+        assert store.lookup_key(EMPTY_KEY)
+
+    def test_truncating_open_keeps_the_old_blob_until_the_seal(self, store):
+        # The truncating open's empty pointer is not durable, so the
+        # content it unbinds must outlive it until the seal's pointer is.
+        store.write_blob("/f", b"old content")
+        old = store.key_of("/f")
+        handle = store.open("/f", OpenFlags(write=True, truncate=True), 0o644)
+        assert store.read_blob("/f") == b""  # visible at once
+        assert store.lookup_key(old)
+        handle.pwrite(b"new", 0)
+        handle.close()
+        assert store.read_blob("/f") == b"new"
+        assert store.refcount(old) == 0
+        assert not store.lookup_key(old)
+
+    def test_acked_put_survives_a_fresh_store(self, store):
+        store.write_blob("/a", b"acked bytes")
+        store.write_blob("/b", b"acked bytes")
+        store.write_blob("/e", b"")
+        key = store.key_of("/a")
+        reopened = CasStore(store.root)
+        assert reopened.read_blob("/a") == reopened.read_blob("/b") == b"acked bytes"
+        assert reopened.read_blob("/e") == b""
+        assert reopened.refcount(key) == 2
+        assert reopened.refcount(EMPTY_KEY) == 1
+        assert reopened.used_bytes() == len(b"acked bytes")
+        assert reopened.scrub()["corrupt"] == []
+
+
+class TestCasFsyncLedger:
+    """What a put costs the disk, from the store's own counters.
+
+    A new blob's floor is four fsyncs, in this order: the object, its
+    shard directory (the object's name), the pointer, its namespace
+    directory (the pointer's name).  A dedup hit skips the first two.
+    A create/truncate open makes the file visible, not durable.
+    """
+
+    WCT = OpenFlags(write=True, create=True, truncate=True)
+
+    @pytest.fixture()
+    def store(self, tmp_path) -> CasStore:
+        root = tmp_path / "cas"
+        root.mkdir()
+        store = CasStore(str(root))
+        store.mkdir("/d", 0o755)
+        return store
+
+    def put(self, store, path, data):
+        with store.open(path, self.WCT, 0o644) as handle:
+            handle.pwrite(data, 0)
+
+    def cost(self, store, op) -> dict:
+        before = store.snapshot()
+        op()
+        after = store.snapshot()
+        return {k: after[k] - before[k] for k in ("fsyncs", "files_created")}
+
+    @staticmethod
+    def same_shard(data: bytes) -> bytes:
+        """Other content whose object lands in ``data``'s shard."""
+        shard = data_checksum(data)[:2]
+        i = 0
+        while data_checksum(b"%d" % i)[:2] != shard:
+            i += 1
+        return b"%d" % i
+
+    def test_counters_start_at_zero(self, tmp_path):
+        snap = CasStore(str(tmp_path)).snapshot()
+        assert snap["fsyncs"] == snap["files_created"] == 0
+
+    def test_new_put_pays_the_floor(self, store):
+        first = b"x" * 16384
+        # The first object in a shard also makes the shard's own name
+        # durable: once per shard, one fsync of objects/.
+        assert self.cost(store, lambda: self.put(store, "/d/a", first))["fsyncs"] == 5
+        cost = self.cost(store, lambda: self.put(store, "/d/b", self.same_shard(first)))
+        assert cost["fsyncs"] <= 4
+        assert cost["files_created"] <= 3
+
+    def test_dedup_put_skips_the_object(self, store):
+        self.put(store, "/d/a", b"y" * 16384)
+        cost = self.cost(store, lambda: self.put(store, "/d/b", b"y" * 16384))
+        assert cost["fsyncs"] <= 2
+        assert store.snapshot()["dedup_hits"] == 1
+
+    def test_create_and_truncate_opens_do_not_fsync(self, store):
+        self.put(store, "/d/old", b"z" * 100)
+        for path in ("/d/new", "/d/old"):
+            handle = None
+
+            def open_it():
+                nonlocal handle
+                handle = store.open(path, self.WCT, 0o644)
+
+            assert self.cost(store, open_it)["fsyncs"] == 0
+            handle.close()

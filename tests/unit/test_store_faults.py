@@ -246,6 +246,13 @@ class TestRotAtRest:
         with pytest.raises(E.InvalidRequestError):
             store.rot_at_rest("/f")
 
+    def test_rot_refuses_the_implicit_empty_blob(self, tmp_path):
+        # no object file backs an empty CAS file, so there is nothing to flip
+        store = faulty(tmp_path, "cas")
+        store.write_blob("/f", b"")
+        with pytest.raises(E.InvalidRequestError):
+            store.rot_at_rest("/f")
+
 
 class TestReconcileUsage:
     def test_partial_pwrite_failure_keeps_accounting_honest(

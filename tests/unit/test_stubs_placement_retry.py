@@ -1,5 +1,7 @@
 """Unit tests for stubs, placement policies, and the retry policy."""
 
+import re
+
 import pytest
 
 from repro.core.placement import (
@@ -53,6 +55,16 @@ class TestUniqueDataName:
         assert "/" not in name
         assert " " not in name
         assert name.startswith("file-")
+
+    def test_names_carry_ip_time_and_random(self):
+        # The paper's recipe: client IP, current time, a random number.
+        first, second = unique_data_name(), unique_data_name()
+        assert first != second
+        pattern = r"file-\d{1,3}(-\d{1,3}){3}-[0-9a-f]+-[0-9a-f]{8}"
+        for name in (first, second):
+            assert re.fullmatch(pattern, name), name
+        # the IP part is resolved once, so it never varies within a process
+        assert first.rsplit("-", 2)[0] == second.rsplit("-", 2)[0]
 
 
 class TestRoundRobin:
