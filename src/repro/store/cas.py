@@ -177,7 +177,7 @@ class _CasWriteHandle(BlobHandle):
             max_size=_SPOOL_MAX, dir=store.tmp_root
         )
         self._closed = False
-        # The blob a create/truncate open unbound from this path.  The
+        # The blob a truncating open unbound from this path.  The
         # open's empty pointer is not durable, so the blob stays
         # referenced until the seal's pointer is.
         self._held: str | None = None
@@ -413,16 +413,17 @@ class CasStore(BlobStore):
                 if sync:
                     fh.flush()
                     self._fsync(fh.fileno())
-            if not exclusive:
+            if exclusive:
+                os.link(tmp, real)
+            else:
                 os.replace(tmp, real)
-                return
-            os.link(tmp, real)
         except OSError as exc:
             _discard(tmp)
             if exclusive:
                 raise _wrap_os_error(exc, real) from exc
             raise
-        _discard(tmp)
+        if exclusive:
+            _discard(tmp)
 
     # -- object plane ---------------------------------------------------
 
@@ -439,7 +440,7 @@ class CasStore(BlobStore):
                 return
             if not os.path.isdir(shard):
                 os.makedirs(shard, exist_ok=True)
-                self._fsync_dir(self.obj_root)
+                self._fsync_dir(self.obj_root)  # the shard's own name
             fd, tmp = self._mkstemp()
             try:
                 with os.fdopen(fd, "wb") as out:

@@ -2,6 +2,7 @@
 
 import io
 import threading
+import time
 
 import pytest
 
@@ -231,6 +232,11 @@ class TestConnectionSemantics:
         fd = c1.open("/f", "wc")
         c1.pwrite(fd, b"x", 0)
         c1.close()
+        # The server closes c1's files once it notices the hang-up; a
+        # store that publishes writes at close (cas) shows them only then.
+        deadline = time.monotonic() + 5.0
+        while file_server.snapshot()["connections"] and time.monotonic() < deadline:
+            time.sleep(0.01)
 
         # A second client sees the file intact and the server healthy.
         c2 = ChirpClient(*file_server.address, credentials=credentials)
