@@ -67,7 +67,7 @@ def main() -> None:
     # -- normal use ---------------------------------------------------------
     fs.mkdir("/archive")
     fs.write_file("/archive/thesis.tex", b"\\documentclass{article}..." * 100)
-    stub = fs._read_stub("/archive/thesis.tex")
+    stub = fs.stub_for("/archive/thesis.tex")
     ports = [p for _, p, _ in stub.locations]
     print(f"thesis.tex written to 2 servers (ports {ports})")
 
@@ -93,7 +93,7 @@ def main() -> None:
     # tie, resolved toward the first-listed replica -- use copies>=3 for
     # true majority arbitration; see ReplicatedFS.verify)
     fs.write_file("/archive/data.bin", b"important bytes " * 64)
-    loc = fs._read_stub("/archive/data.bin").locations[1]
+    loc = fs.stub_for("/archive/data.bin").locations[1]
     pool.get(loc[0], loc[1]).putfile(loc[2], b"bitrot bitrot bi" * 64)
     health = fs.verify("/archive/data.bin")
     print(f"\nafter corrupting one replica: {sorted(health.values())}")

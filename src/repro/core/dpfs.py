@@ -16,28 +16,13 @@ import os
 from typing import Optional, Sequence
 
 from repro.cache.manager import CacheManager
-from repro.core.metastore import LocalMetadataStore, VOLUME_FILE
+from repro.core.metastore import LocalMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubfs import StubFilesystem
-from repro.util.errors import AlreadyExistsError
+from repro.core.stubfs import StubFilesystem, _ensure_remote_dirs
 
 __all__ = ["DPFS"]
-
-
-def _ensure_remote_dirs(pool: ClientPool, servers, data_dir: str) -> None:
-    """mkdir -p the per-volume data directory on every data server."""
-    for host, port in servers:
-        client = pool.get(host, int(port))
-        parts = [p for p in data_dir.split("/") if p]
-        current = ""
-        for part in parts:
-            current += "/" + part
-            try:
-                client.mkdir(current)
-            except AlreadyExistsError:
-                continue
 
 
 class DPFS(StubFilesystem):
@@ -110,15 +95,3 @@ class DPFS(StubFilesystem):
             sync_writes=sync_writes,
             cache=cache,
         )
-
-    def add_server(self, host: str, port: int) -> None:
-        """Grow the volume onto a new data server, without downtime."""
-        endpoint = (host, int(port))
-        if endpoint in self.servers:
-            return
-        _ensure_remote_dirs(self.pool, [endpoint], self.data_dir)
-        self.servers.append(endpoint)
-        doc = self.meta.read_config()
-        doc["servers"] = self.servers
-        self.meta.unlink("/" + VOLUME_FILE)
-        self.meta.write_config(doc)

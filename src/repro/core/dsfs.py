@@ -16,13 +16,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.cache.manager import CacheManager
-from repro.core.dpfs import _ensure_remote_dirs
-from repro.core.metastore import ChirpMetadataStore, VOLUME_FILE
+from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubfs import StubFilesystem
-from repro.util.errors import AlreadyExistsError
+from repro.core.stubfs import StubFilesystem, _ensure_remote_dirs
 from repro.util.paths import normalize_virtual
 
 __all__ = ["DSFS"]
@@ -67,16 +65,7 @@ class DSFS(StubFilesystem):
         directory server, storing data across ``servers``."""
         servers = [(h, int(p)) for h, p in servers]
         data_dir = f"/tssdata/{name}"
-        client = pool.get(dir_host, int(dir_port))
-        # mkdir -p the volume root on the directory server.
-        parts = [p for p in normalize_virtual(dir_root).split("/") if p]
-        current = ""
-        for part in parts:
-            current += "/" + part
-            try:
-                client.mkdir(current)
-            except AlreadyExistsError:
-                continue
+        _ensure_remote_dirs(pool, [(dir_host, dir_port)], dir_root)
         _ensure_remote_dirs(pool, servers, data_dir)
         fs = cls(
             pool,
@@ -123,15 +112,3 @@ class DSFS(StubFilesystem):
             sync_writes=sync_writes,
             cache=cache,
         )
-
-    def add_server(self, host: str, port: int) -> None:
-        """Grow the volume onto a new data server, without downtime."""
-        endpoint = (host, int(port))
-        if endpoint in self.servers:
-            return
-        _ensure_remote_dirs(self.pool, [endpoint], self.data_dir)
-        self.servers.append(endpoint)
-        doc = self.meta.read_config()
-        doc["servers"] = self.servers
-        self.meta.unlink("/" + VOLUME_FILE)
-        self.meta.write_config(doc)

@@ -5,7 +5,8 @@ way up to the user interface: a filesystem with the familiar interface of
 open, read, rename, and so forth."  This module pins that interface down
 as an abstract class so the adapter can bind any abstraction -- and so new
 abstractions (striped, replicated, versioned filesystems, the paper's
-future work) plug in without touching the adapter.
+future work, each a layout of :mod:`repro.core.stubfs`) plug in without
+touching the adapter.
 
 Positions are explicit (``pread``/``pwrite``): seek state belongs to the
 caller, exactly like the Chirp protocol itself.

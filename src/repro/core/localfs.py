@@ -19,10 +19,11 @@ from repro.util.errors import (
 )
 from repro.util.paths import PathEscapeError, confine
 
-__all__ = ["LocalFilesystem", "LocalHandle"]
+__all__ = ["LocalFilesystem", "LocalHandle", "wrap_os_error"]
 
 
-def _wrap(exc: OSError, path: str = ""):
+def wrap_os_error(exc: OSError, path: str = ""):
+    """The Chirp error for an ``OSError`` raised on ``path``."""
     return error_from_status(status_from_exception(exc), f"{path}: {exc}")
 
 
@@ -37,31 +38,31 @@ class LocalHandle(FileHandle):
         try:
             return os.pread(self._fd, length, offset)
         except OSError as exc:
-            raise _wrap(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def pwrite(self, data: bytes, offset: int) -> int:
         try:
             return os.pwrite(self._fd, data, offset)
         except OSError as exc:
-            raise _wrap(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def fsync(self) -> None:
         try:
             os.fsync(self._fd)
         except OSError as exc:
-            raise _wrap(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def fstat(self) -> ChirpStat:
         try:
             return ChirpStat.from_os(os.fstat(self._fd))
         except OSError as exc:
-            raise _wrap(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def ftruncate(self, size: int) -> None:
         try:
             os.ftruncate(self._fd, size)
         except OSError as exc:
-            raise _wrap(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def close(self) -> None:
         if not self._closed:
@@ -97,62 +98,62 @@ class LocalFilesystem(Filesystem):
         try:
             fd = os.open(real, flags.to_os_flags(), mode & 0o777)
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
         return LocalHandle(fd)
 
     def stat(self, path: str) -> ChirpStat:
         try:
             return ChirpStat.from_os(os.stat(self._real(path)))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def lstat(self, path: str) -> ChirpStat:
         try:
             return ChirpStat.from_os(os.lstat(self._real(path)))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def listdir(self, path: str) -> list[str]:
         try:
             return sorted(os.listdir(self._real(path)))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def unlink(self, path: str) -> None:
         try:
             os.unlink(self._real(path))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def rename(self, old: str, new: str) -> None:
         try:
             os.rename(self._real(old), self._real(new))
         except OSError as exc:
-            raise _wrap(exc, old) from exc
+            raise wrap_os_error(exc, old) from exc
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         try:
             os.mkdir(self._real(path), mode & 0o777)
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def rmdir(self, path: str) -> None:
         try:
             os.rmdir(self._real(path))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def truncate(self, path: str, size: int) -> None:
         try:
             os.truncate(self._real(path), size)
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         try:
             os.utime(self._real(path), (atime, mtime))
         except OSError as exc:
-            raise _wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
 
     def statfs(self) -> StatFs:
         vfs = os.statvfs(self.root)

@@ -8,31 +8,29 @@ captures that seam as a small interface with two implementations:
 - :class:`LocalMetadataStore` -- a private local directory (DPFS),
 - :class:`ChirpMetadataStore` -- a directory on a file server (DSFS),
 
-so the stub-management logic in :mod:`repro.core.stubfs` is written once.
-Thanks to recursive abstractions both implementations need only Unix-like
-calls -- including the *exclusive open* that makes the crash-safe file
-creation protocol work on either store.
+so the stub engine in :mod:`repro.core.stubfs`, and every layout over it
+(single, replicated, striped, versioned), is written once.  Thanks to
+recursive abstractions each store *is* a filesystem -- a
+:class:`~repro.core.localfs.LocalFilesystem` or a :class:`~repro.core.cfs.CFS`
+-- plus the *exclusive create* that makes the crash-safe file creation
+protocol work on either.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from typing import Optional
 
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.localdir import stat_read_path
 from repro.transport.recovery import RetryPolicy
-from repro.util.errors import (
-    AlreadyExistsError,
-    ChirpError,
-    InvalidRequestError,
-    error_from_status,
-    status_from_exception,
-)
-from repro.util.paths import PathEscapeError, confine, normalize_virtual
+from repro.core.cfs import CFS
+from repro.core.interface import Filesystem
+from repro.core.localfs import LocalFilesystem, wrap_os_error
+from repro.util.errors import AlreadyExistsError, InvalidRequestError
 
 __all__ = ["MetadataStore", "LocalMetadataStore", "ChirpMetadataStore", "VOLUME_FILE"]
 
@@ -41,18 +39,17 @@ VOLUME_FILE = ".tssvolume"
 _WCX = OpenFlags(write=True, create=True, exclusive=True)
 
 
-class MetadataStore(ABC):
-    """Unix-like operations a stub filesystem needs from its directory tree."""
+class MetadataStore(Filesystem):
+    """A filesystem holding a stub filesystem's directory tree.
 
-    @abstractmethod
-    def stat(self, path: str) -> ChirpStat: ...
+    The namespace operations are the :class:`Filesystem` interface's
+    own; a stub lookup adds :meth:`stat_read`, and the crash-safe create
+    adds :meth:`create_exclusive`.
+    """
 
-    @abstractmethod
-    def listdir(self, path: str) -> list[str]: ...
-
-    @abstractmethod
     def read(self, path: str) -> bytes:
         """Read a whole (small) metadata file, e.g. a stub."""
+        return self.read_file(path)
 
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         """An entry's stat and, for a regular file of at most ``limit``
@@ -76,18 +73,6 @@ class MetadataStore(ABC):
         (see ``StubFilesystem._lookup``).
         """
 
-    @abstractmethod
-    def unlink(self, path: str) -> None: ...
-
-    @abstractmethod
-    def rename(self, old: str, new: str) -> None: ...
-
-    @abstractmethod
-    def mkdir(self, path: str, mode: int = 0o755) -> None: ...
-
-    @abstractmethod
-    def rmdir(self, path: str) -> None: ...
-
     # -- volume configuration -------------------------------------------
 
     def read_config(self) -> dict:
@@ -105,13 +90,18 @@ class MetadataStore(ABC):
             raise AlreadyExistsError("volume already initialized here")
 
 
-class LocalMetadataStore(MetadataStore):
-    """Directory tree in a private local filesystem (the DPFS case)."""
+class LocalMetadataStore(LocalFilesystem, MetadataStore):
+    """Directory tree in a private local filesystem (the DPFS case).
+
+    The namespace operations are :class:`LocalFilesystem`'s own -- the
+    private tree is just another filesystem, recursion all the way down;
+    this class adds the stub reads and the durable exclusive create.
+    """
 
     def __init__(self, root: str, sync_meta: bool = True):
-        self.root = os.path.realpath(root)
+        os.makedirs(root, exist_ok=True)
+        super().__init__(root)
         self.sync_meta = sync_meta
-        os.makedirs(self.root, exist_ok=True)
 
     def _fsync_dir(self, real_path: str) -> None:
         # The stub-creation protocol's crash-safety rests on the O_EXCL
@@ -130,39 +120,11 @@ class LocalMetadataStore(MetadataStore):
         finally:
             os.close(fd)
 
-    def _real(self, path: str) -> str:
-        try:
-            return confine(self.root, path)
-        except PathEscapeError as exc:
-            raise error_from_status(-8, str(exc)) from exc
-
-    def _wrap(self, exc: OSError, path: str) -> ChirpError:
-        return error_from_status(status_from_exception(exc), f"{path}: {exc}")
-
-    def stat(self, path: str) -> ChirpStat:
-        try:
-            return ChirpStat.from_os(os.stat(self._real(path)))
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
-
-    def listdir(self, path: str) -> list[str]:
-        try:
-            return sorted(os.listdir(self._real(path)))
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
-
-    def read(self, path: str) -> bytes:
-        try:
-            with open(self._real(path), "rb") as f:
-                return f.read()
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
-
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         try:
             st, data = stat_read_path(self._real(path), limit)
         except OSError as exc:
-            raise self._wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
         return ChirpStat.from_os(st), data
 
     def create_exclusive(self, path: str, content: bytes) -> bool:
@@ -171,7 +133,7 @@ class LocalMetadataStore(MetadataStore):
         except FileExistsError:
             return False
         except OSError as exc:
-            raise self._wrap(exc, path) from exc
+            raise wrap_os_error(exc, path) from exc
         try:
             os.write(fd, content)
             if self.sync_meta:
@@ -181,33 +143,10 @@ class LocalMetadataStore(MetadataStore):
         self._fsync_dir(os.path.dirname(self._real(path)))
         return True
 
-    def unlink(self, path: str) -> None:
-        try:
-            os.unlink(self._real(path))
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
 
-    def rename(self, old: str, new: str) -> None:
-        try:
-            os.rename(self._real(old), self._real(new))
-        except OSError as exc:
-            raise self._wrap(exc, old) from exc
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        try:
-            os.mkdir(self._real(path), mode)
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
-
-    def rmdir(self, path: str) -> None:
-        try:
-            os.rmdir(self._real(path))
-        except OSError as exc:
-            raise self._wrap(exc, path) from exc
-
-
-class ChirpMetadataStore(MetadataStore):
-    """Directory tree on a file server (the DSFS case).
+class ChirpMetadataStore(CFS, MetadataStore):
+    """Directory tree on a file server (the DSFS case): a :class:`CFS`
+    over the volume's root directory.
 
     One server "might be dedicated for use as a DSFS directory, or it
     might serve double duty as both directory and file server" -- nothing
@@ -220,27 +159,7 @@ class ChirpMetadataStore(MetadataStore):
         root: str = "/",
         policy: Optional[RetryPolicy] = None,
     ):
-        self.client = client
-        self.root = normalize_virtual(root)
-        self.policy = policy or RetryPolicy()
-
-    def _path(self, path: str) -> str:
-        inner = normalize_virtual(path)
-        if self.root == "/":
-            return inner
-        return self.root if inner == "/" else self.root + inner
-
-    def _run(self, op):
-        return self.policy.run(op, self.client.ensure_connected)
-
-    def stat(self, path: str) -> ChirpStat:
-        return self._run(lambda: self.client.stat(self._path(path)))
-
-    def listdir(self, path: str) -> list[str]:
-        return self._run(lambda: self.client.getdir(self._path(path)))
-
-    def read(self, path: str) -> bytes:
-        return self._run(lambda: self.client.getfile(self._path(path)))
+        super().__init__(client, root, policy)
 
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         """One ``statget``; a server that predates it gets stat + getfile."""
@@ -276,15 +195,3 @@ class ChirpMetadataStore(MetadataStore):
             return True
 
         return self._run(attempt)
-
-    def unlink(self, path: str) -> None:
-        self._run(lambda: self.client.unlink(self._path(path)))
-
-    def rename(self, old: str, new: str) -> None:
-        self._run(lambda: self.client.rename(self._path(old), self._path(new)))
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self._run(lambda: self.client.mkdir(self._path(path), mode))
-
-    def rmdir(self, path: str) -> None:
-        self._run(lambda: self.client.rmdir(self._path(path)))

@@ -5,7 +5,10 @@ that transparently stripe, replicate, and version data."  This module is
 that extension for replication, built with exactly the pieces the TSS
 already provides -- a metadata store, exclusive create, and file servers
 -- demonstrating the architecture's claim that new abstractions need no
-new server machinery.
+new server machinery.  It is a :class:`Replicated` layout of the stub
+engine (:mod:`repro.core.stubfs`), which owns the create protocol,
+lookup, failover and namespace; this module adds the codec, the handle
+and replica maintenance.
 
 Semantics:
 
@@ -24,20 +27,18 @@ policy-driven repair belongs to a GEMS-style auditor, not the filesystem.
 
 from __future__ import annotations
 
-import json
-import posixpath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
+from repro.chirp.protocol import ChirpStat
 from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle, Filesystem
-from repro.core.metastore import MetadataStore, VOLUME_FILE
-from repro.core.placement import PlacementPolicy, RoundRobinPlacement
+from repro.core.interface import FileHandle
+from repro.core.metastore import MetadataStore
+from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
-from repro.core.stubs import unique_data_name
+from repro.core.stubfs import Layout, StubFilesystem, close_quietly, fan_out
+from repro.core.stubs import Stub, decode_doc, encode_doc, parse_locations, unique_data_name
 from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
-from repro.transport.health import STATE_OPEN
 from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     AlreadyExistsError,
@@ -45,15 +46,9 @@ from repro.util.errors import (
     DisconnectedError,
     DoesNotExistError,
     IntegrityError,
-    InvalidRequestError,
-    IsADirectoryError_,
-    NotAuthorizedError,
 )
-from repro.util.paths import normalize_virtual
 
-__all__ = ["ReplicatedFS", "MultiStub", "ReplicatedHandle"]
-
-_CREATE_ATTEMPTS = 4
+__all__ = ["ReplicatedFS", "MultiStub", "ReplicatedHandle", "Replicated"]
 
 
 @dataclass(frozen=True)
@@ -63,30 +58,13 @@ class MultiStub:
     locations: tuple[tuple[str, int, str], ...]  # (host, port, data path)
 
     def encode(self) -> bytes:
-        doc = {
-            "tss": "rstub",
-            "v": 1,
-            "locations": [[h, p, path] for h, p, path in self.locations],
-        }
-        return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        return encode_doc("rstub", locations=[list(loc) for loc in self.locations])
 
     @classmethod
     def decode(cls, raw: bytes) -> "MultiStub":
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise InvalidRequestError(f"not a replicated stub: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("tss") != "rstub":
-            raise InvalidRequestError("not a replicated stub")
-        try:
-            locations = tuple(
-                (str(h), int(p), str(path)) for h, p, path in doc["locations"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidRequestError(f"malformed replicated stub: {exc}") from exc
-        if not locations:
-            raise InvalidRequestError("replicated stub lists no locations")
-        return cls(locations)
+        return decode_doc(
+            raw, "rstub", "replicated stub", lambda doc: cls(parse_locations(doc))
+        )
 
 
 class ReplicatedHandle(FileHandle):
@@ -141,10 +119,7 @@ class ReplicatedHandle(FileHandle):
         anyway: a read against a suspect server beats refusing outright,
         and its failure feeds the breaker it would have consulted.
         """
-        for handle in self._handles:
-            if not self._quarantined(handle):
-                return handle
-        return self._handles[0]
+        return next((h for h in self._handles if not self._quarantined(h)), self._handles[0])
 
     def _survivors_after(self, dead: ChirpFileHandle) -> None:
         self._handles.remove(dead)
@@ -152,10 +127,7 @@ class ReplicatedHandle(FileHandle):
         label = f"{dead.client.host}:{dead.client.port}"
         if label not in self.suspects:
             self.suspects.append(label)
-        try:
-            dead.close()
-        except ChirpError:
-            pass
+        close_quietly(dead)
         if not self._handles:
             raise DisconnectedError("every replica of this file is unreachable")
 
@@ -166,24 +138,23 @@ class ReplicatedHandle(FileHandle):
         DisconnectedError are dropped afterwards (raising only when none
         survive).  Other errors propagate.
         """
-        snapshot = list(self._handles)
-
-        def attempt(handle: ChirpFileHandle):
-            try:
-                return (handle, op(handle), None)
-            except DisconnectedError as exc:
-                return (handle, None, exc)
-
-        outcomes = self.fanout.run([
-            (lambda h=h: attempt(h)) for h in snapshot
-        ])
-        results = []
-        for handle, result, exc in outcomes:
-            if exc is None:
-                results.append(result)
-            else:
+        outcomes = fan_out(self.fanout, list(self._handles), op)
+        for _, _, exc in outcomes:
+            if exc is not None and not isinstance(exc, DisconnectedError):
+                raise exc
+        for handle, _, exc in outcomes:
+            if exc is not None:
                 self._survivors_after(handle)
-        return results
+        return [result for _, result, exc in outcomes if exc is None]
+
+    def _read_any(self, op):
+        """``op`` on the first healthy replica, failing over in order."""
+        while True:
+            handle = self._pick_reader()
+            try:
+                return op(handle)
+            except DisconnectedError:
+                self._survivors_after(handle)
 
     def pread(self, length: int, offset: int, deadline=None) -> bytes:
         """Read from the first healthy replica, failing over in order.
@@ -193,19 +164,11 @@ class ReplicatedHandle(FileHandle):
         read against a sick file set returns data or
         :class:`~repro.util.errors.TimedOutError` within the budget.
         """
-        while True:
-            handle = self._pick_reader()
-            try:
-                return handle.pread(length, offset, deadline=deadline)
-            except DisconnectedError:
-                self._survivors_after(handle)
+        return self._read_any(lambda h: h.pread(length, offset, deadline=deadline))
 
     def pwrite(self, data: bytes, offset: int) -> int:
         # Fan out; drop replicas that died, succeed if at least one took it.
-        written = self._fanout_all(lambda h: h.pwrite(data, offset))
-        if not written:  # pragma: no cover - _survivors_after raises first
-            raise DisconnectedError("write reached no replica")
-        return written[0]
+        return self._fanout_all(lambda h: h.pwrite(data, offset))[0]
 
     def fsync(self) -> None:
         self._fanout_all(lambda h: h.fsync())
@@ -214,22 +177,42 @@ class ReplicatedHandle(FileHandle):
         self._fanout_all(lambda h: h.ftruncate(size))
 
     def fstat(self) -> ChirpStat:
-        while True:
-            handle = self._pick_reader()
-            try:
-                return handle.fstat()
-            except DisconnectedError:
-                self._survivors_after(handle)
+        return self._read_any(lambda h: h.fstat())
 
     def close(self) -> None:
         for handle in self._handles:
-            try:
-                handle.close()
-            except ChirpError:
-                pass
+            close_quietly(handle)
 
 
-class ReplicatedFS(Filesystem):
+class Replicated(Layout):
+    """``copies`` whole copies of every file on distinct servers.
+
+    Writes go to every live copy; reads and stats are served by the
+    first copy that answers; usable capacity is raw capacity divided by
+    the copy count.
+    """
+
+    redundant = True
+
+    def __init__(self, copies: int):
+        self.width = self.divisor = copies
+
+    def decode(self, raw: bytes) -> MultiStub:
+        return MultiStub.decode(raw)
+
+    def new_stub(self, members: Sequence[Stub]) -> MultiStub:
+        return MultiStub(tuple((m.host, m.port, m.path) for m in members))
+
+    def members(self, stub: MultiStub) -> tuple[Stub, ...]:
+        return tuple(Stub(*loc) for loc in stub.locations)
+
+    def handle(self, stub: MultiStub, handles, fanout) -> ReplicatedHandle:
+        handle = ReplicatedHandle(handles, fanout=fanout)
+        handle.dropped = len(stub.locations) - len(handles)
+        return handle
+
+
+class ReplicatedFS(StubFilesystem):
     """A DSFS-shaped filesystem that keeps N copies of every file."""
 
     def __init__(
@@ -247,19 +230,12 @@ class ReplicatedFS(Filesystem):
             raise ValueError("copies must be >= 1")
         if len(servers) < copies:
             raise ValueError("need at least as many servers as copies")
-        self.meta = meta
-        self.pool = pool
-        self.servers = [(h, int(p)) for h, p in servers]
-        self.data_dir = normalize_virtual(data_dir)
+        super().__init__(meta, pool, servers, data_dir, placement=placement, policy=policy)
         self.copies = copies
-        self.placement = placement or RoundRobinPlacement()
-        self.policy = policy or RetryPolicy()
-        # Shared by every handle's replica fan-out; 1 forces serial pushes.
-        self.fanout = FanoutPool(
-            fanout_workers
-            if fanout_workers is not None
-            else min(self.copies, DEFAULT_FANOUT)
-        )
+        self.layout = Replicated(copies)
+        if fanout_workers is not None:
+            # Shared by every handle's replica fan-out; 1 forces serial pushes.
+            self.fanout = FanoutPool(fanout_workers)
         #: ``host:port`` of every server that served bytes failing digest
         #: verification (see :meth:`read_verified`).  Mirrors
         #: :attr:`ReplicatedHandle.suspects`: corruption is the server
@@ -267,224 +243,6 @@ class ReplicatedFS(Filesystem):
         #: trip the circuit breaker -- this list is the parallel channel
         #: an auditor drains to know which servers to re-replicate around.
         self.suspects: list[str] = []
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _guard_name(path: str) -> str:
-        norm = normalize_virtual(path)
-        if posixpath.basename(norm) == VOLUME_FILE:
-            raise NotAuthorizedError("the volume file is managed by the filesystem")
-        return norm
-
-    def _read_stub(self, path: str) -> MultiStub:
-        raw = self.meta.read(path)
-        if not raw:
-            raise DoesNotExistError(f"{path}: stub mid-creation")
-        return MultiStub.decode(raw)
-
-    def _open_location(
-        self, location: tuple[str, int, str], flags: OpenFlags, mode: int
-    ) -> ChirpFileHandle:
-        host, port, data_path = location
-        client = self.pool.get(host, port)
-        return ChirpFileHandle(client, data_path, flags, mode, self.policy)
-
-    def _is_dir(self, path: str) -> bool:
-        try:
-            return self.meta.stat(path).is_dir
-        except ChirpError:
-            return False
-
-    # ------------------------------------------------------------------
-    # open / create
-    # ------------------------------------------------------------------
-
-    def open(self, path: str, flags: OpenFlags, mode: int = 0o644) -> FileHandle:
-        path = self._guard_name(path)
-        if flags.create:
-            return self._create_or_open(path, flags, mode)
-        return self._open_existing(path, flags, mode)
-
-    def _open_existing(self, path: str, flags: OpenFlags, mode: int) -> ReplicatedHandle:
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        dflags = replace(flags, create=False, exclusive=False)
-        # Stable sort, quarantined servers last: the handle's read path
-        # prefers earlier replicas, so a server with an open breaker only
-        # gets traffic when every healthy one is gone.
-        locations = sorted(
-            stub.locations,
-            key=lambda loc: self.pool.health.state_of(loc[0], loc[1]) == STATE_OPEN,
-        )
-        handles = []
-        missing = 0
-        for location in locations:
-            try:
-                handles.append(self._open_location(location, dflags, mode))
-            except DoesNotExistError:
-                missing += 1
-            except DisconnectedError:
-                continue
-        if not handles:
-            if missing == len(stub.locations):
-                raise DoesNotExistError(f"{path}: dangling stub (no data anywhere)")
-            raise DisconnectedError(f"{path}: no replica reachable")
-        handle = ReplicatedHandle(handles, fanout=self.fanout)
-        handle.dropped = len(stub.locations) - len(handles)
-        return handle
-
-    def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
-        for _ in range(_CREATE_ATTEMPTS):
-            # choose `copies` distinct servers
-            chosen: list[tuple[str, int]] = []
-            exclude: set[tuple[str, int]] = set()
-            try:
-                while len(chosen) < self.copies:
-                    endpoint = tuple(self.placement.choose(self.servers, frozenset(exclude)))
-                    chosen.append(endpoint)
-                    exclude.add(endpoint)
-            except LookupError:
-                if not chosen:
-                    raise DisconnectedError(f"{path}: no server for placement") from None
-            locations = tuple(
-                (h, p, self.data_dir + "/" + unique_data_name()) for h, p in chosen
-            )
-            stub = MultiStub(locations)
-            if not self.meta.create_exclusive(path, stub.encode()):
-                if flags.exclusive:
-                    raise AlreadyExistsError(path)
-                return self._open_existing(path, flags, mode)
-            dflags = replace(flags, create=True, exclusive=True, write=True)
-            handles = []
-            try:
-                for location in locations:
-                    handles.append(self._open_location(location, dflags, mode))
-            except (AlreadyExistsError, DisconnectedError):
-                for h in handles:
-                    try:
-                        h.close()
-                    except ChirpError:
-                        pass
-                self.meta.unlink(path)
-                continue
-            except Exception:
-                for h in handles:
-                    try:
-                        h.close()
-                    except ChirpError:
-                        pass
-                self.meta.unlink(path)
-                raise
-            return ReplicatedHandle(handles, fanout=self.fanout)
-        raise DisconnectedError(f"{path}: could not create replicated file")
-
-    # ------------------------------------------------------------------
-    # namespace
-    # ------------------------------------------------------------------
-
-    def stat(self, path: str) -> ChirpStat:
-        path = self._guard_name(path)
-        mst = self.meta.stat(path)
-        if mst.is_dir:
-            return mst
-        stub = self._read_stub(path)
-        last: Exception | None = None
-        for host, port, data_path in stub.locations:
-            client = self.pool.try_get(host, port)
-            if client is None:
-                last = DisconnectedError(f"{host}:{port} down")
-                continue
-            try:
-                dst = client.stat(data_path)
-            except ChirpError as exc:
-                last = exc
-                continue
-            return ChirpStat(
-                device=mst.device,
-                inode=mst.inode,
-                mode=dst.mode,
-                nlink=mst.nlink,
-                uid=dst.uid,
-                gid=dst.gid,
-                size=dst.size,
-                atime=dst.atime,
-                mtime=dst.mtime,
-                ctime=dst.ctime,
-            )
-        raise DoesNotExistError(f"{path}: no replica reachable") from last
-
-    def lstat(self, path: str) -> ChirpStat:
-        return self.meta.stat(self._guard_name(path))
-
-    def listdir(self, path: str) -> list[str]:
-        names = self.meta.listdir(path)
-        if normalize_virtual(path) == "/":
-            names = [n for n in names if n != VOLUME_FILE]
-        return names
-
-    def unlink(self, path: str, force: bool = False) -> None:
-        path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        for host, port, data_path in stub.locations:
-            try:
-                client = self.pool.get(host, port)
-                client.unlink(data_path)
-            except DoesNotExistError:
-                continue
-            except ChirpError:
-                if not force:
-                    raise
-        self.meta.unlink(path)
-
-    def rename(self, old: str, new: str) -> None:
-        self.meta.rename(self._guard_name(old), self._guard_name(new))
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self.meta.mkdir(self._guard_name(path), mode)
-
-    def rmdir(self, path: str) -> None:
-        self.meta.rmdir(self._guard_name(path))
-
-    def truncate(self, path: str, size: int) -> None:
-        path = self._guard_name(path)
-        for host, port, data_path in self._read_stub(path).locations:
-            client = self.pool.try_get(host, port)
-            if client is None:
-                continue
-            try:
-                client.truncate(data_path, size)
-            except ChirpError:
-                continue
-
-    def statfs(self) -> StatFs:
-        def probe(host: str, port: int) -> Optional[StatFs]:
-            client = self.pool.try_get(host, port)
-            if client is None:
-                return None
-            try:
-                return client.statfs()
-            except ChirpError:
-                return None
-
-        reports = [
-            fs
-            for fs in self.fanout.run(
-                [(lambda ep=ep: probe(*ep)) for ep in self.servers]
-            )
-            if fs is not None
-        ]
-        if not reports:
-            raise DisconnectedError("no data server reachable for statfs")
-        total = sum(fs.total_bytes for fs in reports)
-        free = sum(fs.free_bytes for fs in reports)
-        # Usable capacity is divided by the replication factor.
-        return StatFs(total // self.copies, free // self.copies)
 
     # ------------------------------------------------------------------
     # replication maintenance
@@ -500,10 +258,8 @@ class ReplicatedFS(Filesystem):
         stub (creation order).  Deployments that need real corruption
         arbitration should run ``copies >= 3`` so a majority exists.
         """
-        path = self._guard_name(path)
-        stub = self._read_stub(path)
-        digests = self._replica_digests(stub)
-        majority = self._majority_digest(stub, digests)
+        stub = self.stub_for(path)
+        digests, majority = self._digests(stub)
         out = {}
         for location, digest in digests.items():
             if digest is None:
@@ -514,37 +270,22 @@ class ReplicatedFS(Filesystem):
                 out[location] = "diverged"
         return out
 
-    def _replica_digests(
+    def _digests(
         self, stub: MultiStub
-    ) -> dict[tuple[str, int, str], Optional[str]]:
-        """Advertised checksum of every replica (None when unreachable)."""
-        digests: dict[tuple[str, int, str], Optional[str]] = {}
-        for location in stub.locations:
-            host, port, data_path = location
-            client = self.pool.try_get(host, port)
-            if client is None:
-                digests[location] = None
-                continue
-            try:
-                digests[location] = client.checksum(data_path)
-            except ChirpError:
-                digests[location] = None
-        return digests
-
-    @staticmethod
-    def _majority_digest(
-        stub: MultiStub, digests: dict[tuple[str, int, str], Optional[str]]
-    ) -> Optional[str]:
-        """Majority by count; ties go to the earliest location's digest."""
+    ) -> tuple[dict[tuple[str, int, str], Optional[str]], Optional[str]]:
+        """Advertised checksum of every replica (None when unreachable),
+        in stub order, and their majority by count; ties go to the
+        earliest location's digest."""
+        outcomes = fan_out(
+            self.fanout,
+            self.layout.members(stub),
+            lambda m: self.pool.get(*m.endpoint).checksum(m.path),
+        )
+        digests = {(m.host, m.port, m.path): digest for m, digest, _ in outcomes}
         seen = [d for d in digests.values() if d is not None]
-        if not seen:
-            return None
-        best_count = max(seen.count(d) for d in seen)
-        for location in stub.locations:
-            digest = digests.get(location)
-            if digest is not None and seen.count(digest) == best_count:
-                return digest
-        return None
+        best_count = max(map(seen.count, seen), default=0)
+        majority = next((d for d in seen if seen.count(d) == best_count), None)
+        return digests, majority
 
     def read_verified(self, path: str) -> bytes:
         """Read a file's full contents, verified byte-for-byte.
@@ -560,11 +301,8 @@ class ReplicatedFS(Filesystem):
         next majority replica.  Corrupt bytes are never returned.
         """
         path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        digests = self._replica_digests(stub)
-        expected = self._majority_digest(stub, digests)
+        stub = self._stub(path)
+        digests, expected = self._digests(stub)
         if expected is None:
             raise DoesNotExistError(f"{path}: no replica reachable")
         last: Exception | None = None
@@ -595,7 +333,7 @@ class ReplicatedFS(Filesystem):
         checksum replica, landing on servers not already holding one.
         """
         path = self._guard_name(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         health = self.verify(path)
         good = [loc for loc in stub.locations if health[loc] == "ok"]
         if not good:
@@ -615,44 +353,35 @@ class ReplicatedFS(Filesystem):
         data = None
         occupied = {(h, p) for h, p, _ in good}
         new_locations = list(good)
-        added = 0
         while len(new_locations) < self.copies:
             try:
-                endpoint = tuple(
-                    self.placement.choose(self.servers, frozenset(occupied))
-                )
+                host, port = self.placement.choose(self.servers, frozenset(occupied))
             except LookupError:
                 break
-            occupied.add(endpoint)
+            occupied.add((host, port))
             data_path = self.data_dir + "/" + unique_data_name()
             try:
-                client = self.pool.get(*endpoint)
+                client = self.pool.get(host, port)
                 linked = False
                 if source_key is not None:
                     try:
                         client.putkey(data_path, source_key)
                         linked = True
                     except ChirpError:
-                        linked = False
+                        pass
                 if not linked:
                     if data is None:
                         data = source.getfile(source_path)
                     client.putfile(data_path, data)
             except ChirpError:
                 continue
-            new_locations.append((endpoint[0], endpoint[1], data_path))
-            added += 1
+            new_locations.append((host, port, data_path))
+        added = len(new_locations) - len(good)
         # swing the stub to the healed location set, then retire bad data
         self.meta.unlink(path)
         if not self.meta.create_exclusive(path, MultiStub(tuple(new_locations)).encode()):
             raise AlreadyExistsError(f"{path}: concurrent recreation during heal")
         for location in stub.locations:
             if location not in new_locations and health[location] == "diverged":
-                host, port, data_path = location
-                client = self.pool.try_get(host, port)
-                if client is not None:
-                    try:
-                        client.unlink(data_path)
-                    except ChirpError:
-                        pass
+                self._discard(Stub(*location), None)
         return added

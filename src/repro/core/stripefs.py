@@ -11,7 +11,8 @@ Layout: logical chunk ``k`` (bytes ``[k*S, (k+1)*S)``) lives in stripe
 file ``k % N`` at inner offset ``(k // N) * S``.  Every logical byte maps
 to exactly one stripe byte, so the logical size is simply the sum of the
 stripe file sizes; pure functions below implement the mapping and are
-property-tested against a byte-level reference.
+property-tested against a byte-level reference.  The filesystem is a
+:class:`Striped` layout of the stub engine (:mod:`repro.core.stubfs`).
 
 Availability trade-off (documented, deliberate): striping *divides*
 failure coherence -- losing any one stripe server makes the whole file
@@ -28,38 +29,35 @@ recorded in metadata, which this minimal extension deliberately omits.
 
 from __future__ import annotations
 
-import json
-import posixpath
+import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
+from repro.chirp.protocol import ChirpStat
 from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle, Filesystem
-from repro.core.metastore import MetadataStore, VOLUME_FILE
+from repro.core.interface import FileHandle
+from repro.core.metastore import MetadataStore
 from repro.core.pool import ClientPool
-from repro.core.stubs import unique_data_name
+from repro.core.stubfs import Layout, StubFilesystem, close_quietly, fan_out
+from repro.core.stubs import Stub, decode_doc, encode_doc, parse_locations
 from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
 from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
-    AlreadyExistsError,
-    ChirpError,
     DisconnectedError,
     DoesNotExistError,
-    InvalidRequestError,
-    IsADirectoryError_,
-    NotAuthorizedError,
     PartialFailureError,
 )
-from repro.util.paths import normalize_virtual
 
 __all__ = [
     "StripedFS",
     "StripeStub",
     "StripedHandle",
+    "Striped",
     "map_extent",
     "stripe_sizes_for_length",
 ]
+
+_T = TypeVar("_T")
 
 DEFAULT_STRIPE_SIZE = 64 * 1024
 
@@ -118,32 +116,21 @@ class StripeStub:
     locations: tuple[tuple[str, int, str], ...]  # one per stripe, in order
 
     def encode(self) -> bytes:
-        doc = {
-            "tss": "sstub",
-            "v": 1,
-            "stripe_size": self.stripe_size,
-            "locations": [[h, p, path] for h, p, path in self.locations],
-        }
-        return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        return encode_doc(
+            "sstub",
+            stripe_size=self.stripe_size,
+            locations=[list(loc) for loc in self.locations],
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "StripeStub":
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise InvalidRequestError(f"not a stripe stub: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("tss") != "sstub":
-            raise InvalidRequestError("not a stripe stub")
-        try:
+        def parse(doc: dict) -> "StripeStub":
             stripe_size = int(doc["stripe_size"])
-            locations = tuple(
-                (str(h), int(p), str(path)) for h, p, path in doc["locations"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidRequestError(f"malformed stripe stub: {exc}") from exc
-        if stripe_size < 1 or not locations:
-            raise InvalidRequestError("stripe stub needs stripes and a size")
-        return cls(stripe_size, locations)
+            if stripe_size < 1:
+                raise ValueError("stripe size must be positive")
+            return cls(stripe_size, parse_locations(doc))
+
+        return decode_doc(raw, "sstub", "stripe stub", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -180,49 +167,52 @@ class StripedHandle(FileHandle):
     def width(self) -> int:
         return len(self._handles)
 
-    def _stripe_label(self, stripe: int) -> str:
-        client = self._handles[stripe].client
-        return f"{client.host}:{client.port}"
+    def _on_stripes(self, stripes: Iterable[int], work: Callable[[int], _T]) -> list[_T]:
+        """``work(stripe)`` for every stripe, concurrently.
 
-    def _raise_partial(self, failures: list) -> None:
-        """Striping has no redundancy, so *any* dead stripe fails the
+        Striping has no redundancy, so *any* dead stripe fails the
         operation -- but the error names every dead stripe, not just the
         first, so an operator (or a replication layer above) knows the
-        full damage from one exception."""
+        full damage from one exception.
+        """
+        outcomes = fan_out(self.fanout, stripes, work)
+        for _, _, exc in outcomes:
+            if exc is not None and not isinstance(exc, DisconnectedError):
+                raise exc
+        failures = []
+        for stripe, _, exc in sorted(outcomes, key=lambda o: o[0]):
+            if exc is not None:
+                client = self._handles[stripe].client
+                label = f"{client.host}:{client.port}"
+                failures.append((stripe, label, str(exc) or "disconnected"))
         if failures:
-            failures.sort(key=lambda f: f[0])
             raise PartialFailureError(
                 f"{len(failures)} of {self.width} stripes unreachable",
                 failures=failures,
             )
+        return [result for _, result, _ in outcomes]
 
-    def pread(self, length: int, offset: int) -> bytes:
-        pieces = list(
-            map_extent(offset, length, self.width, self.stripe_size)
-        )
+    def _pieces(self, offset: int, length: int) -> tuple[list, dict[int, list]]:
+        """The extent's pieces in logical order, and grouped by stripe."""
+        pieces = list(map_extent(offset, length, self.width, self.stripe_size))
         by_stripe: dict[int, list] = {}
         for item in pieces:
             by_stripe.setdefault(item[0], []).append(item)
+        return pieces, by_stripe
+
+    def pread(self, length: int, offset: int) -> bytes:
+        pieces, by_stripe = self._pieces(offset, length)
         results: dict[int, bytes] = {}  # logical offset -> data
-        failures: list = []
 
         def fetch(stripe: int) -> None:
             handle = self._handles[stripe]
-            try:
-                for _s, inner, piece, logical in by_stripe[stripe]:
-                    data = handle.pread(piece, inner)
-                    results[logical] = data
-                    if len(data) < piece:
-                        break  # EOF in this stripe; later pieces are past it
-            except DisconnectedError as exc:
-                failures.append(
-                    (stripe, self._stripe_label(stripe), str(exc) or "disconnected")
-                )
+            for _s, inner, piece, logical in by_stripe[stripe]:
+                data = handle.pread(piece, inner)
+                results[logical] = data
+                if len(data) < piece:
+                    break  # EOF in this stripe; later pieces are past it
 
-        self.fanout.run([
-            (lambda s=stripe: fetch(s)) for stripe in by_stripe
-        ])
-        self._raise_partial(failures)
+        self._on_stripes(by_stripe, fetch)
 
         # reassemble while contiguous; stop at the first gap/short piece
         out = []
@@ -239,59 +229,25 @@ class StripedHandle(FileHandle):
 
     def pwrite(self, data: bytes, offset: int) -> int:
         view = memoryview(data)
-        by_stripe: dict[int, list] = {}
-        for item in map_extent(offset, len(data), self.width, self.stripe_size):
-            by_stripe.setdefault(item[0], []).append(item)
-
-        failures: list = []
+        _, by_stripe = self._pieces(offset, len(data))
 
         def push(stripe: int) -> int:
             handle = self._handles[stripe]
-            done = 0
-            try:
-                for _s, inner, piece, logical in by_stripe[stripe]:
-                    start = logical - offset
-                    done += handle.pwrite(bytes(view[start : start + piece]), inner)
-            except DisconnectedError as exc:
-                failures.append(
-                    (stripe, self._stripe_label(stripe), str(exc) or "disconnected")
-                )
-            return done
+            return sum(
+                handle.pwrite(bytes(view[logical - offset : logical - offset + piece]), inner)
+                for _s, inner, piece, logical in by_stripe[stripe]
+            )
 
-        written = sum(
-            self.fanout.run([(lambda s=stripe: push(s)) for stripe in by_stripe])
-        )
-        self._raise_partial(failures)
-        return written
+        return sum(self._on_stripes(by_stripe, push))
 
     def fsync(self) -> None:
-        failures: list = []
-
-        def sync_one(stripe: int) -> None:
-            try:
-                self._handles[stripe].fsync()
-            except DisconnectedError as exc:
-                failures.append(
-                    (stripe, self._stripe_label(stripe), str(exc) or "disconnected")
-                )
-
-        self.fanout.run([
-            (lambda s=stripe: sync_one(s)) for stripe in range(self.width)
-        ])
-        self._raise_partial(failures)
+        self._on_stripes(range(self.width), lambda s: self._handles[s].fsync())
 
     def fstat(self) -> ChirpStat:
         stats = [h.fstat() for h in self._handles]
-        logical_size = sum(st.size for st in stats)
-        first = stats[0]
-        return ChirpStat(
-            device=first.device,
-            inode=first.inode,
-            mode=first.mode,
-            nlink=first.nlink,
-            uid=first.uid,
-            gid=first.gid,
-            size=logical_size,
+        return replace(
+            stats[0],
+            size=sum(st.size for st in stats),
             atime=max(st.atime for st in stats),
             mtime=max(st.mtime for st in stats),
             ctime=max(st.ctime for st in stats),
@@ -305,18 +261,69 @@ class StripedHandle(FileHandle):
 
     def close(self) -> None:
         for handle in self._handles:
-            try:
-                handle.close()
-            except ChirpError:
-                pass
+            close_quietly(handle)
 
 
 # ---------------------------------------------------------------------------
-# the filesystem
+# the layout and the filesystem
 # ---------------------------------------------------------------------------
 
 
-class StripedFS(Filesystem):
+class Striped(Layout):
+    """``stripes`` files on distinct servers, chunks dealt round-robin."""
+
+    def __init__(self, stripes: int, stripe_size: int):
+        self.width = stripes
+        self.stripe_size = stripe_size
+
+    def decode(self, raw: bytes) -> StripeStub:
+        return StripeStub.decode(raw)
+
+    def new_stub(self, members: Sequence[Stub]) -> StripeStub:
+        return StripeStub(self.stripe_size, tuple((m.host, m.port, m.path) for m in members))
+
+    def members(self, stub: StripeStub) -> tuple[Stub, ...]:
+        return tuple(Stub(*loc) for loc in stub.locations)
+
+    def handle(self, stub: StripeStub, handles, fanout) -> StripedHandle:
+        return StripedHandle(handles, stub.stripe_size, fanout=fanout)
+
+    def merge_stat(self, mst: ChirpStat, stats: list[ChirpStat]) -> ChirpStat:
+        newest = max(dst.mtime for dst in stats)
+        return replace(
+            mst,
+            mode=mst.mode & ~0o170000 | 0o100000,  # present as a regular file
+            size=sum(dst.size for dst in stats),
+            atime=newest,
+            mtime=newest,
+        )
+
+    def split(self, stub: StripeStub, data: bytes) -> list:
+        n, size = len(stub.locations), stub.stripe_size
+        view = memoryview(data)
+        return [
+            b"".join(view[at : at + size] for at in range(s * size, len(data), n * size))
+            for s in range(n)
+        ]
+
+    def assemble(self, stub: StripeStub, parts: list[bytes]) -> bytes:
+        """Interleave the stripes' chunks back in logical order, up to the
+        first short one (where the file, or a stripe's written tail,
+        ends)."""
+        n, size = len(parts), stub.stripe_size
+        out = []
+        for chunk in itertools.count():
+            inner = (chunk // n) * size
+            piece = parts[chunk % n][inner : inner + size]
+            out.append(piece)
+            if len(piece) < size:
+                return b"".join(out)
+
+    def truncate_sizes(self, stub: StripeStub, size: int) -> list[int]:
+        return stripe_sizes_for_length(size, len(stub.locations), stub.stripe_size)
+
+
+class StripedFS(StubFilesystem):
     """A DSFS-shaped filesystem whose files are striped across servers."""
 
     def __init__(
@@ -332,216 +339,13 @@ class StripedFS(Filesystem):
     ):
         if stripe_size < 1:
             raise ValueError("stripe_size must be positive")
-        self.meta = meta
-        self.pool = pool
-        self.servers = [(h, int(p)) for h, p in servers]
+        super().__init__(meta, pool, servers, data_dir, policy=policy)
         self.stripes = stripes if stripes is not None else len(self.servers)
         if not 1 <= self.stripes <= len(self.servers):
             raise ValueError("stripes must be between 1 and the server count")
-        self.data_dir = normalize_virtual(data_dir)
         self.stripe_size = stripe_size
-        self.policy = policy or RetryPolicy()
-        # Shared by every handle; 1 forces serial stripe I/O (the
-        # ablation baseline).
-        self.fanout = FanoutPool(
-            fanout_workers
-            if fanout_workers is not None
-            else min(self.stripes, DEFAULT_FANOUT)
-        )
-        self._rotation = 0
-
-    @staticmethod
-    def _guard_name(path: str) -> str:
-        norm = normalize_virtual(path)
-        if posixpath.basename(norm) == VOLUME_FILE:
-            raise NotAuthorizedError("the volume file is managed by the filesystem")
-        return norm
-
-    def _read_stub(self, path: str) -> StripeStub:
-        raw = self.meta.read(path)
-        if not raw:
-            raise DoesNotExistError(f"{path}: stub mid-creation")
-        return StripeStub.decode(raw)
-
-    def _open_handles(
-        self, stub: StripeStub, flags: OpenFlags, mode: int
-    ) -> StripedHandle:
-        handles = []
-        failures: list = []
-        try:
-            for index, (host, port, data_path) in enumerate(stub.locations):
-                try:
-                    client = self.pool.get(host, port)
-                    handles.append(
-                        ChirpFileHandle(client, data_path, flags, mode, self.policy)
-                    )
-                except DisconnectedError as exc:
-                    # Keep probing: the error should name *every* dead
-                    # stripe server, not only the first one hit.
-                    failures.append(
-                        (index, f"{host}:{port}", str(exc) or "disconnected")
-                    )
-        except ChirpError:
-            for h in handles:
-                try:
-                    h.close()
-                except ChirpError:
-                    pass
-            raise
-        if failures:
-            for h in handles:
-                try:
-                    h.close()
-                except ChirpError:
-                    pass
-            raise PartialFailureError(
-                f"{len(failures)} of {len(stub.locations)} stripes unreachable",
-                failures=failures,
-            )
-        return StripedHandle(handles, stub.stripe_size, fanout=self.fanout)
-
-    def _is_dir(self, path: str) -> bool:
-        try:
-            return self.meta.stat(path).is_dir
-        except ChirpError:
-            return False
-
-    # -- open / create ------------------------------------------------------
-
-    def open(self, path: str, flags: OpenFlags, mode: int = 0o644) -> FileHandle:
-        path = self._guard_name(path)
-        if flags.create:
-            return self._create_or_open(path, flags, mode)
-        return self._open_existing(path, flags, mode)
-
-    def _open_existing(self, path: str, flags: OpenFlags, mode: int) -> StripedHandle:
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        dflags = replace(flags, create=False, exclusive=False)
-        try:
-            return self._open_handles(stub, dflags, mode)
-        except DoesNotExistError:
-            raise DoesNotExistError(f"{path}: dangling stripe stub") from None
-
-    def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
-        # rotate the starting server so small files spread load too
-        start = self._rotation
-        self._rotation = (self._rotation + 1) % len(self.servers)
-        chosen = [
-            self.servers[(start + i) % len(self.servers)] for i in range(self.stripes)
-        ]
-        locations = tuple(
-            (h, p, self.data_dir + "/" + unique_data_name()) for h, p in chosen
-        )
-        stub = StripeStub(self.stripe_size, locations)
-        if not self.meta.create_exclusive(path, stub.encode()):
-            if flags.exclusive:
-                raise AlreadyExistsError(path)
-            return self._open_existing(path, flags, mode)
-        dflags = replace(flags, create=True, exclusive=True, write=True)
-        try:
-            return self._open_handles(stub, dflags, mode)
-        except Exception:
-            self.meta.unlink(path)
-            raise
-
-    # -- namespace ------------------------------------------------------
-
-    def stat(self, path: str) -> ChirpStat:
-        path = self._guard_name(path)
-        mst = self.meta.stat(path)
-        if mst.is_dir:
-            return mst
-        stub = self._read_stub(path)
-
-        def stat_stripe(host: str, port: int, data_path: str) -> ChirpStat:
-            client = self.pool.get(host, port)
-            return self.policy.run(
-                lambda: client.stat(data_path), client.ensure_connected
-            )
-
-        try:
-            stats = self.fanout.run([
-                (lambda loc=loc: stat_stripe(*loc)) for loc in stub.locations
-            ])
-        except DoesNotExistError:
-            raise DoesNotExistError(f"{path}: dangling stripe stub") from None
-        logical_size = sum(dst.size for dst in stats)
-        newest = max(dst.mtime for dst in stats)
-        return ChirpStat(
-            device=mst.device,
-            inode=mst.inode,
-            mode=mst.mode & ~0o170000 | 0o100000,  # present as a regular file
-            nlink=mst.nlink,
-            uid=mst.uid,
-            gid=mst.gid,
-            size=logical_size,
-            atime=newest,
-            mtime=newest,
-            ctime=mst.ctime,
-        )
-
-    def lstat(self, path: str) -> ChirpStat:
-        return self.meta.stat(self._guard_name(path))
-
-    def listdir(self, path: str) -> list[str]:
-        names = self.meta.listdir(path)
-        if normalize_virtual(path) == "/":
-            names = [n for n in names if n != VOLUME_FILE]
-        return names
-
-    def unlink(self, path: str, force: bool = False) -> None:
-        path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        for host, port, data_path in stub.locations:
-            try:
-                self.pool.get(host, port).unlink(data_path)
-            except DoesNotExistError:
-                continue
-            except ChirpError:
-                if not force:
-                    raise
-        self.meta.unlink(path)
-
-    def rename(self, old: str, new: str) -> None:
-        self.meta.rename(self._guard_name(old), self._guard_name(new))
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self.meta.mkdir(self._guard_name(path), mode)
-
-    def rmdir(self, path: str) -> None:
-        self.meta.rmdir(self._guard_name(path))
-
-    def truncate(self, path: str, size: int) -> None:
-        path = self._guard_name(path)
-        stub = self._read_stub(path)
-        targets = stripe_sizes_for_length(size, len(stub.locations), stub.stripe_size)
-        for (host, port, data_path), target in zip(stub.locations, targets):
-            self.pool.get(host, port).truncate(data_path, target)
-
-    def statfs(self) -> StatFs:
-        def probe(host: str, port: int) -> Optional[StatFs]:
-            client = self.pool.try_get(host, port)
-            if client is None:
-                return None
-            try:
-                return client.statfs()
-            except ChirpError:
-                return None
-
-        reports = [
-            fs
-            for fs in self.fanout.run(
-                [(lambda ep=ep: probe(*ep)) for ep in self.servers]
-            )
-            if fs is not None
-        ]
-        if not reports:
-            raise DisconnectedError("no data server reachable for statfs")
-        return StatFs(
-            sum(fs.total_bytes for fs in reports),
-            sum(fs.free_bytes for fs in reports),
-        )
+        self.layout = Striped(self.stripes, stripe_size)
+        if fanout_workers is not None:
+            # Shared by every handle; 1 forces serial stripe I/O (the
+            # ablation baseline).
+            self.fanout = FanoutPool(fanout_workers)

@@ -1,4 +1,4 @@
-"""The shared engine of DPFS and DSFS: a stub-indirected filesystem.
+"""The stub engine behind every distributed filesystem here.
 
 The directory tree (wherever it lives -- see
 :mod:`repro.core.metastore`) holds directories and *stub files*; file
@@ -16,24 +16,36 @@ implements the paper's semantics over that structure:
   directory tree,
 - failure coherence: an unreachable data server takes out exactly the
   files stored there; everything else keeps working.
+
+A :class:`Layout` says how one file's bytes sit on its data files (its
+*members*): one file for DPFS and DSFS, ``n`` copies
+(:mod:`repro.core.replfs`), ``k`` stripes (:mod:`repro.core.stripefs`)
+or a version history (:mod:`repro.core.versionfs`).  The layout owns the
+stub codec, the composite handle, the ``stat`` merge and the whole-file
+split; the lookup, the create protocol, failover, the namespace, unlink,
+statfs and the protocol-v4 whole-file paths exist once, here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import posixpath
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro.cache.handle import CachedFileHandle
 from repro.cache.manager import CacheManager, file_key
 from repro.cache.meta import MetaCache
+from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
-from repro.core.cfs import ChirpFileHandle
+from repro.core.cfs import CFS, ChirpFileHandle
 from repro.core.interface import FileHandle, Filesystem, write_whole
 from repro.core.metastore import MetadataStore, VOLUME_FILE
 from repro.core.placement import PlacementPolicy, RoundRobinPlacement
 from repro.core.pool import ClientPool
+from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
+from repro.transport.health import STATE_OPEN
 from repro.transport.recovery import RetryPolicy
 from repro.core.stubs import STUB_MAX_BYTES, Stub, unique_data_name
 from repro.util.errors import (
@@ -44,15 +56,20 @@ from repro.util.errors import (
     InvalidRequestError,
     IsADirectoryError_,
     NotAuthorizedError,
+    PartialFailureError,
 )
 from repro.util.paths import normalize_virtual
 
-__all__ = ["StubFilesystem"]
+__all__ = ["StubFilesystem", "Layout", "SINGLE", "fan_out", "close_quietly"]
 
 _T = TypeVar("_T")
 
-_CREATE_ATTEMPTS = 4  # retries on data-name collision
+_CREATE_ATTEMPTS = 4  # retries on data-name collision or a dead server
 _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
+
+# A member that is missing or unreachable; a redundant layout carries on
+# without it.
+_LOST = (DoesNotExistError, DisconnectedError)
 
 # Merged stats (namespace identity + data-file attributes) are cached
 # under a synthetic per-instance "host" so two stub filesystems mounted
@@ -60,12 +77,100 @@ _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
 _stubfs_ns = itertools.count()
 
 
+def _ensure_remote_dirs(pool: ClientPool, servers, data_dir: str) -> None:
+    """mkdir -p ``data_dir`` on every server."""
+    for host, port in servers:
+        CFS(pool.get(host, int(port))).makedirs(data_dir)
+
+
+def _one_error(failed: list, total: int) -> Exception:
+    """The error a fan-out raises for its ``(index, member, error)``
+    failures: the first that is not a lost member, else every
+    unreachable member named in one :class:`PartialFailureError`, else
+    the first missing member."""
+    for _, _, exc in failed:
+        if not isinstance(exc, _LOST):
+            return exc
+    unreachable = [
+        (i, f"{m.host}:{m.port}", str(exc) or "disconnected")
+        for i, m, exc in failed
+        if isinstance(exc, DisconnectedError)
+    ]
+    if unreachable:
+        return PartialFailureError(
+            f"{len(unreachable)} of {total} members unreachable", failures=unreachable
+        )
+    return failed[0][2]
+
+
+class Layout:
+    """How a stub filesystem lays one file over its data files (members).
+
+    This base class is the *single* layout of DPFS and DSFS: the stub is
+    a :class:`~repro.core.stubs.Stub` naming one data file.  Layouts with
+    more members override what differs; members are always ``Stub``
+    values, so the engine reaches any of them the same way.
+    """
+
+    #: Members a new file gets, each on a distinct server.
+    width = 1
+    #: Members are whole copies: a read needs any one, and a write or
+    #: open carries on without members that are missing or unreachable.
+    redundant = False
+    #: statfs reports raw capacity divided by this.
+    divisor = 1
+
+    def decode(self, raw: bytes):
+        return Stub.decode(raw)
+
+    def new_stub(self, members: Sequence[Stub]):
+        """The stub of a new file over freshly named ``members``."""
+        return members[0]
+
+    def members(self, stub) -> tuple[Stub, ...]:
+        """The data files holding the file's current bytes, in order."""
+        return (stub,)
+
+    def referenced(self, stub) -> tuple[Stub, ...]:
+        """Every data file ``stub`` references: what ``unlink`` removes."""
+        return self.members(stub)
+
+    def handle(self, stub, handles: list[FileHandle], fanout: FanoutPool) -> FileHandle:
+        """One open file over the members' open ``handles``."""
+        return handles[0]
+
+    def merge_stat(self, mst: ChirpStat, stats: list[ChirpStat]) -> ChirpStat:
+        """Identity (device/inode) from the namespace entry; content
+        attributes (size, times, mode bits) from the data file."""
+        dst = stats[0]
+        return ChirpStat(mst.device, mst.inode, dst.mode, mst.nlink, dst.uid, dst.gid,
+                         dst.size, dst.atime, dst.mtime, dst.ctime)
+
+    def split(self, stub, data: bytes) -> list:
+        """Each member's bytes when the whole file becomes ``data``."""
+        return [data] * len(self.members(stub))
+
+    def assemble(self, stub, parts: list[bytes]) -> bytes:
+        """The whole file from the members' bytes (one copy if redundant)."""
+        return parts[0]
+
+    def truncate_sizes(self, stub, size: int) -> list[int]:
+        return [size] * len(self.members(stub))
+
+
+SINGLE = Layout()
+
+
 class StubFilesystem(Filesystem):
     """A distributed filesystem of stubs + data servers.
 
     Not constructed directly by users; see :class:`repro.core.dpfs.DPFS`
-    and :class:`repro.core.dsfs.DSFS` for volume creation and opening.
+    and :class:`repro.core.dsfs.DSFS` for volume creation and opening,
+    and the replicated, striped and versioned filesystems, which set
+    their own :attr:`layout`.
     """
+
+    layout: Layout = SINGLE
 
     def __init__(
         self,
@@ -93,6 +198,8 @@ class StubFilesystem(Filesystem):
         # in the catalog; see DrainingServerView).  Consulted per create;
         # the callable must be cheap and must not raise.
         self.avoid_servers = avoid_servers
+        # Runs per-member RPCs and the statfs probes concurrently.
+        self.fanout = FanoutPool(min(len(self.servers), DEFAULT_FANOUT))
         self._cache_host = f"stubfs{next(_stubfs_ns)}"
 
     # ------------------------------------------------------------------
@@ -106,7 +213,7 @@ class StubFilesystem(Filesystem):
             raise NotAuthorizedError("the volume file is managed by the filesystem")
         return norm
 
-    def _lookup(self, path: str) -> tuple[ChirpStat, Optional[Stub]]:
+    def _lookup(self, path: str) -> tuple[ChirpStat, Optional[Any]]:
         """The namespace entry at ``path`` and, for a file, its stub.
 
         One metadata lookup (a ``statget`` on a DSFS directory server).
@@ -119,23 +226,25 @@ class StubFilesystem(Filesystem):
             if st.is_dir:
                 return st, None
             if raw is None:
-                if st.is_file and st.size <= STUB_MAX_BYTES:
+                if not st.is_file:
+                    raise InvalidRequestError(f"{path}: not a stub file")
+                if st.size <= STUB_MAX_BYTES:
                     raise NotAuthorizedError(f"{path}: stub is not readable")
-                raise InvalidRequestError(f"{path}: not a stub file")
+                raw = self.meta.read(path)
             if raw:
-                return st, Stub.decode(raw)
+                return st, self.layout.decode(raw)
             self.policy.clock.sleep(0.01)
         raise DoesNotExistError(f"{path}: stub never completed creation")
 
-    def _stub(self, path: str) -> Stub:
+    def _stub(self, path: str):
         """The stub of the file at ``path`` (a directory has none)."""
         stub = self._lookup(path)[1]
         if stub is None:
             raise IsADirectoryError_(path)
         return stub
 
-    def _on_data(self, path: str, op: Callable[[Stub], _T]) -> _T:
-        """Run ``op`` against the data file behind ``path``'s stub.
+    def _on_data(self, path: str, op: Callable[[Any], _T]) -> _T:
+        """Run ``op`` against the data behind ``path``'s stub.
 
         A concurrent creator may be between steps 2 and 3 (stub exists,
         data file not yet created); give it a moment before declaring
@@ -151,17 +260,68 @@ class StubFilesystem(Filesystem):
                     self.policy.clock.sleep(0.01)
         raise DoesNotExistError(f"{path}: dangling stub (no data file)")
 
+    def _call(self, member: Stub, op: Callable[[ChirpClient], _T]) -> _T:
+        """``op`` on the session to ``member``'s server, under the policy."""
+        client = self.pool.get(*member.endpoint)
+        return self.policy.run(lambda: op(client), client.ensure_connected)
+
+    def _each(self, members: Sequence[Stub], op: Callable[[Stub], _T]) -> list[_T]:
+        """``op`` on every member; the results, in member order.
+
+        A redundant layout carries on without members that are missing
+        or unreachable as long as one answered, and puts healthy servers
+        first: a handle's reads prefer earlier copies, so a server with
+        an open breaker only gets traffic when every healthy one is
+        gone.  Otherwise a failure closes every handle the other members
+        opened and raises one error for all of them.
+        """
+        if len(members) == 1:
+            return [op(members[0])]
+        if self.layout.redundant:
+            members = self._healthy_first(members)
+        outcomes = fan_out(self.fanout, members, op)
+        failed = [(i, m, e) for i, (m, _, e) in enumerate(outcomes) if e is not None]
+        done = [r for _, r, e in outcomes if e is None]
+        if failed and not (
+            self.layout.redundant and done and all(isinstance(e, _LOST) for _, _, e in failed)
+        ):
+            for result in done:
+                close_quietly(result)
+            raise _one_error(failed, len(members))
+        return done
+
+    def _healthy_first(self, members: Sequence[Stub]) -> list[Stub]:
+        """``members`` with quarantined servers (open breaker) last."""
+        health = self.pool.health
+        return sorted(members, key=lambda m: health.state_of(*m.endpoint) == STATE_OPEN)
+
+    def _gather(self, stub, op: Callable[[Stub], _T]) -> list[_T]:
+        """``op`` on the members a read needs: the first copy that
+        answers in a redundant layout (failing over in order), else
+        every member."""
+        members = self.layout.members(stub)
+        if not self.layout.redundant:
+            return self._each(members, op)
+        errors = []
+        for member in self._healthy_first(members):
+            try:
+                return [op(member)]
+            except _LOST as exc:
+                errors.append(exc)
+        raise next((e for e in errors if isinstance(e, DisconnectedError)), errors[0])
+
     def _merged_key(self, path: str) -> str:
         return file_key(self._cache_host, 0, normalize_virtual(path))
 
-    def _entry_changed(self, path: str, stub: Optional[Stub] = None) -> None:
+    def _entry_changed(self, path: str, stub=None) -> None:
         """Drop the merged stat for ``path`` and, when the stub is known,
-        the data file's blocks + metadata on its server's shared key."""
+        the data files' blocks + metadata on their servers' shared keys."""
         if self.cache is None:
             return
         self.cache.meta.invalidate(self._merged_key(path))
         if stub is not None:
-            self.cache.invalidate_data(file_key(stub.host, stub.port, stub.path))
+            for m in self.layout.members(stub):
+                self.cache.invalidate_data(file_key(m.host, m.port, m.path))
 
     def _data_handle(
         self, stub: Stub, flags: OpenFlags, mode: int, path: Optional[str] = None
@@ -202,6 +362,15 @@ class StubFilesystem(Filesystem):
             client.ensure_connected,
         )
 
+    def _discard(self, member: Stub, result: Any) -> None:
+        """Best-effort removal of a data file whose create succeeded
+        while another member's failed."""
+        close_quietly(result)
+        try:
+            self.pool.get(*member.endpoint).unlink(member.path)
+        except ChirpError:
+            pass
+
     # ------------------------------------------------------------------
     # open / create
     # ------------------------------------------------------------------
@@ -216,68 +385,84 @@ class StubFilesystem(Filesystem):
 
     def _open_existing(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
         dflags = replace(flags, create=False, exclusive=False)
-        return self._on_data(path, lambda stub: self._data_handle(stub, dflags, mode, path))
 
-    def _excluded(self, dead: set[tuple[str, int]]) -> frozenset:
-        """Placement exclusions: observed-dead plus advisory avoidance.
+        def open_members(stub) -> FileHandle:
+            handles = self._each(
+                self.layout.members(stub), lambda m: self._data_handle(m, dflags, mode, path)
+            )
+            return self.layout.handle(stub, handles, self.fanout)
 
-        The advisory set (draining servers) is dropped when honoring it
-        would leave nothing to place on -- a write landing on a draining
-        server beats a write failing outright.
+        return self._on_data(path, open_members)
+
+    def _place(self, path: str, dead: set[tuple[str, int]]) -> list[Stub]:
+        """Step 1: distinct servers for a new file's members, each with a
+        unique data name, never one observed dead.
+
+        Advisory avoidance (draining servers) is dropped when honoring it
+        would leave too few servers to place on -- a write landing on a
+        draining server beats a write failing outright.  A redundant
+        layout settles for fewer copies when too few servers are left.
         """
-        if self.avoid_servers is None:
-            return frozenset(dead)
-        avoid = dead | {(h, int(p)) for h, p in self.avoid_servers()}
-        if all(tuple(ep) in avoid for ep in self.servers):
-            return frozenset(dead)
-        return frozenset(avoid)
+        excluded = set(dead)
+        if self.avoid_servers is not None:
+            avoid = dead | {(h, int(p)) for h, p in self.avoid_servers()}
+            if sum(ep not in avoid for ep in self.servers) >= self.layout.width:
+                excluded = avoid
+        members: list[Stub] = []
+        while len(members) < self.layout.width:
+            try:
+                host, port = self.placement.choose(self.servers, frozenset(excluded))
+            except LookupError:
+                break
+            excluded.add((host, port))
+            members.append(Stub(host, port, self.data_dir + "/" + unique_data_name()))
+        if not members or (len(members) < self.layout.width and not self.layout.redundant):
+            raise DisconnectedError(f"{path}: no data server for placement")
+        return members
 
-    def _create(self, path: str, make_data: Callable[[Stub], _T]) -> _T:
-        """The crash-safe 3-step creation protocol; ``make_data`` is step 3.
+    def _create(self, path: str, step3: Callable[[Any], Callable[[Stub], _T]]):
+        """The crash-safe 3-step creation protocol.
 
-        Raises :class:`AlreadyExistsError` when ``path`` already has a
-        stub.  A step 3 that fails removes the step-2 stub again.
+        ``step3(stub)`` gives the op that exclusively creates one member's
+        data file; it runs on every member.  Returns the stub and the
+        ops' results.  Raises :class:`AlreadyExistsError` when ``path``
+        already has a stub.  A step 3 that fails anywhere removes the
+        data files it did make and the step-2 stub again; a server that
+        could not be reached is left out of the next attempt.
         """
         dead: set[tuple[str, int]] = set()
         for _ in range(_CREATE_ATTEMPTS):
-            # Step 1: choose a server and generate a unique data name.
-            try:
-                endpoint = tuple(
-                    self.placement.choose(self.servers, self._excluded(dead))
-                )
-            except LookupError:
-                raise DisconnectedError(f"{path}: no data server for placement") from None
-            data_path = self.data_dir + "/" + unique_data_name()
-            stub = Stub(endpoint[0], endpoint[1], data_path)
+            stub = self.layout.new_stub(self._place(path, dead))
             # Step 2: exclusively create the stub entry.
             if not self.meta.create_exclusive(path, stub.encode()):
                 raise AlreadyExistsError(path)
-            # Step 3: exclusively create the data file.
-            try:
-                result = make_data(stub)
-            except AlreadyExistsError:
-                # Unlikely data-name collision: abort this creation
-                # (paper's rule) and retry with a fresh name.
-                self.meta.unlink(path)
-                continue
-            except DisconnectedError:
-                self.meta.unlink(path)
-                dead.add(endpoint)
-                continue
-            except Exception:
-                self.meta.unlink(path)
-                raise
-            # The path may have been cached as absent before creation.
-            self._entry_changed(path)
-            return result
+            # Step 3: exclusively create the data files.
+            outcomes = fan_out(self.fanout, self.layout.members(stub), step3(stub))
+            failed = [(m, e) for m, _, e in outcomes if e is not None]
+            if not failed:
+                # The path may have been cached as absent before creation.
+                self._entry_changed(path)
+                return stub, [r for _, r, _ in outcomes]
+            for member, result, exc in outcomes:
+                if exc is None:
+                    self._discard(member, result)
+            self.meta.unlink(path)
+            for _, exc in failed:
+                if not isinstance(exc, (AlreadyExistsError, DisconnectedError)):
+                    raise exc
+            # An unlikely data-name collision aborts this creation (the
+            # paper's rule) and retries with fresh names; an unreachable
+            # server is retried without.
+            dead.update(m.endpoint for m, e in failed if isinstance(e, DisconnectedError))
         raise DisconnectedError(f"{path}: no data server accepted the new file")
 
     def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
         dflags = replace(flags, create=True, exclusive=True, write=True)
         try:
-            return self._create(
-                path, lambda stub: self._data_handle(stub, dflags, mode, path)
+            stub, handles = self._create(
+                path, lambda stub: lambda m: self._data_handle(m, dflags, mode, path)
             )
+            return self.layout.handle(stub, handles, self.fanout)
         except AlreadyExistsError:
             if flags.exclusive:
                 raise
@@ -320,27 +505,11 @@ class StubFilesystem(Filesystem):
         mst, stub = self._lookup(path)
         if stub is None:
             return mst
-        client = self.pool.get(*stub.endpoint)
         try:
-            dst = self.policy.run(
-                lambda: client.stat(stub.path), client.ensure_connected
-            )
+            stats = self._gather(stub, lambda m: self._call(m, lambda c: c.stat(m.path)))
         except DoesNotExistError:
             raise DoesNotExistError(f"{path}: dangling stub (no data file)") from None
-        # Identity (device/inode) comes from the namespace entry; content
-        # attributes (size, times, mode bits) come from the data file.
-        return ChirpStat(
-            device=mst.device,
-            inode=mst.inode,
-            mode=dst.mode,
-            nlink=mst.nlink,
-            uid=dst.uid,
-            gid=dst.gid,
-            size=dst.size,
-            atime=dst.atime,
-            mtime=dst.mtime,
-            ctime=dst.ctime,
-        )
+        return self.layout.merge_stat(mst, stats)
 
     def lstat(self, path: str) -> ChirpStat:
         """The stub entry itself -- works even when data is unreachable."""
@@ -355,21 +524,22 @@ class StubFilesystem(Filesystem):
     def unlink(self, path: str, force: bool = False) -> None:
         """Delete data first, then the stub (the paper's ordering).
 
-        ``force=True`` removes the stub even when the data server is
+        ``force=True`` removes the stub even when a data server is
         unreachable -- the escape hatch for permanently lost servers.
         """
         path = self._guard_name(path)
         stub = self._stub(path)
-        try:
-            client = self.pool.get(*stub.endpoint)
-            self.policy.run(
-                lambda: client.unlink(stub.path), client.ensure_connected
-            )
-        except DoesNotExistError:
-            pass  # dangling stub: nothing to delete on the data side
-        except DisconnectedError:
-            if not force:
-                raise
+        outcomes = fan_out(
+            self.fanout,
+            self.layout.referenced(stub),
+            lambda m: self._call(m, lambda c: c.unlink(m.path)),
+        )
+        for _, _, exc in outcomes:
+            # A missing data file leaves nothing to delete on that side.
+            if exc is None or isinstance(exc, DoesNotExistError):
+                continue
+            if not (force and isinstance(exc, DisconnectedError)):
+                raise exc
         self.meta.unlink(path)
         self._entry_changed(path, stub)
 
@@ -398,46 +568,57 @@ class StubFilesystem(Filesystem):
     def truncate(self, path: str, size: int) -> None:
         path = self._guard_name(path)
         stub = self._stub(path)
-        client = self.pool.get(*stub.endpoint)
-        self.policy.run(
-            lambda: client.truncate(stub.path, size), client.ensure_connected
-        )
+        sizes = dict(zip(self.layout.members(stub), self.layout.truncate_sizes(stub, size)))
+        self._each(list(sizes), lambda m: self._call(m, lambda c: c.truncate(m.path, sizes[m])))
         self._entry_changed(path, stub)
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         path = self._guard_name(path)
-        stub = self._stub(path)
-        client = self.pool.get(*stub.endpoint)
-        self.policy.run(
-            lambda: client.utime(stub.path, atime, mtime), client.ensure_connected
-        )
+        members = self.layout.members(self._stub(path))
+        self._each(members, lambda m: self._call(m, lambda c: c.utime(m.path, atime, mtime)))
         self._entry_changed(path)
 
     def statfs(self) -> StatFs:
         """Aggregate capacity over the *reachable* data servers."""
-        total = free = 0
-        reachable = 0
-        for host, port in self.servers:
-            client = self.pool.try_get(host, port)
+
+        def probe(endpoint: tuple[str, int]) -> Optional[StatFs]:
+            client = self.pool.try_get(*endpoint)
             if client is None:
-                continue
+                return None
             try:
-                fs = self.policy.run(client.statfs, client.ensure_connected)
+                return self.policy.run(client.statfs, client.ensure_connected)
             except ChirpError:
-                continue
-            total += fs.total_bytes
-            free += fs.free_bytes
-            reachable += 1
-        if reachable == 0:
+                return None
+
+        probes = [functools.partial(probe, ep) for ep in self.servers]
+        reports = [fs for fs in self.fanout.run(probes) if fs is not None]
+        if not reports:
             raise DisconnectedError("no data server reachable for statfs")
-        return StatFs(total, free)
+        # A replicated volume's usable capacity is divided by its copies.
+        divisor = self.layout.divisor
+        return StatFs(
+            sum(fs.total_bytes for fs in reports) // divisor,
+            sum(fs.free_bytes for fs in reports) // divisor,
+        )
+
+    def add_server(self, host: str, port: int) -> None:
+        """Grow the volume onto a new data server, without downtime."""
+        endpoint = (host, int(port))
+        if endpoint in self.servers:
+            return
+        _ensure_remote_dirs(self.pool, [endpoint], self.data_dir)
+        self.servers.append(endpoint)
+        doc = self.meta.read_config()
+        doc["servers"] = self.servers
+        self.meta.unlink("/" + VOLUME_FILE)
+        self.meta.write_config(doc)
 
     # ------------------------------------------------------------------
     # streaming fast path
     # ------------------------------------------------------------------
 
     def read_file(self, path: str) -> bytes:
-        """Whole-file read as one ``getfile`` on the data server.
+        """Whole-file read: one ``getfile`` per member the layout needs.
 
         Mirrors :meth:`_open_existing`'s tolerance of the create window:
         a stub whose data file has not appeared yet gets a few retries
@@ -448,11 +629,9 @@ class StubFilesystem(Filesystem):
             return super().read_file(path)
         path = self._guard_name(path)
 
-        def getfile(stub: Stub) -> bytes:
-            client = self.pool.get(*stub.endpoint)
-            return self.policy.run(
-                lambda: client.getfile(stub.path), client.ensure_connected
-            )
+        def getfile(stub) -> bytes:
+            parts = self._gather(stub, lambda m: self._call(m, lambda c: c.getfile(m.path)))
+            return self.layout.assemble(stub, parts)
 
         return self._on_data(path, getfile)
 
@@ -460,30 +639,34 @@ class StubFilesystem(Filesystem):
         """Whole-file create-or-replace in the fewest round trips.
 
         Create-first: ``putflags wcx`` of the stub, then ``putflags wcx``
-        of the data file -- the 3-step protocol's order, each step one
-        RPC, and a failed data write rolls the stub back as
-        :meth:`open` does.  When the stub already exists the file is
-        replaced in place: one lookup, then ``putflags wt`` on its data
-        file, which never creates one, so a dangling stub stays dangling.
-        With a data-caching policy the handle path is used instead, as
-        :meth:`read_file` does.
+        of each member's data file -- the 3-step protocol's order, each
+        step one RPC per file, and a failed data write rolls the stub
+        back as :meth:`open` does.  When the stub already exists the file
+        is replaced in place: one lookup, then ``putflags wt`` on its
+        data files, which never creates one, so a dangling stub stays
+        dangling.  With a data-caching policy the handle path is used
+        instead, as :meth:`read_file` does.
         """
         if self.cache is not None and self.cache.data_enabled:
             return super().write_file(path, data, mode)
         path = self._guard_name(path)
+
+        def putter(stub, flags: OpenFlags) -> Callable[[Stub], int]:
+            parts = dict(zip(self.layout.members(stub), self.layout.split(stub, data)))
+            return lambda m: self._put_data(m, parts[m], flags, mode, path)
+
         create = OpenFlags(write=True, create=True, exclusive=True, sync=self.sync_writes)
         try:
-            return self._create(
-                path, lambda stub: self._put_data(stub, data, create, mode, path)
-            )
+            self._create(path, lambda stub: putter(stub, create))
+            return len(data)
         except AlreadyExistsError:
             pass
         overwrite = OpenFlags(write=True, truncate=True, sync=self.sync_writes)
 
-        def put(stub: Stub) -> int:
-            n = self._put_data(stub, data, overwrite, mode, path)
+        def put(stub) -> int:
+            self._each(self.layout.members(stub), putter(stub, overwrite))
             self._entry_changed(path, stub)
-            return n
+            return len(data)
 
         return self._on_data(path, put)
 
@@ -491,6 +674,28 @@ class StubFilesystem(Filesystem):
     # introspection used by tools and tests
     # ------------------------------------------------------------------
 
-    def stub_for(self, path: str) -> Stub:
+    def stub_for(self, path: str):
         """Expose the stub for a path (tools, tests, repair scripts)."""
         return self._stub(self._guard_name(path))
+
+
+def fan_out(fanout: FanoutPool, items: Sequence, op: Callable[[Any], _T]) -> list:
+    """``op(item)`` for every item, concurrently: one ``(item, result,
+    error)`` per item, in order, for the caller to settle."""
+
+    def attempt(item):
+        try:
+            return item, op(item), None
+        except Exception as exc:  # noqa: BLE001 - settled by the caller
+            return item, None, exc
+
+    return fanout.run([functools.partial(attempt, item) for item in items])
+
+
+def close_quietly(result: Any) -> None:
+    """Close ``result`` if it is an open handle, ignoring errors."""
+    if isinstance(result, FileHandle):
+        try:
+            result.close()
+        except ChirpError:
+            pass

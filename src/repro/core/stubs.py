@@ -13,17 +13,57 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import secrets
 import socket
 import time
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.util.errors import InvalidRequestError
 
-__all__ = ["Stub", "unique_data_name", "STUB_MAX_BYTES"]
+__all__ = [
+    "Stub",
+    "unique_data_name",
+    "STUB_MAX_BYTES",
+    "encode_doc",
+    "decode_doc",
+    "parse_locations",
+]
 
-STUB_MAX_BYTES = 4096  # anything bigger is certainly not a stub
+_T = TypeVar("_T")
+
+# A stub lookup carries at most this many bytes in one round trip; a
+# bigger stub (a long version history) costs one more read.
+STUB_MAX_BYTES = 4096
+
+
+def encode_doc(kind: str, **fields) -> bytes:
+    """A stub document of ``kind``: one line of sorted-key JSON."""
+    doc = {"tss": kind, "v": 1, **fields}
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def decode_doc(raw: bytes, kind: str, noun: str, parse: Callable[[dict], _T]) -> _T:
+    """``parse`` a stub document of ``kind``; every defect is an
+    :class:`InvalidRequestError` naming the ``noun``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise InvalidRequestError(f"not a {noun}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("tss") != kind:
+        raise InvalidRequestError(f"not a {noun}")
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidRequestError(f"malformed {noun}: {exc}") from exc
+
+
+def parse_locations(doc: dict) -> tuple[tuple[str, int, str], ...]:
+    """The non-empty ``(host, port, data path)`` list of a multi-file stub."""
+    locations = tuple((str(h), int(p), str(path)) for h, p, path in doc["locations"])
+    if not locations:
+        raise ValueError("no locations")
+    return locations
 
 
 @dataclass(frozen=True)
@@ -35,21 +75,14 @@ class Stub:
     path: str  # data file path on that server
 
     def encode(self) -> bytes:
-        doc = {"tss": "stub", "v": 1, "host": self.host, "port": self.port, "path": self.path}
-        return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        return encode_doc("stub", host=self.host, port=self.port, path=self.path)
 
     @classmethod
     def decode(cls, raw: bytes) -> "Stub":
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise InvalidRequestError(f"not a stub file: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("tss") != "stub":
-            raise InvalidRequestError("not a stub file")
-        try:
+        def parse(doc: dict) -> "Stub":
             return cls(host=str(doc["host"]), port=int(doc["port"]), path=str(doc["path"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidRequestError(f"malformed stub: {exc}") from exc
+
+        return decode_doc(raw, "stub", "stub file", parse)
 
     @classmethod
     def is_stub(cls, raw: bytes) -> bool:

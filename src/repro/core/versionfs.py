@@ -10,7 +10,9 @@ Every write session is copy-on-write: opening a file for writing creates
 a fresh data file (seeded with the current contents unless truncating),
 and *closing* the handle atomically commits it as the newest version.
 The version history lives in the stub, updated by write-to-temp +
-rename -- the same atomic primitive everything else here uses.
+rename -- the same atomic primitive everything else here uses.  Reads,
+stats, namespace operations and unlink are the stub engine's
+(:mod:`repro.core.stubfs`) over a :class:`Versioned` layout.
 
 Semantics:
 
@@ -27,32 +29,27 @@ Semantics:
 
 from __future__ import annotations
 
-import json
-import posixpath
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
+from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle, Filesystem
-from repro.core.metastore import MetadataStore, VOLUME_FILE
-from repro.core.placement import PlacementPolicy, RoundRobinPlacement
+from repro.core.interface import FileHandle, write_whole
+from repro.core.metastore import MetadataStore
+from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
+from repro.core.stubfs import Layout, StubFilesystem
+from repro.core.stubs import Stub, decode_doc, encode_doc
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubs import unique_data_name
 from repro.util.errors import (
     AlreadyExistsError,
     ChirpError,
-    DisconnectedError,
     DoesNotExistError,
-    InvalidRequestError,
-    IsADirectoryError_,
     NotAuthorizedError,
 )
-from repro.util.paths import normalize_virtual
 
-__all__ = ["VersionedFS", "VersionStub", "Version"]
+__all__ = ["VersionedFS", "VersionStub", "Version", "Versioned"]
 
 _TMP_SUFFIX = ".__vtmp"
 
@@ -67,17 +64,14 @@ class Version:
     path: str
     committed_at: float
 
-    def to_list(self) -> list:
-        return [self.number, self.host, self.port, self.path, self.committed_at]
-
-    @classmethod
-    def from_list(cls, items) -> "Version":
-        number, host, port, path, committed_at = items
-        return cls(int(number), str(host), int(port), str(path), float(committed_at))
-
     @property
     def endpoint(self) -> tuple[str, int]:
         return (self.host, self.port)
+
+    @property
+    def member(self) -> Stub:
+        """The data file this version's bytes live in."""
+        return Stub(self.host, self.port, self.path)
 
 
 @dataclass(frozen=True)
@@ -87,28 +81,23 @@ class VersionStub:
     versions: tuple[Version, ...]
 
     def encode(self) -> bytes:
-        doc = {
-            "tss": "vstub",
-            "v": 1,
-            "versions": [v.to_list() for v in self.versions],
-        }
-        return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        return encode_doc(
+            "vstub",
+            versions=[[v.number, v.host, v.port, v.path, v.committed_at] for v in self.versions],
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "VersionStub":
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise InvalidRequestError(f"not a version stub: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("tss") != "vstub":
-            raise InvalidRequestError("not a version stub")
-        try:
-            versions = tuple(Version.from_list(v) for v in doc["versions"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidRequestError(f"malformed version stub: {exc}") from exc
-        if not versions:
-            raise InvalidRequestError("version stub holds no versions")
-        return cls(versions)
+        def parse(doc: dict) -> "VersionStub":
+            versions = tuple(
+                Version(int(number), str(host), int(port), str(path), float(at))
+                for number, host, port, path, at in doc["versions"]
+            )
+            if not versions:
+                raise ValueError("no versions")
+            return cls(versions)
+
+        return decode_doc(raw, "vstub", "version stub", parse)
 
     @property
     def latest(self) -> Version:
@@ -161,8 +150,25 @@ class _CommitOnClose(FileHandle):
         self._inner.close()
 
 
-class VersionedFS(Filesystem):
+class Versioned(Layout):
+    """A version history: reads see the newest version's data file, and
+    ``unlink`` removes the data of every version."""
+
+    def decode(self, raw: bytes) -> VersionStub:
+        return VersionStub.decode(raw)
+
+    def members(self, stub: VersionStub) -> tuple[Stub, ...]:
+        return (stub.latest.member,)
+
+    def referenced(self, stub: VersionStub) -> tuple[Stub, ...]:
+        # restore() makes versions share a data file; delete each once.
+        return tuple(dict.fromkeys(v.member for v in stub.versions))
+
+
+class VersionedFS(StubFilesystem):
     """A DSFS-shaped filesystem with per-file version history."""
+
+    layout = Versioned()
 
     def __init__(
         self,
@@ -174,31 +180,27 @@ class VersionedFS(Filesystem):
         policy: Optional[RetryPolicy] = None,
         now=time.time,
     ):
-        if not servers:
-            raise ValueError("a versioned filesystem needs data servers")
-        self.meta = meta
-        self.pool = pool
-        self.servers = [(h, int(p)) for h, p in servers]
-        self.data_dir = normalize_virtual(data_dir)
-        self.placement = placement or RoundRobinPlacement()
-        self.policy = policy or RetryPolicy()
+        super().__init__(meta, pool, servers, data_dir, placement=placement, policy=policy)
         self.now = now
-
-    # -- plumbing -------------------------------------------------------
 
     @staticmethod
     def _guard_name(path: str) -> str:
-        norm = normalize_virtual(path)
-        base = posixpath.basename(norm)
-        if base == VOLUME_FILE or base.endswith(_TMP_SUFFIX):
+        norm = StubFilesystem._guard_name(path)
+        if norm.endswith(_TMP_SUFFIX):
             raise NotAuthorizedError("reserved name")
         return norm
 
-    def _read_stub(self, path: str) -> VersionStub:
-        raw = self.meta.read(path)
-        if not raw:
-            raise DoesNotExistError(f"{path}: stub mid-creation")
-        return VersionStub.decode(raw)
+    def listdir(self, path: str) -> list[str]:
+        return [n for n in super().listdir(path) if not n.endswith(_TMP_SUFFIX)]
+
+    def _current(self, path: str) -> Optional[VersionStub]:
+        """The history at ``path``, or None when there is no file.  Only
+        "does not exist" means absent: any other error propagates, so a
+        metadata blip can never pass for a new file."""
+        try:
+            return self._stub(path)
+        except DoesNotExistError:
+            return None
 
     def _swing_stub(self, path: str, stub: VersionStub) -> None:
         """Atomically replace the version history via tmp + rename."""
@@ -211,102 +213,66 @@ class VersionedFS(Filesystem):
             raise AlreadyExistsError(f"{path}: concurrent version commit")
         self.meta.rename(tmp, path)
 
-    def _new_data_location(self) -> tuple[tuple[str, int], str]:
-        endpoint = tuple(self.placement.choose(self.servers))
-        return endpoint, self.data_dir + "/" + unique_data_name()
-
-    def _data_handle(
-        self, endpoint, data_path: str, flags: OpenFlags, mode: int
-    ) -> ChirpFileHandle:
-        client = self.pool.get(*endpoint)
-        return ChirpFileHandle(client, data_path, flags, mode, self.policy)
-
-    def _is_dir(self, path: str) -> bool:
-        try:
-            return self.meta.stat(path).is_dir
-        except ChirpError:
-            return False
+    def _commit(self, path: str, member: Stub) -> None:
+        """Record ``member`` as the newest version of ``path``."""
+        current = self._current(path)
+        if current is None:
+            first = Version(1, member.host, member.port, member.path, self.now())
+            if self.meta.create_exclusive(path, VersionStub((first,)).encode()):
+                return
+            # we raced another creator: append to their history
+            current = self._stub(path)
+        version = Version(
+            current.latest.number + 1, member.host, member.port, member.path, self.now()
+        )
+        self._swing_stub(path, VersionStub(current.versions + (version,)))
 
     # -- open (read latest / copy-on-write) ------------------------------
 
     def open(self, path: str, flags: OpenFlags, mode: int = 0o644) -> FileHandle:
-        path = self._guard_name(path)
         if not flags.write:
-            version = self._read_stub(path).latest
-            return self._data_handle(
-                version.endpoint, version.path, replace(flags, create=False), mode
-            )
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        return self._open_for_writing(path, flags, mode)
+            return super().open(path, replace(flags, create=False), mode)
+        return self._open_for_writing(self._guard_name(path), flags, mode)
 
     def _open_for_writing(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
-        exists = True
-        try:
-            stub = self._read_stub(path)
-        except (DoesNotExistError, ChirpError):
-            exists = False
-            stub = None
-        if exists and flags.exclusive:
+        current = self._current(path)
+        if current is not None and flags.exclusive:
             raise AlreadyExistsError(path)
-        if not exists and not flags.create:
+        if current is None and not flags.create:
             raise DoesNotExistError(path)
-
-        endpoint, data_path = self._new_data_location()
+        member = self._place(path, set())[0]
 
         # copy-on-write: seed with the current contents unless truncating.
         # On content-addressed servers the seed is a key link -- the new
         # version *shares* the old blob until it diverges, so snapshots
         # of unchanged files cost metadata, not storage.
-        seeded = False
-        if exists and not flags.truncate:
-            seeded = self._seed_by_key(stub.latest, endpoint, data_path, mode)
-        if seeded:
+        seed = current.latest if current is not None and not flags.truncate else None
+        if seed is not None and self._seed_by_key(seed, member, mode):
             # The data file already exists with the seeded content; open
             # it without create/truncate so writes edit in place.
             dflags = replace(flags, create=False, exclusive=False, truncate=False)
-            handle = self._data_handle(endpoint, data_path, dflags, mode)
+            handle = self._data_handle(member, dflags, mode)
         else:
             dflags = replace(flags, create=True, exclusive=True)
-            handle = self._data_handle(endpoint, data_path, dflags, mode)
-            if exists and not flags.truncate:
-                source = stub.latest
-                client = self.pool.get(*source.endpoint)
-                data = client.getfile(source.path)
-                offset = 0
-                view = memoryview(data)
-                while offset < len(data):
-                    offset += handle.pwrite(bytes(view[offset : offset + (1 << 20)]), offset)
+            handle = self._data_handle(member, dflags, mode)
+            if seed is not None:
+                write_whole(handle, self._call(seed, lambda c: c.getfile(seed.path)))
+        return _CommitOnClose(handle, lambda: self._commit(path, member))
 
-        def commit():
-            current: Optional[VersionStub] = None
-            try:
-                current = self._read_stub(path)
-            except (DoesNotExistError, ChirpError):
-                current = None
-            next_number = (current.latest.number + 1) if current else 1
-            version = Version(
-                next_number, endpoint[0], endpoint[1], data_path, self.now()
-            )
-            history = (current.versions if current else ()) + (version,)
-            if current is None:
-                if not self.meta.create_exclusive(path, VersionStub((version,)).encode()):
-                    # we raced another creator: append to their history
-                    current = self._read_stub(path)
-                    version2 = Version(
-                        current.latest.number + 1,
-                        endpoint[0],
-                        endpoint[1],
-                        data_path,
-                        self.now(),
-                    )
-                    self._swing_stub(path, VersionStub(current.versions + (version2,)))
-            else:
-                self._swing_stub(path, VersionStub(history))
+    def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
+        """One new version: a fresh data file in one put, then the commit."""
+        path = self._guard_name(path)
+        member = self._place(path, set())[0]
+        flags = OpenFlags(write=True, create=True, exclusive=True)
+        self._put_data(member, data, flags, mode, path)
+        try:
+            self._commit(path, member)
+        except Exception:
+            self._discard(member, None)
+            raise
+        return len(data)
 
-        return _CommitOnClose(handle, commit)
-
-    def _seed_by_key(self, source: Version, endpoint, data_path: str, mode: int) -> bool:
+    def _seed_by_key(self, source: Version, member: Stub, mode: int) -> bool:
         """Seed a new data file by content key instead of byte transfer.
 
         Works when both the source's server and the chosen target speak
@@ -317,38 +283,35 @@ class VersionedFS(Filesystem):
         """
         try:
             key = self.pool.get(*source.endpoint).keyof(source.path)
-            self.pool.get(*endpoint).putkey(data_path, key, mode)
+            self.pool.get(*member.endpoint).putkey(member.path, key, mode)
         except ChirpError:
             return False
         return True
+
+    def truncate(self, path: str, size: int) -> None:
+        """Truncation is itself a versioned write."""
+        flags = OpenFlags(read=True, write=True)
+        with self._open_for_writing(self._guard_name(path), flags, 0o644) as handle:
+            handle.ftruncate(size)
 
     # -- version perusal -------------------------------------------------
 
     def versions(self, path: str) -> list[Version]:
         """The file's committed history, oldest first."""
-        return list(self._read_stub(self._guard_name(path)).versions)
+        return list(self.stub_for(path).versions)
 
     def open_version(self, path: str, number: int) -> FileHandle:
-        version = self._read_stub(self._guard_name(path)).get(number)
-        return self._data_handle(
-            version.endpoint, version.path, OpenFlags(read=True), 0
-        )
+        version = self.stub_for(path).get(number)
+        return self._data_handle(version.member, OpenFlags(read=True), 0)
 
     def read_version(self, path: str, number: int) -> bytes:
-        with self.open_version(path, number) as handle:
-            chunks = []
-            offset = 0
-            while True:
-                chunk = handle.pread(1 << 20, offset)
-                if not chunk:
-                    return b"".join(chunks)
-                chunks.append(chunk)
-                offset += len(chunk)
+        version = self.stub_for(path).get(number)
+        return self._call(version.member, lambda c: c.getfile(version.path))
 
     def restore(self, path: str, number: int) -> Version:
         """Promote an old version to newest (history stays append-only)."""
         path = self._guard_name(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         old = stub.get(number)
         promoted = Version(
             stub.latest.number + 1, old.host, old.port, old.path, self.now()
@@ -363,115 +326,19 @@ class VersionedFS(Filesystem):
         if keep < 1:
             raise ValueError("must keep at least one version")
         path = self._guard_name(path)
-        stub = self._read_stub(path)
+        stub = self._stub(path)
         if len(stub.versions) <= keep:
             return 0
-        kept = stub.versions[-keep:]
-        dropped = stub.versions[:-keep]
-        self._swing_stub(path, VersionStub(kept))
-        still_referenced = {(v.host, v.port, v.path) for v in kept}
+        kept = VersionStub(stub.versions[-keep:])
+        self._swing_stub(path, kept)
+        still_referenced = set(self.layout.referenced(kept))
         deleted = 0
-        for version in dropped:
-            key = (version.host, version.port, version.path)
-            if key in still_referenced:
+        for member in self.layout.referenced(VersionStub(stub.versions[:-keep])):
+            if member in still_referenced:
                 continue
-            still_referenced.add(key)  # delete each data file once
             try:
-                self.pool.get(*version.endpoint).unlink(version.path)
+                self.pool.get(*member.endpoint).unlink(member.path)
                 deleted += 1
             except ChirpError:
                 continue
         return deleted
-
-    # -- namespace ------------------------------------------------------
-
-    def stat(self, path: str) -> ChirpStat:
-        path = self._guard_name(path)
-        mst = self.meta.stat(path)
-        if mst.is_dir:
-            return mst
-        version = self._read_stub(path).latest
-        client = self.pool.get(*version.endpoint)
-        dst = self.policy.run(
-            lambda: client.stat(version.path), client.ensure_connected
-        )
-        return ChirpStat(
-            device=mst.device,
-            inode=mst.inode,
-            mode=dst.mode,
-            nlink=mst.nlink,
-            uid=dst.uid,
-            gid=dst.gid,
-            size=dst.size,
-            atime=dst.atime,
-            mtime=dst.mtime,
-            ctime=dst.ctime,
-        )
-
-    def lstat(self, path: str) -> ChirpStat:
-        return self.meta.stat(self._guard_name(path))
-
-    def listdir(self, path: str) -> list[str]:
-        names = self.meta.listdir(path)
-        names = [n for n in names if not n.endswith(_TMP_SUFFIX)]
-        if normalize_virtual(path) == "/":
-            names = [n for n in names if n != VOLUME_FILE]
-        return names
-
-    def unlink(self, path: str, force: bool = False) -> None:
-        """Delete the file and its entire history (data first)."""
-        path = self._guard_name(path)
-        if self._is_dir(path):
-            raise IsADirectoryError_(path)
-        stub = self._read_stub(path)
-        seen = set()
-        for version in stub.versions:
-            key = (version.host, version.port, version.path)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                self.pool.get(*version.endpoint).unlink(version.path)
-            except DoesNotExistError:
-                continue
-            except ChirpError:
-                if not force:
-                    raise
-        self.meta.unlink(path)
-
-    def rename(self, old: str, new: str) -> None:
-        self.meta.rename(self._guard_name(old), self._guard_name(new))
-
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self.meta.mkdir(self._guard_name(path), mode)
-
-    def rmdir(self, path: str) -> None:
-        self.meta.rmdir(self._guard_name(path))
-
-    def truncate(self, path: str, size: int) -> None:
-        """Truncation is itself a versioned write."""
-        path = self._guard_name(path)
-        flags = OpenFlags(read=True, write=True)
-        handle = self._open_for_writing(path, flags, 0o644)
-        try:
-            handle.ftruncate(size)
-        finally:
-            handle.close()
-
-    def statfs(self) -> StatFs:
-        total = free = 0
-        reachable = 0
-        for host, port in self.servers:
-            client = self.pool.try_get(host, port)
-            if client is None:
-                continue
-            try:
-                fs = client.statfs()
-            except ChirpError:
-                continue
-            total += fs.total_bytes
-            free += fs.free_bytes
-            reachable += 1
-        if reachable == 0:
-            raise DisconnectedError("no data server reachable for statfs")
-        return StatFs(total, free)

@@ -113,7 +113,7 @@ class TestUniformSurface:
         # striped: data balanced across 3 servers
         mounted.write_bytes("/fast/f", b"z" * 6 * 1024)
         stripefs = mounted.resolve("/fast/f")[0]
-        assert len(stripefs._read_stub("/f").locations) == 3
+        assert len(stripefs.stub_for("/f").locations) == 3
         # versioned: history accumulates through the adapter
         mounted.write_bytes("/history/f", b"v1")
         mounted.write_bytes("/history/f", b"v2")

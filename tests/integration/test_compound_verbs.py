@@ -18,7 +18,11 @@ import pytest
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
 from repro.core.dsfs import DSFS
+from repro.core.metastore import ChirpMetadataStore
 from repro.core.pool import ClientPool
+from repro.core.replfs import ReplicatedFS
+from repro.core.stripefs import StripedFS
+from repro.core.versionfs import VersionedFS
 from repro.store.faulty import EIO, DiskFaultScript
 from repro.transport.metrics import MetricsRegistry
 from repro.util.errors import (
@@ -269,3 +273,78 @@ class TestDsfsRoundTrips:
         # putflags on a v4 data server, open (+ pwrite + close) on an old one
         opened = [t[2] for t in data_requests[start:] if t[0] in ("putflags", "open")]
         assert opened == ["wcxs", "wts"]
+
+
+class LayoutRig:
+    """Every layout of the stub engine over the same three data servers,
+    the directory trees on a fourth."""
+
+    def __init__(self, server_factory, credentials, old: bool = False):
+        make = (lambda: predating_v4(server_factory.new())) if old else server_factory.new
+        self.servers = [make() for _ in range(4)]
+        self.seen = [record_requests(s) for s in self.servers]
+        self.metrics = MetricsRegistry()
+        self.pool = ClientPool(credentials, metrics=self.metrics)
+        dir_server, *data_servers = self.servers
+        data = [s.address for s in data_servers]
+        dsfs = DSFS.create(self.pool, *dir_server.address, "/vol", data, name="layouts")
+        dir_client = self.pool.get(*dir_server.address)
+
+        def meta(root: str) -> ChirpMetadataStore:
+            dir_client.mkdir(root)
+            return ChirpMetadataStore(dir_client, root)
+
+        self.fs = {
+            "dsfs": dsfs,
+            "replicated": ReplicatedFS(meta("/r"), self.pool, data, dsfs.data_dir, copies=2),
+            "striped": StripedFS(meta("/s"), self.pool, data, dsfs.data_dir, stripe_size=1024),
+            "versioned": VersionedFS(meta("/v"), self.pool, data, dsfs.data_dir),
+        }
+        for server in self.servers:
+            self.pool.get(*server.address).speaks_v4()  # every session has probed
+
+    def count(self, op) -> int:
+        return sum(rpcs(self.metrics, op).values())
+
+    def close(self):
+        self.pool.close()
+
+
+@pytest.fixture(params=[False, True], ids=["v4", "old-server"])
+def layout_rig(request, server_factory, credentials):
+    r = LayoutRig(server_factory, credentials, old=request.param)
+    r.old = request.param
+    yield r
+    r.close()
+
+
+class TestLayoutRoundTrips:
+    # layout -> operation -> (RPCs on v4 servers, RPCs on old servers);
+    # None where the count is not part of the contract.
+    EXPECTED = {
+        "dsfs": {"create": (2, 7), "stat": (2, 3), "read": (2, 3), "unlink": (3, 4)},
+        "replicated": {"create": (3, 11), "stat": (2, 3), "read": (2, 3), "unlink": (4, 5)},
+        "striped": {"create": (4, 15), "stat": (4, 5), "read": (4, 5), "unlink": (5, 6)},
+        "versioned": {"create": None, "stat": (2, 3), "read": (2, 3), "unlink": None},
+    }
+
+    @pytest.mark.parametrize("layout", list(EXPECTED))
+    def test_rpcs_per_operation(self, layout_rig, layout):
+        fs = layout_rig.fs[layout]
+        data = bytes(range(256)) * 20  # spans all three 1 KiB stripes
+        got = {}
+        ops = {
+            "create": lambda: fs.write_file("/f", data),
+            "stat": lambda: fs.stat("/f"),
+            "read": lambda: got.setdefault("bytes", fs.read_file("/f")),
+            "unlink": lambda: fs.unlink("/f"),
+        }
+        for name, op in ops.items():
+            n = layout_rig.count(op)
+            expected = self.EXPECTED[layout][name]
+            if expected is not None:
+                assert n == expected[layout_rig.old], name
+        assert got["bytes"] == data
+        assert not fs.exists("/f")
+        if layout_rig.old:
+            assert all(t[0] != "putflags" for seen in layout_rig.seen for t in seen)

@@ -67,7 +67,7 @@ class TestMultiStub:
 class TestReplicatedFS:
     def test_write_lands_on_n_servers(self, replfs, pool):
         replfs.write_file("/f", b"replicated payload")
-        stub = replfs._read_stub("/f")
+        stub = replfs.stub_for("/f")
         assert len(stub.locations) == 2
         assert len({(h, p) for h, p, _ in stub.locations}) == 2
         for host, port, path in stub.locations:
@@ -75,7 +75,7 @@ class TestReplicatedFS:
 
     def test_read_survives_one_server_loss(self, replfs, pool):
         replfs.write_file("/f", b"durable")
-        host, port, _ = replfs._read_stub("/f").locations[0]
+        host, port, _ = replfs.stub_for("/f").locations[0]
         victim = next(s for s in replfs._test_servers if s.address == (host, port))
         victim.stop()
         pool.invalidate(host, port)
@@ -86,7 +86,7 @@ class TestReplicatedFS:
         replfs.write_file("/f", b"0123456789")
         handle = replfs.open("/f", OpenFlags(read=True))
         assert handle.width == 2 and not handle.degraded
-        host, port, _ = replfs._read_stub("/f").locations[0]
+        host, port, _ = replfs.stub_for("/f").locations[0]
         victim = next(s for s in replfs._test_servers if s.address == (host, port))
         victim.stop()
         pool.invalidate(host, port)
@@ -98,12 +98,12 @@ class TestReplicatedFS:
         handle = replfs.open("/f", OpenFlags(write=True, create=True))
         handle.pwrite(b"both copies", 0)
         handle.close()
-        for host, port, path in replfs._read_stub("/f").locations:
+        for host, port, path in replfs.stub_for("/f").locations:
             assert pool.get(host, port).getfile(path) == b"both copies"
 
     def test_verify_detects_divergence(self, replfs, pool):
         replfs.write_file("/f", b"agree agree")
-        host, port, path = replfs._read_stub("/f").locations[1]
+        host, port, path = replfs.stub_for("/f").locations[1]
         pool.get(host, port).putfile(path, b"i diverged!")
         health = replfs.verify("/f")
         states = sorted(health.values())
@@ -111,7 +111,7 @@ class TestReplicatedFS:
 
     def test_heal_restores_replica_count(self, replfs, pool):
         replfs.write_file("/f", b"precious")
-        host, port, path = replfs._read_stub("/f").locations[0]
+        host, port, path = replfs.stub_for("/f").locations[0]
         pool.get(host, port).unlink(path)  # lose one replica's data
         assert set(replfs.verify("/f").values()) == {"ok", "missing"}
         added = replfs.heal("/f")
@@ -121,7 +121,7 @@ class TestReplicatedFS:
 
     def test_heal_replaces_diverged_copy(self, replfs, pool):
         replfs.write_file("/f", b"the true contents!")
-        stub = replfs._read_stub("/f")
+        stub = replfs.stub_for("/f")
         # corrupt one replica; majority (here: tie broken by count order)
         # is resolved against the intact pair after a third copy exists
         host, port, path = stub.locations[1]
@@ -136,7 +136,7 @@ class TestReplicatedFS:
 
     def test_read_verified_survives_diverged_replica(self, replfs, pool):
         replfs.write_file("/f", b"agree agree")
-        host, port, path = replfs._read_stub("/f").locations[1]
+        host, port, path = replfs.stub_for("/f").locations[1]
         pool.get(host, port).putfile(path, b"i diverged!")
         # the diverged replica advertises a non-majority digest and is
         # filtered before any byte is fetched
@@ -170,7 +170,7 @@ class TestReplicatedFS:
         )
         payload = b"verified payload " * 50
         fs.write_file("/f", payload)
-        host, port, path = fs._read_stub("/f").locations[0]
+        host, port, path = fs.stub_for("/f").locations[0]
         victim = next(s for s in servers if s.address == (host, port))
         # rot in flight on the preferred replica's next read of this
         # file; its *advertised* checksum stays the majority digest
@@ -182,7 +182,7 @@ class TestReplicatedFS:
 
     def test_unlink_removes_every_replica(self, replfs, pool):
         replfs.write_file("/f", b"x")
-        locations = replfs._read_stub("/f").locations
+        locations = replfs.stub_for("/f").locations
         replfs.unlink("/f")
         assert replfs.listdir("/") == []
         for host, port, path in locations:
@@ -303,7 +303,7 @@ class TestThreeCopyMajority:
         matter which position it holds -- including the first, which a
         two-copy tie-break would have wrongly trusted."""
         replfs3.write_file("/f", b"the truth" * 10)
-        loc = replfs3._read_stub("/f").locations[corrupt_index]
+        loc = replfs3.stub_for("/f").locations[corrupt_index]
         pool.get(loc[0], loc[1]).putfile(loc[2], b"a big lie" * 10)
         health = replfs3.verify("/f")
         assert health[loc] == "diverged"

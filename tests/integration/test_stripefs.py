@@ -47,7 +47,7 @@ class TestStripedIO:
     def test_data_actually_spreads(self, stripefs, pool):
         data = pattern(9 * STRIPE)
         stripefs.write_file("/spread", data)
-        stub = stripefs._read_stub("/spread")
+        stub = stripefs.stub_for("/spread")
         assert len(stub.locations) == 3
         sizes = []
         for host, port, path in stub.locations:
@@ -117,7 +117,7 @@ class TestStripedIO:
 
     def test_unlink_removes_all_stripes(self, stripefs, pool):
         stripefs.write_file("/gone", pattern(5 * STRIPE))
-        locations = stripefs._read_stub("/gone").locations
+        locations = stripefs.stub_for("/gone").locations
         stripefs.unlink("/gone")
         for host, port, path in locations:
             assert not pool.get(host, port).exists(path)
@@ -131,7 +131,7 @@ class TestStripedIO:
         """Striping's documented trade-off: no failure coherence within a
         file -- any stripe server down means the file is unavailable."""
         stripefs.write_file("/fragile", pattern(6 * STRIPE))
-        host, port, _ = stripefs._read_stub("/fragile").locations[1]
+        host, port, _ = stripefs.stub_for("/fragile").locations[1]
         victim = next(s for s in stripefs._test_servers if s.address == (host, port))
         victim.stop()
         pool.invalidate(host, port)
