@@ -33,19 +33,20 @@ so a stale fd is never replayed against a newer connection.
 
 from __future__ import annotations
 
+import io
 import itertools
 import posixpath
 import threading
 from typing import BinaryIO, Optional, Union
 
-from repro.auth.acl import Acl
+from repro.auth.acl import Acl, AclEntry, parse_rights
 from repro.auth.methods import ClientCredentials
 from repro.cache.manager import CacheManager
 from repro.cache.meta import MetaCache
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
-from repro.transport.connection import Connection
+from repro.transport.connection import Connection, Reply
 from repro.transport.deadline import Deadline
-from repro.transport.endpoint import Endpoint
+from repro.transport.endpoint import Endpoint, EndpointSession
 from repro.transport.metrics import MetricsRegistry
 from repro.util.checksum import data_checksum
 from repro.util.errors import (
@@ -83,7 +84,7 @@ class _HashingSink:
         return self._hash.hexdigest()
 
 
-class ChirpClient:
+class ChirpClient(EndpointSession):
     """A session with one Chirp file server.
 
     Thread-safe.  All errors surface as
@@ -112,24 +113,6 @@ class ChirpClient:
         metrics: Optional[MetricsRegistry] = None,
         cache: Optional[CacheManager] = None,
     ):
-        if endpoint is None:
-            kwargs = {}
-            if max_conns is not None:
-                kwargs["max_conns"] = max_conns
-            if metrics is not None:
-                kwargs["metrics"] = metrics
-            endpoint = Endpoint(
-                host,
-                int(port),
-                credentials=credentials,
-                timeout=timeout,
-                **kwargs,
-            )
-        self.endpoint = endpoint
-        self.host = endpoint.host
-        self.port = endpoint.port
-        self.credentials = endpoint.credentials
-        self.timeout = endpoint.timeout
         self.cache = cache
         # Virtual fd -> (connection, raw server fd, server path).  The
         # path rides along so fd-level writes can invalidate the cache.
@@ -138,13 +121,23 @@ class ChirpClient:
         self._fd_lock = threading.Lock()
         self._fds: dict[int, tuple[Connection, int, str]] = {}
         self._next_fd = itertools.count(3)
+        super().__init__(
+            host, port, credentials, timeout, endpoint,
+            max_conns=max_conns, metrics=metrics,
+        )
         self.connect()
 
     # -- connection management -------------------------------------------
 
     def connect(self) -> None:
         """(Re)establish the session: drop every connection (and every
-        fd with them) and dial afresh.  Advances the generation."""
+        fd with them) and dial afresh.  Advances the generation.
+
+        Only this clears the fd table; ``close()`` does not: outstanding
+        handles probing their fds must keep seeing DisconnectedError
+        (their connections are closed), exactly as if the server had
+        vanished.
+        """
         with self._fd_lock:
             self._fds.clear()
         self.endpoint.connect()
@@ -155,14 +148,6 @@ class ChirpClient:
         generation died with their connections."""
         return self.endpoint.generation
 
-    @property
-    def subject(self) -> Optional[str]:
-        return self.endpoint.subject
-
-    @property
-    def is_connected(self) -> bool:
-        return self.endpoint.is_connected
-
     def ensure_connected(self) -> None:
         """Reconnect only if every connection is down.
 
@@ -172,32 +157,15 @@ class ChirpClient:
         """
         self.endpoint.ensure_connected()
 
-    @property
-    def _stream(self):
-        """One live connection's raw stream (protocol tests poke the wire)."""
-        return self.endpoint.raw_stream()
-
-    def close(self) -> None:
-        # The fd table is NOT cleared: outstanding handles probing their
-        # fds must keep seeing DisconnectedError (their connections are
-        # closed), exactly as if the server had vanished.  connect()
-        # clears it.
-        self.endpoint.close()
-
-    def __enter__(self) -> "ChirpClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self.is_connected else "closed"
         return f"ChirpClient({self.host}:{self.port}, {state}, subject={self.subject})"
 
     # -- RPC plumbing -------------------------------------------------------
 
-    def _stateless(self, op):
-        """Run one exchange on any available connection.
+    def _call(self, verb: str, *args: object, **options) -> Reply:
+        """One stateless exchange (:meth:`Endpoint.call`, which redials a
+        fully dead endpoint first) on any available connection.
 
         A ``BUSY`` refusal (admission control or a draining server) is
         retried here with the server's retry-after hint as the backoff,
@@ -205,42 +173,24 @@ class ChirpClient:
         carries none.  The connection is checked in *before* sleeping --
         it is perfectly healthy, the server just declined the work -- so
         the breaker never moves and the pool is not held hostage.
-
-        A session whose every connection has died (the server was
-        restarted under us) is *redialed* before the exchange: stateless
-        ops carry no per-fd state, so there is nothing to recover beyond
-        the TCP channel itself.  Without this, a long-lived client (the
-        keeper's repair pool, most painfully) stays wedged on a dead
-        socket forever after its server reboots.  A disconnect *during*
-        the exchange still propagates -- retrying a possibly-applied
-        operation is the caller's policy decision, as before.
         """
         policy = self.endpoint.policy
         delays = None
         while True:
             try:
-                conn = self.endpoint.checkout()
-            except DisconnectedError:
-                # Every connection is gone; dial afresh (or fail with the
-                # dial's own error -- breaker-gated, so a known-sick
-                # server refuses instantly rather than paying a timeout).
-                self.endpoint.ensure_connected()
-                conn = self.endpoint.checkout()
-            busy: BusyError | None = None
-            try:
-                return op(conn)
-            except BusyError as exc:
-                busy = exc
-            finally:
-                self.endpoint.checkin(conn)
-            if delays is None:
-                delays = policy.delays()
-            delay = next(delays, None)
-            if delay is None:
-                raise busy
-            if busy.retry_after_s is not None:
-                delay = min(busy.retry_after_s, policy.max_delay)
+                return self.endpoint.call(verb, *args, **options)
+            except BusyError as busy:
+                if delays is None:
+                    delays = policy.delays()
+                delay = next(delays, None)
+                if delay is None:
+                    raise
+                if busy.retry_after_s is not None:
+                    delay = min(busy.retry_after_s, policy.max_delay)
             policy.clock.sleep(delay)
+
+    def _stat(self, verb: str, *args: object, **options) -> ChirpStat:
+        return ChirpStat.from_tokens(self._call(verb, *args, **options).tokens[1:])
 
     def _fd_entry(self, fd: int) -> tuple[Connection, int, str]:
         """Route a virtual fd to its owning connection (and server path)."""
@@ -304,7 +254,7 @@ class ChirpClient:
                 flags = OpenFlags.parse_mode_string(flags)
         conn = self.endpoint.checkout()
         try:
-            raw_fd = conn.open_fd(path, flags.encode(), mode)
+            raw_fd = conn.call("open", path, flags.encode(), mode).status
         finally:
             self.endpoint.checkin(conn)
         with self._fd_lock:
@@ -330,33 +280,33 @@ class ChirpClient:
                 self._fds.pop(fd, None)
             raise
         try:
-            conn.close_fd(raw_fd)
+            conn.call("close", raw_fd)
         finally:
             with self._fd_lock:
                 self._fds.pop(fd, None)
 
     def pread(self, fd: int, length: int, offset: int, deadline=None) -> bytes:
         conn, raw_fd = self._fd_conn(fd)
-        return conn.pread(raw_fd, length, offset, deadline=deadline)
+        return conn.call("pread", raw_fd, length, offset, deadline=deadline).body
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         conn, raw_fd, path = self._fd_entry(fd)
-        n = conn.pwrite(raw_fd, data, offset)
+        n = conn.call("pwrite", raw_fd, len(data), offset, payload=data).status
         if self.cache is not None and n:
             self.cache.on_data_write(self._ckey(path), offset, n)
         return n
 
     def fsync(self, fd: int) -> None:
         conn, raw_fd = self._fd_conn(fd)
-        conn.fsync(raw_fd)
+        conn.call("fsync", raw_fd)
 
     def fstat(self, fd: int) -> ChirpStat:
         conn, raw_fd = self._fd_conn(fd)
-        return conn.fstat(raw_fd)
+        return ChirpStat.from_tokens(conn.call("fstat", raw_fd).tokens[1:])
 
     def ftruncate(self, fd: int, size: int) -> None:
         conn, raw_fd, path = self._fd_entry(fd)
-        conn.ftruncate(raw_fd, size)
+        conn.call("ftruncate", raw_fd, size)
         if self.cache is not None:
             self.cache.invalidate_data(self._ckey(path))
 
@@ -391,13 +341,11 @@ class ChirpClient:
 
     def stat(self, path: str, deadline: Optional[Deadline] = None) -> ChirpStat:
         return self._cached_meta(
-            "stat", path, lambda: self._stateless(lambda c: c.stat(path, deadline=deadline))
+            "stat", path, lambda: self._stat("stat", path, deadline=deadline)
         )
 
     def lstat(self, path: str) -> ChirpStat:
-        return self._cached_meta(
-            "lstat", path, lambda: self._stateless(lambda c: c.lstat(path))
-        )
+        return self._cached_meta("lstat", path, lambda: self._stat("lstat", path))
 
     # -- protocol v4: compound verbs, learnt per session ------------------
 
@@ -417,7 +365,7 @@ class ChirpClient:
             raise InvalidRequestError(f"{self.host}:{self.port} predates statget")
         generation = endpoint.generation
         try:
-            result = self._stateless(lambda c: c.statget(path, limit))
+            reply = self._call("statget", path, limit)
         except InvalidRequestError:
             if known is None:
                 endpoint.learn_v4(False, generation)
@@ -430,7 +378,7 @@ class ChirpClient:
             raise
         if known is None:
             endpoint.learn_v4(True, generation)
-        return result
+        return ChirpStat.from_tokens(reply.tokens[1:-1]), reply.body
 
     def speaks_v4(self) -> bool:
         """Whether this session may use the protocol-v4 verbs.
@@ -461,12 +409,14 @@ class ChirpClient:
         """
         if not self.speaks_v4():
             raise InvalidRequestError(f"{self.host}:{self.port} predates putflags")
-        n = self._stateless(lambda c: c.putflags(path, data, flags.encode(), mode))
+        n = self._call(
+            "putflags", path, flags.encode(), mode, len(data), payload=data
+        ).status
         self._cache_entry_changed(path, data=True)
         return n
 
     def access(self, path: str, rights: str = "l") -> None:
-        self._stateless(lambda c: c.access(path, rights))
+        self._call("access", path, rights)
 
     def exists(self, path: str) -> bool:
         """Convenience: stat without raising for a missing path."""
@@ -477,11 +427,11 @@ class ChirpClient:
             return False
 
     def unlink(self, path: str) -> None:
-        self._stateless(lambda c: c.unlink(path))
+        self._call("unlink", path)
         self._cache_entry_changed(path, data=True)
 
     def rename(self, old: str, new: str) -> None:
-        self._stateless(lambda c: c.rename(old, new))
+        self._call("rename", old, new)
         if self.cache is not None:
             # ``old`` may be a directory, in which case every descendant's
             # cached entry is keyed under the old prefix and would poison
@@ -492,11 +442,11 @@ class ChirpClient:
             self.cache.invalidate_dirent(self._parent_ckey(new))
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
-        self._stateless(lambda c: c.mkdir(path, mode))
+        self._call("mkdir", path, mode)
         self._cache_entry_changed(path)
 
     def rmdir(self, path: str) -> None:
-        self._stateless(lambda c: c.rmdir(path))
+        self._call("rmdir", path)
         self._cache_entry_changed(path)
 
     def getdir(self, path: str, deadline: Optional[Deadline] = None) -> list[str]:
@@ -504,7 +454,8 @@ class ChirpClient:
             "dirent",
             path,
             lambda: tuple(
-                self._stateless(lambda c: c.getdir(path, deadline=deadline))
+                [entry[0] if entry else ""
+                 for entry in self._call("getdir", path, deadline=deadline).body]
             ),
         )
         # Stored as a tuple so a caller mutating its copy cannot poison
@@ -512,31 +463,39 @@ class ChirpClient:
         return list(names)
 
     def truncate(self, path: str, size: int) -> None:
-        self._stateless(lambda c: c.truncate(path, size))
+        self._call("truncate", path, size)
         if self.cache is not None:
             self.cache.invalidate_data(self._ckey(path))
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
-        self._stateless(lambda c: c.utime(path, atime, mtime))
+        self._call("utime", path, atime, mtime)
         if self.cache is not None:
             self.cache.invalidate_meta(self._ckey(path))
 
     def checksum(self, path: str, deadline: Optional[Deadline] = None) -> str:
-        return self._stateless(lambda c: c.checksum(path, deadline=deadline))
+        return self._call("checksum", path, deadline=deadline).tokens[1]
 
     # -- content-addressed operations (CAS servers only) -----------------
 
     def lookup(self, key: str) -> bool:
-        return self._stateless(lambda c: c.lookup(key))
+        """Whether the server already holds a sealed blob with this key."""
+        tokens = self._call("lookup", key).tokens
+        return len(tokens) > 1 and tokens[1] == "1"
 
     def putkey(self, path: str, key: str, mode: int = 0o644) -> int:
-        """Copy-by-reference: bind ``path`` to an existing blob by key."""
-        n = self._stateless(lambda c: c.putkey(path, key, mode))
+        """Copy-by-reference: bind ``path`` to an existing blob by key.
+
+        Returns the blob size.  Raises DoesNotExistError when the key is
+        absent (caller falls back to putfile) and InvalidRequestError on
+        non-CAS servers.
+        """
+        n = self._call("putkey", path, mode, key).status
         self._cache_entry_changed(path, data=True)
         return n
 
     def keyof(self, path: str) -> str:
-        return self._stateless(lambda c: c.keyof(path))
+        """The content key a path is bound to (metadata-only)."""
+        return self._call("keyof", path).tokens[1]
 
     # -- streaming whole files -------------------------------------------
 
@@ -547,7 +506,7 @@ class ChirpClient:
         streams into it and returns the byte count (never materializing
         the file in client memory).
         """
-        return self._stateless(lambda c: c.getfile(path, sink))
+        return self._call("getfile", path, sink=sink).body
 
     def getfile_verified(
         self, path: str, expected: str, sink: Optional[BinaryIO] = None
@@ -583,21 +542,34 @@ class ChirpClient:
         mode: int = 0o644,
         length: Optional[int] = None,
     ) -> int:
-        """Stream a whole file to the server (create/truncate semantics)."""
-        n = self._stateless(lambda c: c.putfile(path, data, mode, length))
+        """Stream a whole file to the server (create/truncate semantics).
+
+        ``data`` is bytes or a file object read from its position; for a
+        file object ``length`` defaults to the bytes left in it.
+        """
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            data = bytes(data)
+            length = len(data)
+        elif length is None:
+            pos = data.tell()
+            data.seek(0, io.SEEK_END)
+            length = data.tell() - pos
+            data.seek(pos)
+        n = self._call("putfile", path, mode, length, payload=data).status
         self._cache_entry_changed(path, data=True)
         return n
 
     # -- ACLs and server state ---------------------------------------------
 
     def getacl(self, path: str) -> Acl:
-        return self._stateless(lambda c: c.getacl(path))
+        lines = self._call("getacl", path).body
+        return Acl([AclEntry(t[0], parse_rights(t[1])) for t in lines if len(t) == 2])
 
     def setacl(self, path: str, pattern: str, rights: str) -> None:
-        self._stateless(lambda c: c.setacl(path, pattern, rights))
+        self._call("setacl", path, pattern, rights)
 
     def whoami(self) -> str:
-        return self._stateless(lambda c: c.whoami())
+        return self._call("whoami").tokens[1]
 
     def statfs(self) -> StatFs:
-        return self._stateless(lambda c: c.statfs())
+        return StatFs.from_tokens(self._call("statfs").tokens[1:])

@@ -21,7 +21,11 @@ from repro.util.errors import InvalidRequestError
 
 __all__ = [
     "VERBS",
+    "DB_VERBS",
     "Verb",
+    "STATUS",
+    "PAYLOAD",
+    "LINES",
     "payload_length",
     "OpenFlags",
     "ChirpStat",
@@ -38,8 +42,18 @@ PROTOCOL_VERSION = 4
 STATGET_MAX_BYTES = 64 * 1024
 
 
+#: Reply shapes: what follows the status line of a successful reply.
+#: Nothing more (the line may carry more tokens than the status) ...
+STATUS = "status"
+#: ... a payload whose length is the line's last token (for most verbs
+#: the status itself; a negative length means no payload) ...
+PAYLOAD = "payload"
+#: ... or as many lines as the status counts.
+LINES = "lines"
+
+
 class Verb(NamedTuple):
-    """The shape of one request line."""
+    """The shape of one request line and of its reply."""
 
     #: arguments after the verb
     nargs: int
@@ -48,13 +62,15 @@ class Verb(NamedTuple):
     #: index (among the arguments) of the length of the payload that
     #: follows the line, for verbs that carry one
     payload: Optional[int] = None
+    #: what the reply carries after its status line
+    reply: str = STATUS
 
 
 #: Every request verb the server understands, with its line shape.
 VERBS: dict[str, Verb] = {
     "open": Verb(3),  # path flags mode
     "close": Verb(1),  # fd
-    "pread": Verb(3),  # fd length offset
+    "pread": Verb(3, reply=PAYLOAD),  # fd length offset
     "pwrite": Verb(3, payload=1),  # fd length offset
     "fsync": Verb(1),
     "fstat": Verb(1),
@@ -66,10 +82,10 @@ VERBS: dict[str, Verb] = {
     "rename": Verb(2),  # old new
     "mkdir": Verb(2, optional=1),  # path [mode]
     "rmdir": Verb(1),
-    "getdir": Verb(1),
-    "getfile": Verb(1),
+    "getdir": Verb(1, reply=LINES),
+    "getfile": Verb(1, reply=PAYLOAD),
     "putfile": Verb(3, payload=2),  # path mode length
-    "getacl": Verb(1),
+    "getacl": Verb(1, reply=LINES),
     "setacl": Verb(3),  # path pattern rights
     "whoami": Verb(0),
     "statfs": Verb(0),
@@ -79,8 +95,13 @@ VERBS: dict[str, Verb] = {
     "lookup": Verb(1),  # key
     "putkey": Verb(3),  # path mode key
     "keyof": Verb(1),
-    "statget": Verb(2),  # path limit
+    "statget": Verb(2, reply=PAYLOAD),  # path limit
     "putflags": Verb(4, payload=3),  # path flags mode length
+}
+
+#: The metadata-database server's vocabulary: the same framing, one verb.
+DB_VERBS: dict[str, Verb] = {
+    "dbcmd": Verb(1, reply=PAYLOAD),  # json-command
 }
 
 

@@ -4,9 +4,11 @@ Rides the same transport layer as the file-server client: a
 :class:`~repro.transport.endpoint.Endpoint` owns the sockets,
 reconnect bookkeeping and per-verb metrics (``db.insert``,
 ``db.query``, ...), and this class supplies the command vocabulary.
-Database exchanges are stateless (no fds), so every call checks a
-connection out for exactly one round trip and concurrent callers
-overlap up to the endpoint's connection cap.
+Database exchanges are stateless (no fds), so every call is one
+:meth:`~repro.transport.endpoint.Endpoint.call`: a connection checked
+out for exactly one round trip (redialed first when the server was
+restarted under us), and concurrent callers overlap up to the
+endpoint's connection cap.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from typing import Optional
 
 from repro.auth.methods import ClientCredentials
 from repro.db.query import Query
-from repro.transport.endpoint import Endpoint
+from repro.transport.endpoint import Endpoint, EndpointSession
 from repro.transport.metrics import MetricsRegistry
 
 __all__ = ["DatabaseClient"]
 
 
-class DatabaseClient:
+class DatabaseClient(EndpointSession):
     """A session with one :class:`~repro.db.server.DatabaseServer`."""
 
     def __init__(
@@ -34,56 +36,17 @@ class DatabaseClient:
         endpoint: Optional[Endpoint] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if endpoint is None:
-            kwargs = {}
-            if metrics is not None:
-                kwargs["metrics"] = metrics
-            endpoint = Endpoint(
-                host, int(port), credentials=credentials, timeout=timeout, **kwargs
-            )
-        self.endpoint = endpoint
-        self.host = endpoint.host
-        self.port = endpoint.port
-        self.credentials = endpoint.credentials
-        self.timeout = endpoint.timeout
+        super().__init__(host, port, credentials, timeout, endpoint, metrics=metrics)
         self.connect()
 
-    @property
-    def subject(self) -> Optional[str]:
-        return self.endpoint.subject
-
-    @property
-    def is_connected(self) -> bool:
-        return self.endpoint.is_connected
-
-    @property
-    def _stream(self):
-        """One live connection's raw stream (protocol tests poke the wire)."""
-        return self.endpoint.raw_stream()
-
-    def connect(self) -> None:
-        self.endpoint.connect()
-
-    def close(self) -> None:
-        self.endpoint.close()
-
-    def __enter__(self) -> "DatabaseClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def _call(self, cmd: dict) -> dict:
-        conn = self.endpoint.checkout()
-        try:
-            # The result comes back as a length-prefixed payload, so a
-            # large query reply is not bound by the wire's line limit.
-            body = conn.fetch(
-                "dbcmd", json.dumps(cmd), metric=f"db.{cmd.get('op', 'cmd')}"
-            )
-        finally:
-            self.endpoint.checkin(conn)
-        return json.loads(body)
+        # The result comes back as a length-prefixed payload, so a large
+        # query reply is not bound by the wire's line limit.  A BUSY
+        # refusal surfaces at once: the caller owns that retry.
+        reply = self.endpoint.call(
+            "dbcmd", json.dumps(cmd), metric=f"db.{cmd.get('op', 'cmd')}"
+        )
+        return json.loads(reply.body)
 
     # -- typed operations -------------------------------------------------
 

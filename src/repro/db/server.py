@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.auth.methods import AuthContext, AuthFailed, authenticate_server
 from repro.auth.subjects import subject_matches
+from repro.chirp.protocol import DB_VERBS
 from repro.db.engine import MetadataDB
 from repro.db.query import Query
 from repro.util.errors import DoesNotExistError, InvalidRequestError, NotAuthorizedError
@@ -71,7 +72,8 @@ class DatabaseServer(ServerCore):
         self.serve_requests(sock, Session(stream, subject))
 
     def handle(self, session: Session, tokens: list[str]) -> None:
-        if len(tokens) != 2 or tokens[0] != "dbcmd":
+        shape = DB_VERBS.get(tokens[0])
+        if shape is None or len(tokens) != shape.nargs + 1:
             raise InvalidRequestError("expected dbcmd")
         try:
             cmd = json.loads(tokens[1])

@@ -30,14 +30,14 @@ import threading
 from typing import Optional
 
 from repro.auth.methods import ClientCredentials, authenticate_client
-from repro.transport.connection import Connection
+from repro.transport.connection import Connection, Reply
 from repro.transport.health import EndpointHealth, HealthRegistry
 from repro.transport.metrics import MetricsRegistry, default_registry
 from repro.transport.recovery import RetryPolicy
 from repro.util.errors import CircuitOpenError, DisconnectedError, TimedOutError
 from repro.util.wire import LineStream
 
-__all__ = ["Endpoint", "EndpointManager", "DEFAULT_MAX_CONNS"]
+__all__ = ["Endpoint", "EndpointManager", "EndpointSession", "DEFAULT_MAX_CONNS"]
 
 DEFAULT_MAX_CONNS = 4
 
@@ -162,12 +162,7 @@ class Endpoint:
         """
         with self._dial_lock:
             self._close_all()
-            conn = self._dial()
-            with self._lock:
-                self.generation += 1
-                conn.generation = self.generation
-                self.subject = conn.subject
-                self._conns.append(conn)
+            self._redial()
 
     def ensure_connected(self) -> None:
         """Reconnect only if every connection is down.
@@ -181,12 +176,17 @@ class Endpoint:
         with self._dial_lock:
             if self.live_count > 0:
                 return
-            conn = self._dial()
-            with self._lock:
-                self.generation += 1
-                conn.generation = self.generation
-                self.subject = conn.subject
-                self._conns.append(conn)
+            self._redial()
+
+    def _redial(self) -> None:
+        """Dial the first connection of a new generation (under
+        ``_dial_lock``)."""
+        conn = self._dial()
+        with self._lock:
+            self.generation += 1
+            conn.generation = self.generation
+            self.subject = conn.subject
+            self._conns.append(conn)
 
     # -- checkout / checkin ----------------------------------------------
 
@@ -198,7 +198,8 @@ class Endpoint:
         (the caller serializes on its lock).  Raises
         :class:`DisconnectedError` when the endpoint has no live
         connection -- recovery is the caller's policy decision, never an
-        implicit side effect of checkout.
+        implicit side effect of checkout (:meth:`call`, the stateless
+        exchange, is the one caller that redials).
         """
         grow = False
         with self._lock:
@@ -239,6 +240,30 @@ class Endpoint:
             conn = self._pick_locked()
             conn.busy += 1
             return conn
+
+    def call(self, verb: str, *args: object, **options) -> Reply:
+        """One stateless exchange (:meth:`Connection.call`) on any live
+        connection.
+
+        An endpoint whose every connection has died (the server was
+        restarted under us) is *redialed* first: a stateless exchange
+        carries no per-fd state, so there is nothing to recover beyond
+        the TCP channel itself.  Without this, a long-lived session (the
+        keeper's repair pool, a DSDB's database client) stays wedged on
+        a dead socket forever after its server reboots.  The dial is
+        breaker-gated, so a known-sick server refuses instantly.  A
+        disconnect *during* the exchange still propagates -- retrying a
+        possibly-applied operation is the caller's policy decision.
+        """
+        try:
+            conn = self.checkout()
+        except DisconnectedError:
+            self.ensure_connected()
+            conn = self.checkout()
+        try:
+            return conn.call(verb, *args, **options)
+        finally:
+            self.checkin(conn)
 
     def checkin(self, conn: Connection) -> None:
         with self._lock:
@@ -337,6 +362,65 @@ class Endpoint:
             f"Endpoint({self.host}:{self.port}, conns={self.live_count}/"
             f"{self.max_conns}, gen={self.generation})"
         )
+
+
+class EndpointSession:
+    """A client session over one :class:`Endpoint`: what
+    :class:`~repro.chirp.client.ChirpClient` and
+    :class:`~repro.db.client.DatabaseClient` share.
+
+    The session owns no socket -- its endpoint does -- and adds only a
+    vocabulary on top of :meth:`Endpoint.call`.  ``endpoint`` shares an
+    existing endpoint (the :class:`~repro.core.pool.ClientPool` path);
+    when omitted, a private one is built from ``host``, ``port``,
+    ``credentials``, ``timeout`` and those ``options`` that are not
+    None.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        credentials: Optional[ClientCredentials],
+        timeout: float,
+        endpoint: Optional[Endpoint],
+        **options,
+    ):
+        if endpoint is None:
+            options = {k: v for k, v in options.items() if v is not None}
+            endpoint = Endpoint(
+                host, int(port), credentials=credentials, timeout=timeout, **options
+            )
+        self.endpoint = endpoint
+        self.host = endpoint.host
+        self.port = endpoint.port
+        self.credentials = endpoint.credentials
+        self.timeout = endpoint.timeout
+
+    @property
+    def subject(self) -> Optional[str]:
+        return self.endpoint.subject
+
+    @property
+    def is_connected(self) -> bool:
+        return self.endpoint.is_connected
+
+    @property
+    def _stream(self):
+        """One live connection's raw stream (protocol tests poke the wire)."""
+        return self.endpoint.raw_stream()
+
+    def connect(self) -> None:
+        self.endpoint.connect()
+
+    def close(self) -> None:
+        self.endpoint.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class EndpointManager:

@@ -83,6 +83,30 @@ class TestRemoteOperations:
             c2.close()
         db2.close()
 
+    def test_same_client_recovers_after_server_restart(
+        self, tmp_path, auth_context, credentials
+    ):
+        path = str(tmp_path / "db")
+        db = MetadataDB(path)
+        server = DatabaseServer(db, DatabaseConfig(auth=auth_context)).start()
+        host, port = server.address
+        c = DatabaseClient(host, port, credentials=credentials, timeout=5.0)
+        try:
+            rid = c.insert({"survives": True})
+            server.stop()
+            db.close()
+            db2 = MetadataDB(path)
+            config = DatabaseConfig(host=host, port=port, auth=auth_context)
+            with DatabaseServer(db2, config):
+                try:
+                    c.get(rid)  # may still meet the dead connection
+                except E.DisconnectedError:
+                    pass
+                assert c.get(rid)["survives"] is True
+            db2.close()
+        finally:
+            c.close()
+
 
 class TestAccessControl:
     def test_writer_allowlist(self, tmp_path, auth_context, credentials):

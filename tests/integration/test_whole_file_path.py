@@ -190,6 +190,51 @@ class TestSinksStream:
         assert client.getfile("/f") == data
 
 
+class TestLocalFailureMidTransfer:
+    """A client-side sink or source failing mid-payload leaves bytes of
+    the exchange unread or unsent: the connection must close, the
+    caller's own error must surface, and the session must answer next."""
+
+    def test_sink_failure_propagates_and_session_recovers(
+        self, file_server, credentials
+    ):
+        data = _payload(8 * MIB)
+        with ChirpClient(
+            *file_server.address, credentials=credentials, timeout=5.0, max_conns=1
+        ) as c:
+            c.putfile("/big", data)
+
+            class FullDisk(_RecordingSink):
+                def write(self, chunk) -> int:
+                    if self.writes:
+                        raise OSError(28, "No space left on device")
+                    return super().write(chunk)
+
+            with pytest.raises(OSError) as failure:
+                c.getfile("/big", FullDisk())
+            assert failure.value.errno == 28
+            assert c.stat("/big").size == len(data)
+
+    def test_source_failure_propagates_and_session_recovers(
+        self, file_server, credentials
+    ):
+        with ChirpClient(
+            *file_server.address, credentials=credentials, timeout=5.0, max_conns=1
+        ) as c:
+            c.putfile("/kept", b"k" * 123)
+
+            class FailingDisk(io.BytesIO):
+                def read(self, n=-1):
+                    if self.tell() >= MIB:
+                        raise OSError(5, "Input/output error")
+                    return super().read(n)
+
+            with pytest.raises(OSError) as failure:
+                c.putfile("/torn", FailingDisk(_payload(4 * MIB)))
+            assert failure.value.errno == 5
+            assert c.stat("/kept").size == 123
+
+
 class TestShortStoreWrites:
     @pytest.mark.parametrize("kind", ["local", "cas", "memory"])
     def test_short_write_is_completed_before_the_ack(

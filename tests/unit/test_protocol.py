@@ -1,12 +1,26 @@
 """Unit tests for the Chirp protocol vocabulary."""
 
 import os
+import re
 import stat as stat_mod
+from pathlib import Path
 
 import pytest
 
-from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
+from repro.chirp.client import ChirpClient
+from repro.chirp.protocol import (
+    LINES,
+    PAYLOAD,
+    STATUS,
+    VERBS,
+    ChirpStat,
+    OpenFlags,
+    StatFs,
+)
+from repro.chirp.server import FileServer
 from repro.util.errors import InvalidRequestError
+
+PROTOCOL_MD = Path(__file__).resolve().parents[2] / "docs" / "PROTOCOL.md"
 
 
 class TestOpenFlags:
@@ -105,3 +119,43 @@ class TestStatFs:
     def test_wrong_token_count_rejected(self):
         with pytest.raises(InvalidRequestError):
             StatFs.from_tokens(["1"])
+
+
+def _documented_rpcs() -> dict[str, tuple[str, str]]:
+    """verb -> (reply cell, shape cell) of PROTOCOL.md's RPC table."""
+    rows: dict[str, tuple[str, str]] = {}
+    lines = iter(PROTOCOL_MD.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if line.startswith("| request | reply | shape |"):
+            break
+    next(lines)  # the |---| rule
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        request, reply, shape = (c.strip() for c in line.strip("|").split(" | ")[:3])
+        for verb in re.findall(r"`(\w+)", request):
+            rows[verb] = (reply, shape)
+    return rows
+
+
+class TestVerbTable:
+    """``VERBS`` is the one declaration of the protocol: the server, the
+    client and the document must each agree with it."""
+
+    DOCUMENTED = _documented_rpcs()
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_verb_is_served_called_and_documented(self, verb):
+        shape = VERBS[verb].reply
+        assert shape in (STATUS, PAYLOAD, LINES)
+        assert callable(getattr(FileServer, f"_op_{verb}", None))
+        method = "close_fd" if verb == "close" else verb
+        assert callable(getattr(ChirpClient, method, None))
+        assert verb in self.DOCUMENTED, f"{verb} has no row in PROTOCOL.md"
+        reply, documented_shape = self.DOCUMENTED[verb]
+        assert documented_shape == f"`{shape}`"
+        assert ("payload bytes" in reply) == (shape == PAYLOAD)
+        assert ("lines" in reply) == (shape == LINES)
+
+    def test_no_row_for_an_undeclared_verb(self):
+        assert set(self.DOCUMENTED) <= set(VERBS)
