@@ -77,7 +77,7 @@ def main() -> None:
     victim = next(s for s in servers if s.address == victim_endpoint)
     print(f"\nkilling {victim.config.name} while the file is open...")
     victim.stop()
-    pool.invalidate(*victim_endpoint)
+    pool.evict(*victim_endpoint)
     data = handle.pread(30, 0)
     print(f"read still works: {data[:27]!r}...  (handle degraded: {handle.degraded})")
     handle.close()

@@ -96,7 +96,7 @@ def main() -> None:
     victim = next(s for s in servers if s.address == victim_endpoint)
     print(f"\nkilling the server holding run1.dat ({victim.config.name})...")
     victim.stop()
-    pool.invalidate(*victim_endpoint)
+    pool.evict(*victim_endpoint)
 
     print(f"directory still navigable: {scratch.listdir('/results')}")
     other = "/results/run2.dat" if victim_endpoint != scratch.stub_for("/results/run2.dat").endpoint else None

@@ -22,7 +22,6 @@ everything else: plain files are sufficient.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -243,24 +242,3 @@ class Acl:
         """
         granted = self.reserve_rights_for(subject)
         return Acl([AclEntry(subject, Rights(frozenset(granted)))] if granted else [])
-
-
-def load_acl(directory: str) -> Acl | None:
-    """Read the ACL file stored inside ``directory`` (None if absent)."""
-    path = os.path.join(directory, ACL_FILE_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return Acl.from_text(f.read())
-    except FileNotFoundError:
-        return None
-
-
-def store_acl(directory: str, acl: Acl) -> None:
-    """Atomically write the ACL file inside ``directory``."""
-    path = os.path.join(directory, ACL_FILE_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(acl.to_text())
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)

@@ -31,6 +31,7 @@ from repro.core.cfs import CFS
 from repro.core.interface import Filesystem
 from repro.core.localfs import LocalFilesystem, wrap_os_error
 from repro.util.errors import AlreadyExistsError, InvalidRequestError
+from repro.util.jsonlog import fsync_dir
 
 __all__ = ["MetadataStore", "LocalMetadataStore", "ChirpMetadataStore", "VOLUME_FILE"]
 
@@ -103,23 +104,6 @@ class LocalMetadataStore(LocalFilesystem, MetadataStore):
         super().__init__(root)
         self.sync_meta = sync_meta
 
-    def _fsync_dir(self, real_path: str) -> None:
-        # The stub-creation protocol's crash-safety rests on the O_EXCL
-        # create being durable; that requires syncing the parent
-        # directory's entry table, not just the new file's data.
-        if not self.sync_meta:
-            return
-        try:
-            fd = os.open(real_path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         try:
             st, data = stat_read_path(self._real(path), limit)
@@ -140,7 +124,11 @@ class LocalMetadataStore(LocalFilesystem, MetadataStore):
                 os.fsync(fd)
         finally:
             os.close(fd)
-        self._fsync_dir(os.path.dirname(self._real(path)))
+        # The stub-creation protocol's crash-safety rests on the O_EXCL
+        # create being durable; that requires syncing the parent
+        # directory's entry table, not just the new file's data.
+        if self.sync_meta:
+            fsync_dir(os.path.dirname(self._real(path)))
         return True
 
 

@@ -116,10 +116,6 @@ class ClientPool:
             client.close()
         self.endpoints.evict(host, int(port))
 
-    def invalidate(self, host: str, port: int) -> None:
-        """Historical name for :meth:`evict`."""
-        self.evict(host, port)
-
     def evict_dead(self) -> list[tuple[str, int]]:
         """Drop every cached session whose endpoint holds no live
         connection; returns the endpoints evicted.

@@ -1,10 +1,13 @@
 """Durable record store with secondary indexes.
 
-Storage layout: one append-only JSONL log (``db.log``) replayed at open.
-Each log line is ``["put", record]`` or ``["del", record_id]``.  When the
-log accumulates enough dead weight it is compacted by rewriting the live
-set to a fresh log and atomically renaming it into place -- the same
-plain-file durability discipline the rest of the TSS uses.
+Storage layout: one :class:`~repro.util.jsonlog.RecordLog` (``db.log``)
+replayed at open, whose torn tail (a crash mid-append) is truncated away
+before anything else is appended.  Each log line is ``["put", record]``
+or ``["del", record_id]``.  A mutation is logged (write + fsync) before
+it is applied in memory, so one whose write fails is neither visible nor
+replayed.  When the log accumulates enough dead weight it is compacted:
+the live set is rewritten to a tmp file, renamed into place, and the
+directory fsynced before the next append is acknowledged.
 
 Records are dicts with a string ``id`` (assigned at insert when absent).
 Secondary hash indexes are maintained for declared fields; equality terms
@@ -13,13 +16,13 @@ in a query use the best available index, remaining terms filter.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import uuid
 from typing import Any, Iterator, Optional
 
 from repro.db.query import Query
+from repro.util.jsonlog import RecordLog
 
 __all__ = ["Record", "MetadataDB"]
 
@@ -47,13 +50,16 @@ class MetadataDB:
             f: {} for f in self.index_fields
         }
         self._lock = threading.RLock()
-        self._log = None
+        self._log: Optional[RecordLog] = None
         self._ops_since_compact = 0
         if path is not None:
             os.makedirs(path, exist_ok=True)
-            self._log_path = os.path.join(path, "db.log")
-            self._replay()
-            self._log = open(self._log_path, "a", encoding="utf-8")
+            self._log = RecordLog(os.path.join(path, "db.log"))
+            for op, payload in self._log.records():
+                if op == "put":
+                    self._install(payload)
+                elif op == "del":
+                    self._evict(payload)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -75,50 +81,22 @@ class MetadataDB:
 
     # -- durability -------------------------------------------------------
 
-    def _replay(self) -> None:
-        try:
-            f = open(self._log_path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return
-        with f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    op, payload = json.loads(line)
-                except (ValueError, TypeError):
-                    continue  # torn final write after a crash: ignore
-                if op == "put":
-                    self._install(payload)
-                elif op == "del":
-                    self._evict(payload)
-
-    def _append(self, op: str, payload) -> None:
-        if self._log is None:
-            return
-        self._log.write(json.dumps([op, payload], sort_keys=True) + "\n")
-        self._log.flush()
-        os.fsync(self._log.fileno())
-        self._ops_since_compact += 1
+    def _apply(self, op: str, payload) -> None:
+        """Log one mutation, then apply it, so a failed write changes
+        nothing; compact once the log is mostly dead weight."""
+        if self._log is not None:
+            self._log.append([op, payload])
+            self._ops_since_compact += 1
+        if op == "put":
+            self._install(payload)
+        else:
+            self._evict(payload)
         if (
             self._ops_since_compact >= _COMPACT_MIN_OPS
             and self._ops_since_compact > 4 * len(self._records)
         ):
-            self._compact()
-
-    def _compact(self) -> None:
-        assert self._log is not None
-        tmp = self._log_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            for record in self._records.values():
-                f.write(json.dumps(["put", record], sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        self._log.close()
-        os.replace(tmp, self._log_path)
-        self._log = open(self._log_path, "a", encoding="utf-8")
-        self._ops_since_compact = 0
+            self._log.rewrite(["put", r] for r in self._records.values())
+            self._ops_since_compact = 0
 
     # -- index maintenance ----------------------------------------------
 
@@ -152,8 +130,7 @@ class MetadataDB:
             rid = record.setdefault("id", uuid.uuid4().hex)
             if not isinstance(rid, str) or not rid:
                 raise ValueError("record id must be a non-empty string")
-            self._install(record)
-            self._append("put", record)
+            self._apply("put", record)
             return rid
 
     def get(self, rid: str) -> Optional[Record]:
@@ -170,16 +147,14 @@ class MetadataDB:
             merged = dict(rec)
             merged.update(fields)
             merged["id"] = rid
-            self._install(merged)
-            self._append("put", merged)
+            self._apply("put", merged)
             return dict(merged)
 
     def delete(self, rid: str) -> bool:
         with self._lock:
             if rid not in self._records:
                 return False
-            self._evict(rid)
-            self._append("del", rid)
+            self._apply("del", rid)
             return True
 
     def query(self, query: Query, limit: Optional[int] = None) -> list[Record]:

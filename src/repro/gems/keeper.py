@@ -58,6 +58,7 @@ from repro.gems.policy import RecordSummary, ReplicationPolicy, plan_drops
 from repro.gems.replicator import Replicator
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.errors import ChirpError
+from repro.util.jsonlog import RecordLog
 
 __all__ = ["Keeper", "KeeperConfig", "KeeperTick", "RateBudget", "RepairJournal"]
 
@@ -166,49 +167,18 @@ class RepairJournal:
         self.path = path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._lock = threading.Lock()
-        self._seq = self._last_seq() + 1
-        self._log = open(path, "a", encoding="utf-8")
+        self._log = RecordLog(path)
+        self._seq = max((e.get("seq", 0) for e in self._log.records()), default=0) + 1
 
     def close(self) -> None:
         with self._lock:
             self._log.close()
 
-    def _last_seq(self) -> int:
-        last = 0
-        for entry in self._entries():
-            last = max(last, entry.get("seq", 0))
-        return last
-
-    def _entries(self) -> list[dict]:
-        try:
-            f = open(self.path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        out = []
-        with f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue  # torn final write after a crash
-                if isinstance(entry, dict):
-                    out.append(entry)
-        return out
-
-    def _append(self, entry: dict) -> None:
-        self._log.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._log.flush()
-        os.fsync(self._log.fileno())
-
     def intent(self, record_id: str, replica: dict) -> int:
         """Journal a copy about to start; returns its sequence number."""
         with self._lock:
             seq = self._seq
-            self._seq += 1
-            self._append(
+            self._log.append(
                 {
                     "seq": seq,
                     "op": OP_INTENT,
@@ -216,20 +186,21 @@ class RepairJournal:
                     "replica": dict(replica),
                 }
             )
+            self._seq += 1
             return seq
 
     def commit(self, seq: int, note: str = "") -> None:
         with self._lock:
-            self._append({"seq": seq, "op": OP_COMMIT, "note": note})
+            self._log.append({"seq": seq, "op": OP_COMMIT, "note": note})
 
     def abort(self, seq: int, note: str = "") -> None:
         with self._lock:
-            self._append({"seq": seq, "op": OP_ABORT, "note": note})
+            self._log.append({"seq": seq, "op": OP_ABORT, "note": note})
 
     def in_flight(self) -> list[dict]:
         """Intent entries with no commit/abort, oldest first."""
         intents: dict[int, dict] = {}
-        for entry in self._entries():
+        for entry in self._log.records():
             seq = entry.get("seq")
             if entry.get("op") == OP_INTENT:
                 intents[seq] = entry

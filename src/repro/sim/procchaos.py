@@ -23,7 +23,6 @@ in-flight acknowledged operation.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -31,6 +30,8 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+
+from repro.util.jsonlog import RecordLog
 
 __all__ = [
     "ChaosEvent",
@@ -126,8 +127,9 @@ class ManagedProc:
 class ProcSupervisor:
     """Launches, signals, restarts, and logs real TSS processes.
 
-    :param log_path: JSONL event log; every spawn/signal/exit/restart is
-        appended with a monotonically increasing sequence number.
+    :param log_path: JSONL event log (a :class:`RecordLog`); every
+        spawn/signal/exit/restart is appended with a monotonically
+        increasing sequence number.
     :param stderr_dir: directory collecting each process's stderr, one
         file per process name (kept across restarts, opened in append
         mode), for CI artifact upload.
@@ -137,7 +139,7 @@ class ProcSupervisor:
         self.procs: dict[str, ManagedProc] = {}
         self.events: list[dict] = []
         self._seq = 0
-        self._log_path = log_path
+        self._log = RecordLog(log_path) if log_path is not None else None
         self._stderr_dir = stderr_dir
         if stderr_dir is not None:
             os.makedirs(stderr_dir, exist_ok=True)
@@ -148,9 +150,8 @@ class ProcSupervisor:
         self._seq += 1
         event = {"seq": self._seq, "action": action, "name": name, **info}
         self.events.append(event)
-        if self._log_path is not None:
-            with open(self._log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        if self._log is not None:
+            self._log.append(event)
 
     # -- process control ------------------------------------------------
 

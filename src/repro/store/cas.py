@@ -68,6 +68,7 @@ from repro.util.errors import (
     error_from_status,
     status_from_exception,
 )
+from repro.util.jsonlog import fsync_dir
 from repro.util.paths import PathEscapeError, confine
 
 __all__ = ["CasStore", "EMPTY_KEY"]
@@ -360,18 +361,8 @@ class CasStore(BlobStore):
         self._count("fsyncs")
 
     def _fsync_dir(self, real_path: str) -> None:
-        if not self.sync_meta:
-            return
-        try:
-            fd = os.open(real_path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-        except OSError:
-            return
-        try:
-            self._fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+        if self.sync_meta and fsync_dir(real_path):
+            self._count("fsyncs")
 
     def _mkstemp(self) -> tuple[int, str]:
         self._count("files_created")

@@ -6,7 +6,7 @@ that lets any existing directory be exported as-is, and lets the owner
 inspect what users are doing with ordinary tools.  This store is the
 default and must stay byte-identical in semantics to the server's
 original directory-backed implementation: same on-disk layout, same
-error mapping, same durability (``_fsync_dir`` on namespace changes
+error mapping, same durability (``fsync_dir`` on namespace changes
 when ``sync_meta``).
 
 The one behavioral upgrade lives here: ``used_bytes`` is maintained
@@ -25,6 +25,7 @@ from typing import Optional
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.interface import BlobHandle, BlobStore, stat_stamp
 from repro.util import checksum as checksum_mod
+from repro.util.jsonlog import fsync_dir
 from repro.util.errors import (
     IsADirectoryError_,
     NotAuthorizedError,
@@ -175,29 +176,6 @@ class LocalDirStore(BlobStore):
         except PathEscapeError as exc:
             raise NotAuthorizedError(str(exc)) from exc
 
-    def _fsync_dir(self, real_path: str) -> None:
-        """Flush a directory's entry table to stable storage.
-
-        An unlink/rename/mkdir that only reaches the page cache can be
-        undone by a crash, leaving the namespace disagreeing with what a
-        client was told succeeded -- fatal for a replica store whose
-        database trusts those answers.  POSIX requires fsyncing the
-        *parent directory* to make a namespace change durable; syncing
-        the file alone is not enough.
-        """
-        if not self.sync_meta:
-            return
-        try:
-            fd = os.open(real_path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-        except OSError:
-            return  # directory vanished or platform refuses; best effort
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
     # -- usage accounting -----------------------------------------------
 
     @property
@@ -306,7 +284,8 @@ class LocalDirStore(BlobStore):
         except OSError as exc:
             raise _wrap_os_error(exc, vpath) from exc
         self._account(-freed)
-        self._fsync_dir(os.path.dirname(real))
+        if self.sync_meta:
+            fsync_dir(os.path.dirname(real))
 
     def rename(self, vold: str, vnew: str) -> None:
         real_old, real_new = self._real(vold), self._real(vnew)
@@ -318,9 +297,10 @@ class LocalDirStore(BlobStore):
         self._account(-clobbered)
         # Both directory entries changed; a crash must not resurrect the
         # old name or lose the new one.
-        self._fsync_dir(os.path.dirname(real_new))
-        if os.path.dirname(real_old) != os.path.dirname(real_new):
-            self._fsync_dir(os.path.dirname(real_old))
+        if self.sync_meta:
+            fsync_dir(os.path.dirname(real_new))
+            if os.path.dirname(real_old) != os.path.dirname(real_new):
+                fsync_dir(os.path.dirname(real_old))
 
     def mkdir(self, vpath: str, mode: int) -> None:
         real = self._real(vpath)
@@ -328,7 +308,8 @@ class LocalDirStore(BlobStore):
             os.mkdir(real, mode & 0o777)
         except OSError as exc:
             raise _wrap_os_error(exc, vpath) from exc
-        self._fsync_dir(os.path.dirname(real))
+        if self.sync_meta:
+            fsync_dir(os.path.dirname(real))
 
     def rmdir(self, vpath: str) -> None:
         real = self._real(vpath)
@@ -336,7 +317,8 @@ class LocalDirStore(BlobStore):
             os.rmdir(real)
         except OSError as exc:
             raise _wrap_os_error(exc, vpath) from exc
-        self._fsync_dir(os.path.dirname(real))
+        if self.sync_meta:
+            fsync_dir(os.path.dirname(real))
 
     def truncate(self, vpath: str, size: int) -> None:
         real = self._real(vpath)
@@ -365,8 +347,7 @@ class LocalDirStore(BlobStore):
     def write_blob(self, vpath: str, data: bytes) -> None:
         """Atomic whole-blob replacement (write-temp, fsync, rename).
 
-        ACL files are persisted through this path; the write-then-rename
-        keeps the exact durability the old ``store_acl`` provided.
+        ACL files are persisted through this path.
         """
         real = self._real(vpath)
         before = self._size_if_file(real) if self.tracking_usage else 0

@@ -185,7 +185,7 @@ class TestFailureCoherence:
         survivors = [p for p in (f"/f{i}" for i in range(9)) if p not in on_victim]
         assert on_victim and survivors
         victim.stop()
-        pool.invalidate(*dead_endpoint)
+        pool.evict(*dead_endpoint)
         # namespace stays navigable
         assert len(fs.listdir("/")) == 9
         # surviving files still read fine
@@ -202,7 +202,7 @@ class TestFailureCoherence:
         endpoint = fs.stub_for("/doomed").endpoint
         server = next(s for s in servers if s.address == endpoint)
         server.stop()
-        pool.invalidate(*endpoint)
+        pool.evict(*endpoint)
         with pytest.raises(E.DisconnectedError):
             fs.unlink("/doomed")
         fs.unlink("/doomed", force=True)  # the documented escape hatch
@@ -213,7 +213,7 @@ class TestFailureCoherence:
         fs = make_dsfs(cluster, tmp_path)
         victim = servers[1]
         victim.stop()
-        pool.invalidate(*victim.address)
+        pool.evict(*victim.address)
         for i in range(6):
             fs.write_file(f"/n{i}", b"1")  # placement retries elsewhere
         endpoints = {fs.stub_for(f"/n{i}").endpoint for i in range(6)}

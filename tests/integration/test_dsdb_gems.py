@@ -103,7 +103,7 @@ class TestDsdbMechanism:
             if s.address == (first["host"], first["port"])
         )
         server.stop()
-        pool.invalidate(first["host"], first["port"])
+        pool.evict(first["host"], first["port"])
         assert dsdb.fetch(rec["id"]) == b"important"
 
     def test_fetch_with_verify_skips_corrupt_replica(self, dsdb):

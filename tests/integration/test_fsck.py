@@ -70,7 +70,7 @@ class TestFsckDangling:
         endpoint = volume.stub_for("/maybe").endpoint
         victim = next(s for s in volume._test_servers if s.address == endpoint)
         victim.stop()
-        pool.invalidate(*endpoint)
+        pool.evict(*endpoint)
         report = fsck_volume(volume, remove_dangling=True)
         assert report.dangling_stubs["/maybe"] == "server unreachable"
         assert report.removed_stubs == 0

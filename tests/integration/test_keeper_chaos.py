@@ -129,7 +129,7 @@ class TestKeeperSoak:
         dead = max(by_server, key=lambda ep: len(by_server[ep]))
         victim = next(s for s in dsdb._test_servers if s.address == dead)
         victim.stop()
-        pool.invalidate(*dead)
+        pool.evict(*dead)
 
         # Bounded convergence: the keeper may burn a pass discovering
         # the dead server as a copy target, but failure deprioritization
@@ -354,7 +354,7 @@ class TestSeededKeeperChaos:
             # Evicting the proxy's warm connections forces the keeper
             # onto fresh -- faulted -- ones.
             servers[0].stop()
-            pool.invalidate(*servers[0].address)
+            pool.evict(*servers[0].address)
             proxy.plan = FaultPlan.chaos(
                 seed,
                 reset_rate=0.1,

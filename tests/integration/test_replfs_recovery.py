@@ -78,7 +78,7 @@ class TestReplicatedFS:
         host, port, _ = replfs.stub_for("/f").locations[0]
         victim = next(s for s in replfs._test_servers if s.address == (host, port))
         victim.stop()
-        pool.invalidate(host, port)
+        pool.evict(host, port)
         assert replfs.read_file("/f") == b"durable"
         assert replfs.stat("/f").size == 7
 
@@ -89,7 +89,7 @@ class TestReplicatedFS:
         host, port, _ = replfs.stub_for("/f").locations[0]
         victim = next(s for s in replfs._test_servers if s.address == (host, port))
         victim.stop()
-        pool.invalidate(host, port)
+        pool.evict(host, port)
         assert handle.pread(4, 0) == b"0123"
         assert handle.degraded
         handle.close()
@@ -266,7 +266,7 @@ class TestDatabaseRecovery:
         dsdb, _records, servers = populated
         victim = servers[0]
         victim.stop()
-        pool.invalidate(*victim.address)
+        pool.evict(*victim.address)
         fresh_db = MetadataDB(None, indexes=("tss_kind", "checksum"))
         recovered = DSDB(fresh_db, pool, dsdb.servers, volume="gems")
         report = rebuild_database(recovered)

@@ -134,7 +134,7 @@ class TestStripedIO:
         host, port, _ = stripefs.stub_for("/fragile").locations[1]
         victim = next(s for s in stripefs._test_servers if s.address == (host, port))
         victim.stop()
-        pool.invalidate(host, port)
+        pool.evict(host, port)
         with pytest.raises(E.DisconnectedError):
             stripefs.read_file("/fragile")
         # but the namespace survives, and other files too

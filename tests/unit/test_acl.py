@@ -3,14 +3,14 @@
 import pytest
 
 from repro.auth.acl import (
+    ACL_FILE_NAME,
     Acl,
     AclEntry,
     Rights,
     format_rights,
-    load_acl,
     parse_rights,
-    store_acl,
 )
+from repro.store.localdir import LocalDirStore
 
 
 class TestRightsParsing:
@@ -169,19 +169,35 @@ class TestReserveSemantics:
 
 
 class TestAclStorage:
+    """ACLs persist as plain blobs in the directory they govern, written
+    through the store's atomic ``write_blob`` (as the backend does)."""
+
+    VPATH = "/" + ACL_FILE_NAME
+
+    def load(self, store):
+        data = store.try_read_blob(self.VPATH)
+        return None if data is None else Acl.from_text(data.decode("utf-8"))
+
+    def store(self, store, acl):
+        store.write_blob(self.VPATH, acl.to_text().encode("utf-8"))
+
     def test_store_and_load(self, tmp_path):
+        store = LocalDirStore(str(tmp_path))
         acl = Acl.from_text("unix:alice rwl\nunix:bob rv(rl)\n")
-        store_acl(str(tmp_path), acl)
-        loaded = load_acl(str(tmp_path))
+        self.store(store, acl)
+        loaded = self.load(store)
         assert loaded is not None
         assert loaded.to_text() == acl.to_text()
+        assert (tmp_path / ACL_FILE_NAME).read_text() == acl.to_text()
 
     def test_load_missing_returns_none(self, tmp_path):
-        assert load_acl(str(tmp_path)) is None
+        assert self.load(LocalDirStore(str(tmp_path))) is None
 
     def test_store_is_atomic_replace(self, tmp_path):
-        store_acl(str(tmp_path), Acl.from_text("unix:a r\n"))
-        store_acl(str(tmp_path), Acl.from_text("unix:b w\n"))
-        loaded = load_acl(str(tmp_path))
+        store = LocalDirStore(str(tmp_path))
+        self.store(store, Acl.from_text("unix:a r\n"))
+        self.store(store, Acl.from_text("unix:b w\n"))
+        loaded = self.load(store)
         assert loaded.rights_for("unix:b").flags == frozenset("w")
         assert not loaded.rights_for("unix:a")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [ACL_FILE_NAME]

@@ -1,5 +1,6 @@
 """Unit tests for the metadata database engine and query language."""
 
+import errno
 import json
 import os
 
@@ -196,6 +197,44 @@ class TestDurability:
         with MetadataDB(path) as db2:
             assert db2.get(rid) is not None
             assert db2.get("torn") is None
+            # Acked after the torn reopen: must not land on the fragment.
+            db2.insert({"id": "c"})
+        with MetadataDB(path) as db3:
+            assert db3.get(rid) is not None
+            assert db3.get("c") is not None
+            assert db3.get("torn") is None
+
+    @pytest.mark.parametrize("op", ["insert", "update", "delete"])
+    def test_failed_append_leaves_nothing_behind(self, tmp_path, monkeypatch, op):
+        path = str(tmp_path / "db")
+        real_fsync = os.fsync
+        failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+        def fsync_fails_once(fd):
+            if failures:
+                raise failures.pop()
+            real_fsync(fd)
+
+        with MetadataDB(path, indexes=("k",)) as db:
+            db.insert({"id": "x", "k": "old"})
+            monkeypatch.setattr(os, "fsync", fsync_fails_once)
+            with pytest.raises(OSError):
+                if op == "insert":
+                    db.insert({"id": "y", "k": "new"})
+                elif op == "update":
+                    db.update("x", {"k": "new"})
+                else:
+                    db.delete("x")
+            # Nothing of the failed mutation is visible ...
+            assert db.get("x") == {"id": "x", "k": "old"}
+            assert db.get("y") is None
+            assert db.query(Query.where(k="new")) == []
+            # ... and the next one is durable, not written onto a fragment.
+            db.insert({"id": "z"})
+        with MetadataDB(path, indexes=("k",)) as db2:
+            assert db2.get("x") == {"id": "x", "k": "old"}
+            assert db2.get("y") is None
+            assert db2.get("z") == {"id": "z"}
 
     def test_compaction_preserves_state(self, tmp_path):
         path = str(tmp_path / "db")

@@ -143,6 +143,12 @@ class TestRepairJournal:
             f.write('{"seq": 99, "op": "comm')  # crash mid-append
         reopened = RepairJournal(path)
         assert [e["seq"] for e in reopened.in_flight()] == [seq]
+        # Journaled after the torn reopen: must survive the next one.
+        later = reopened.intent("r2", {"host": "b", "port": 2, "path": "/q"})
+        reopened.close()
+        again = RepairJournal(path)
+        assert [e["seq"] for e in again.in_flight()] == [seq, later]
+        again.close()
 
 
 class TestCursorPersistence:
