@@ -3,9 +3,10 @@
 
 A research group pools the idle disks of several machines into a
 distributed shared database for PROTOMOL outputs: files live on file
-servers, metadata lives in a database, an auditor verifies replicas, and
-a replicator keeps copies within the user's storage budget -- even when
-someone forcibly deletes data from a disk (Figure 9 at desk scale).
+servers, metadata lives in a database, and the keeper -- the GEMS
+audit-and-repair loop -- verifies replicas and keeps copies within the
+user's storage budget, even when someone forcibly deletes data from a
+disk (Figure 9 at desk scale).
 
 Run::
 
@@ -27,8 +28,18 @@ from repro import (
     ServerConfig,
 )
 from repro.apps.protomol import generate_runs
-from repro.gems import BudgetGreedyPolicy, PreservationService
+from repro.core.dsdb import live_replicas
+from repro.gems import BudgetGreedyPolicy, Keeper, KeeperConfig
 from repro.util.clock import ManualClock
+
+
+def live_volume(gems: DSDB) -> tuple[int, int]:
+    """Bytes and count of the replicas believed intact."""
+    records = gems.find()
+    return (
+        sum(rec["size"] * len(live_replicas(rec)) for rec in records),
+        sum(len(live_replicas(rec)) for rec in records),
+    )
 
 
 def main() -> None:
@@ -80,12 +91,19 @@ def main() -> None:
     # -- preservation: replicate up to a budget -----------------------------
     budget = int(dataset_bytes * 2.6)
     policy = BudgetGreedyPolicy(budget)
-    svc = PreservationService(gems, policy, clock=ManualClock(), cycle_interval=60)
-    point = svc.step()
+    keeper = Keeper(
+        gems,
+        policy,
+        KeeperConfig(
+            state_dir=os.path.join(workspace, "keeper"), max_repairs_per_tick=64
+        ),
+        clock=ManualClock(),
+    )
+    keeper.run_passes(1)
+    filled, replicas = live_volume(gems)
     print(
-        f"\nreplicator filled the {budget // 1000} kB budget: "
-        f"{point.stored_bytes // 1000} kB stored across "
-        f"{point.live_replicas} replicas"
+        f"\nkeeper filled the {budget // 1000} kB budget: "
+        f"{filled // 1000} kB stored across {replicas} live replicas"
     )
 
     # -- disaster: a disk owner evicts everything ---------------------------
@@ -97,11 +115,16 @@ def main() -> None:
         evicted += 1
     print(f"\ndisk0's owner deleted {evicted} replicas (their right!)")
 
-    point = svc.step()
+    ticks = keeper.run_passes(1)
+    missing = sum(t.missing for t in ticks)
+    added = sum(t.committed for t in ticks)
+    restored, replicas = live_volume(gems)
     print(
-        f"audit noted {point.missing} missing; replicator added "
-        f"{point.added} fresh copies; stored back to {point.stored_bytes // 1000} kB"
+        f"audit noted {missing} missing; repair added {added} fresh copies; "
+        f"stored back to {restored // 1000} kB across {replicas} live replicas"
     )
+    if restored != filled:
+        raise SystemExit("repair did not restore the stored volume")
 
     # every file still fetches, verified
     intact = sum(
@@ -111,6 +134,7 @@ def main() -> None:
     )
     print(f"all {intact} files intact and checksum-verified")
 
+    keeper.stop()
     pool.close()
     db.close()
     for server in servers:

@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds absent from the catalog before a server is suspect")
     p.add_argument("--tick-interval", type=float, default=1.0)
     p.add_argument("--audit-mode", choices=("bytes", "key", "location"),
-                   default=None,
+                   default="bytes",
                    help="replica audit strategy: 'key' compares content-"
                    "address keys in O(1) on CAS servers (falls back to "
                    "bytes elsewhere)")

@@ -20,7 +20,7 @@ inconclusive verdict that is never written into a replica's state.)
 
 Replication, auditing, and repair policies live in :mod:`repro.gems`;
 this class provides the mechanism: ingest, query, direct fetch with
-failover across replicas, replica add/remove, delete.
+failover across replicas, replica copy/attach/drop, delete.
 """
 
 from __future__ import annotations
@@ -386,7 +386,6 @@ class DSDB:
         record_or_id: Union[dict, str],
         endpoint: tuple[str, int],
         path: Optional[str] = None,
-        verify: bool = False,
     ) -> Replica:
         """Stream a live replica onto a *chosen* server; no record update.
 
@@ -396,11 +395,11 @@ class DSDB:
         :meth:`attach_replica` commits the result to the record --
         letting a repair journal write its intent entry between the two.
 
-        With ``verify=True`` the freshly written copy is read back via
-        the server-side ``checksum`` RPC before being returned; a
-        mismatch (torn write, lying server, bit rot in flight) removes
-        the copy and raises :class:`TryAgainError`, so a bad copy can
-        never be attached as live.
+        The freshly written copy is always checked with the server-side
+        ``checksum`` RPC (no payload crosses the wire) before being
+        returned; a mismatch (torn write, lying server, bit rot in
+        flight) removes the copy and raises :class:`TryAgainError`, so a
+        bad copy can never be attached as live.
 
         Raises :class:`ChirpError` when no live source exists or the
         copy itself fails.
@@ -416,17 +415,15 @@ class DSDB:
                 self.fetch(record, sink=spool)
                 spool.seek(0)
                 new_rep = self._store_bytes(tuple(endpoint), spool, path)
-        if verify:
-            client = self.pool.get(new_rep["host"], new_rep["port"])
-            digest = client.checksum(new_rep["path"])
-            if digest != record.get("checksum"):
-                try:
-                    client.unlink(new_rep["path"])
-                except ChirpError:
-                    pass  # an auditor pass will reap the orphan
-                raise TryAgainError(
-                    f"{new_rep['path']}: verify-after-write checksum mismatch"
-                )
+        client = self.pool.get(new_rep["host"], new_rep["port"])
+        if client.checksum(new_rep["path"]) != record.get("checksum"):
+            try:
+                client.unlink(new_rep["path"])
+            except ChirpError:
+                pass  # an auditor pass will reap the orphan
+            raise TryAgainError(
+                f"{new_rep['path']}: verify-after-write checksum mismatch"
+            )
         return new_rep
 
     def _link_by_key(
@@ -465,31 +462,6 @@ class DSDB:
         record = self._resolve(record_or_id)
         replicas = record.get("replicas", []) + [dict(replica)]
         return self.db.update(record["id"], {"replicas": replicas})
-
-    def add_replica(
-        self,
-        record_or_id: Union[dict, str],
-        target: Optional[tuple[str, int]] = None,
-    ) -> Optional[dict]:
-        """Copy a live replica onto a server that lacks one.
-
-        Streams through a local spool file, so arbitrarily large files
-        replicate in constant memory.  ``target`` pins the destination
-        server; when omitted the placement policy chooses among servers
-        not already holding a copy.  Returns the updated record, or
-        None when no live source or no eligible target exists.
-        """
-        record = self._resolve(record_or_id)
-        occupied = frozenset(
-            (r["host"], r["port"]) for r in record.get("replicas", [])
-        )
-        try:
-            if target is None:
-                target = tuple(self.placement.choose(self.servers, occupied))
-            new_rep = self.copy_replica(record, target)
-        except (LookupError, ChirpError):
-            return None
-        return self.attach_replica(record, new_rep)
 
     def drop_replica(self, record_or_id: Union[dict, str], replica: Replica) -> dict:
         """Remove one replica's data and forget it in the record."""

@@ -4,15 +4,18 @@ The paper's bioinformatics deployment: files are stored on file servers
 and indexed in a database, and "two active components work in concert to
 maintain replicas":
 
-- the :class:`~repro.gems.auditor.Auditor` "periodically scans the
-  database and then verifies the location and integrity of data on file
-  servers", noting damage and loss;
-- the :class:`~repro.gems.replicator.Replicator` "examines the notations
-  and then repairs them by re-replicating the remaining copies", up to a
-  user-specified storage budget.
+- the auditor "periodically scans the database and then verifies the
+  location and integrity of data on file servers", noting damage and
+  loss (:class:`~repro.gems.auditor.Auditor`);
+- the replicator "examines the notations and then repairs them by
+  re-replicating the remaining copies", up to a user-specified storage
+  budget (a :class:`~repro.gems.policy.ReplicationPolicy` plans the
+  copies, :class:`~repro.gems.replicator.Replicator` picks their
+  targets).
 
-:class:`~repro.gems.preservation.PreservationService` wires the two into
-a periodic control loop and records the timeline that Figure 9 plots.
+:class:`~repro.gems.keeper.Keeper` is the one loop that runs both: a
+journaled, rate-limited, crash-safe audit-and-repair daemon that never
+forgets the last replica of a record.
 """
 
 from repro.gems.policy import (
@@ -22,13 +25,7 @@ from repro.gems.policy import (
     plan_drops,
 )
 from repro.gems.auditor import Auditor, AuditReport
-from repro.gems.replicator import Replicator, RepairReport
-from repro.gems.preservation import (
-    PreservationService,
-    TimelinePoint,
-    count_live_replicas,
-    count_total_replicas,
-)
+from repro.gems.replicator import Replicator
 from repro.gems.keeper import (
     Keeper,
     KeeperConfig,
@@ -49,11 +46,6 @@ __all__ = [
     "Auditor",
     "AuditReport",
     "Replicator",
-    "RepairReport",
-    "PreservationService",
-    "TimelinePoint",
-    "count_live_replicas",
-    "count_total_replicas",
     "Keeper",
     "KeeperConfig",
     "KeeperTick",

@@ -72,19 +72,11 @@ class Auditor:
     - ``location``: stat only -- catches deletion, not corruption.
     """
 
-    def __init__(
-        self,
-        dsdb: DSDB,
-        verify_checksums: bool = True,
-        mode: str | None = None,
-    ):
-        if mode is None:
-            mode = "bytes" if verify_checksums else "location"
+    def __init__(self, dsdb: DSDB, mode: str = "bytes"):
         if mode not in ("bytes", "key", "location"):
             raise ValueError(f"unknown audit mode {mode!r}")
         self.mode = mode
         self.dsdb = dsdb
-        self.verify_checksums = mode == "bytes"
 
     def audit_once(self) -> AuditReport:
         report = self.audit_records(self.dsdb.query(Query.where(tss_kind=FILE_KIND)))

@@ -3,9 +3,10 @@
 The paper's GEMS deployment promises *long-lived* preservation: "two
 active components work in concert to maintain replicas", and the system
 as a whole must outlive any single server -- or any single run of its
-own maintenance processes.  The one-shot :class:`~repro.gems.auditor.Auditor`
-and :class:`~repro.gems.replicator.Replicator` passes provide the
-mechanism; this module makes them *continuous* and *crash-safe*:
+own maintenance processes.  The :class:`~repro.gems.auditor.Auditor`
+and the :class:`~repro.gems.replicator.Replicator`'s target chooser
+provide the mechanism; this module, the only audit-and-repair loop,
+makes them *continuous* and *crash-safe*:
 
 - **Incremental scanning.**  A persistent cursor
   (``keeper.cursor``) records the last audited record id, so a keeper
@@ -31,6 +32,11 @@ mechanism; this module makes them *continuous* and *crash-safe*:
   no commit, checksum bad/absent) or a committed replica (checksum ok
   -- the recovery attaches and commits it); never a half-written copy
   counted as live.
+
+- **Last copy kept.**  A repair never drops a record's only replica,
+  however bad its audit verdict: the record stays the authority and
+  keeps its last pointer to the data, which is re-audited on every pass
+  and becomes a repair source again once its server serves it intact.
 
 - **Health-integrated targets.**  Target selection goes through the
   :class:`~repro.gems.replicator.Replicator`'s health-aware chooser, so
@@ -88,10 +94,9 @@ class KeeperConfig:
         listings before the keeper treats it as suspect (mirrors the
         catalog's own entry lifetime).
     :ivar tick_interval: sleep between ticks in the background loop.
-    :ivar verify_checksums: legacy audit switch (see :class:`Auditor`).
-    :ivar audit_mode: explicit audit mode ("bytes", "key", "location");
-        overrides ``verify_checksums`` when set.  "key" turns each
-        replica check into an O(1) metadata comparison on CAS servers.
+    :ivar audit_mode: "bytes", "key" or "location" (see
+        :class:`Auditor`).  "key" turns each replica check into an O(1)
+        metadata comparison on CAS servers.
     :ivar dead_after_passes: full scan passes a server must stay
         unreachable before the keeper declares it dead and starts
         treating its replicas as missing.  The hysteresis that separates
@@ -107,8 +112,7 @@ class KeeperConfig:
     max_repairs_per_tick: int = 8
     catalog_lifetime: float = 900.0
     tick_interval: float = 1.0
-    verify_checksums: bool = True
-    audit_mode: Optional[str] = None
+    audit_mode: str = "bytes"
     dead_after_passes: int = 2
 
     def __post_init__(self):
@@ -255,11 +259,7 @@ class Keeper:
         self.config = config
         self.catalog = catalog
         self.clock = clock or MonotonicClock()
-        self.auditor = Auditor(
-            dsdb,
-            verify_checksums=config.verify_checksums,
-            mode=config.audit_mode,
-        )
+        self.auditor = Auditor(dsdb, mode=config.audit_mode)
         self.replicator = Replicator(dsdb, policy)
         os.makedirs(config.state_dir, exist_ok=True)
         self.journal = RepairJournal(os.path.join(config.state_dir, JOURNAL_NAME))
@@ -655,9 +655,7 @@ class Keeper:
         seq = self.journal.intent(record["id"], pending)
         self.repair_budget.charge(record.get("size", 0))
         try:
-            replica = self.dsdb.copy_replica(
-                record, target, path=path, verify=True
-            )
+            replica = self.dsdb.copy_replica(record, target, path=path)
             self.dsdb.attach_replica(record, replica)
         except (ChirpError, LookupError) as exc:
             client = self.dsdb.pool.try_get(*target)

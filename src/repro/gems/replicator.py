@@ -1,47 +1,24 @@
-"""The replicator: repair what the auditor noted, within the budget."""
+"""The replicator: where the next copy of a record should go."""
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.dsdb import DSDB, FILE_KIND, live_replicas
-from repro.db.query import Query
-from repro.gems.policy import RecordSummary, ReplicationPolicy, plan_drops
+from repro.core.dsdb import DSDB
+from repro.gems.policy import ReplicationPolicy
 from repro.transport.health import HealthRegistry
 
-__all__ = ["Replicator", "RepairReport"]
-
-log = logging.getLogger("repro.gems.replicator")
+__all__ = ["Replicator"]
 
 Endpoint = tuple  # (host, port)
 
 
-@dataclass
-class RepairReport:
-    """Outcome of one repair pass."""
-
-    dropped: int = 0
-    added: int = 0
-    failed_additions: int = 0
-    skipped_unhealthy_targets: int = 0
-    stored_bytes: int = 0
-    #: endpoints that failed as copy targets this pass
-    failed_targets: list = field(default_factory=list)
-
-
 class Replicator:
-    """Examines auditor notations and re-replicates remaining copies.
+    """The replication policy plus the keeper's repair-target chooser.
 
-    One pass:
-
-    1. forget replicas marked ``missing`` and remove+forget those marked
-       ``damaged`` (their bytes are reclaimed);
-    2. ask the policy which records deserve another copy, given the
-       per-record live-copy counts and the server count;
-    3. perform the copies, streaming from a surviving replica onto a
-       target the replicator chooses itself.
+    The keeper (:class:`~repro.gems.keeper.Keeper`) runs the repair
+    pass; the replicator holds the policy that plans it and picks the
+    server each new copy lands on.
 
     Target selection is *health-integrated*: endpoints whose circuit
     breaker is open (see :class:`~repro.transport.health.HealthRegistry`)
@@ -105,61 +82,3 @@ class Replicator:
 
     def note_target_success(self, endpoint: Endpoint) -> None:
         self.target_failures.pop(tuple(endpoint), None)
-
-    # -- repair pass ----------------------------------------------------
-
-    def repair_once(self, max_additions: int | None = None) -> RepairReport:
-        report = RepairReport()
-        records = self.dsdb.query(Query.where(tss_kind=FILE_KIND))
-        # Phase 1: drop bad replicas.
-        fresh = []
-        for record in records:
-            bad = plan_drops(record)
-            for replica in bad:
-                record = self.dsdb.drop_replica(record, replica)
-                report.dropped += 1
-            fresh.append(record)
-        # Phase 2: plan.
-        summaries = [RecordSummary.from_record(r) for r in fresh]
-        plan = self.policy.plan_additions(summaries, len(self.dsdb.servers))
-        if max_additions is not None:
-            plan = plan[:max_additions]
-        # Phase 3: copy, onto explicitly chosen targets.
-        for record_id in plan:
-            self._repair_one(record_id, report)
-        report.stored_bytes = self._stored_live_bytes()
-        if report.dropped or report.added:
-            log.info(
-                "repair: dropped %d, added %d (stored now %d bytes)",
-                report.dropped,
-                report.added,
-                report.stored_bytes,
-            )
-        return report
-
-    def _repair_one(self, record_id: str, report: RepairReport) -> None:
-        record = self.dsdb.get(record_id)
-        if record is None or not live_replicas(record):
-            # Nothing to copy from: the failure is the record's, so no
-            # target endpoint gets blamed for it.
-            report.failed_additions += 1
-            return
-        target = self.choose_target(record)
-        if target is None:
-            report.skipped_unhealthy_targets += 1
-            report.failed_additions += 1
-            return
-        updated = self.dsdb.add_replica(record, target=target)
-        if updated is None:
-            self.note_target_failure(target)
-            report.failed_additions += 1
-            report.failed_targets.append(target)
-        else:
-            self.note_target_success(target)
-            report.added += 1
-
-    def _stored_live_bytes(self) -> int:
-        total = 0
-        for record in self.dsdb.query(Query.where(tss_kind=FILE_KIND)):
-            total += record.get("size", 0) * len(live_replicas(record))
-        return total

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from repro.gems.policy import BudgetGreedyPolicy, RecordSummary, ReplicationPolicy
 from repro.sim.params import GB, MB
 
-__all__ = ["GemsSimulation", "GemsTimelinePoint"]
+__all__ = ["GemsSimulation", "GemsSample"]
 
 
 @dataclass(frozen=True)
-class GemsTimelinePoint:
+class GemsSample:
     """One sample of the preservation run."""
 
     time: float
@@ -81,7 +81,7 @@ class GemsSimulation:
         self.rng = random.Random(seed)
         self.policy = policy or BudgetGreedyPolicy(budget_bytes)
         self.records: list[_SimRecord] = []
-        self.timeline: list[GemsTimelinePoint] = []
+        self.timeline: list[GemsSample] = []
 
     # -- state helpers ------------------------------------------------------
 
@@ -148,7 +148,7 @@ class GemsSimulation:
 
     # -- the run ----------------------------------------------------------
 
-    def run(self) -> list[GemsTimelinePoint]:
+    def run(self) -> list[GemsSample]:
         self._ingest()
         now = 0.0
         next_audit = 0.0
@@ -156,7 +156,7 @@ class GemsSimulation:
         copy_debt = 0.0  # bytes of copying currently owed to the budget
         plan_queue: list[_SimRecord] = []
         self.timeline = [
-            GemsTimelinePoint(0.0, self.stored_bytes(), self.believed_bytes(), ("ingest",))
+            GemsSample(0.0, self.stored_bytes(), self.believed_bytes(), ("ingest",))
         ]
         while now < self.duration:
             now += self.step
@@ -183,7 +183,7 @@ class GemsSimulation:
             if not plan_queue:
                 copy_debt = min(copy_debt, float(self.file_bytes))
             self.timeline.append(
-                GemsTimelinePoint(
+                GemsSample(
                     now, self.stored_bytes(), self.believed_bytes(), tuple(events)
                 )
             )

@@ -140,6 +140,7 @@ class ProcSupervisor:
         self.events: list[dict] = []
         self._seq = 0
         self._log = RecordLog(log_path) if log_path is not None else None
+        self._shut_down = False
         self._stderr_dir = stderr_dir
         if stderr_dir is not None:
             os.makedirs(stderr_dir, exist_ok=True)
@@ -259,7 +260,13 @@ class ProcSupervisor:
         return managed is not None and managed.alive
 
     def shutdown(self, grace: float = 3.0) -> None:
-        """Stop everything: SIGCONT stalled procs, SIGTERM, then SIGKILL."""
+        """Stop everything: SIGCONT stalled procs, SIGTERM, then SIGKILL.
+
+        The ``shutdown`` event is the event log's last record: the log
+        is closed after it, and a repeated call does nothing.
+        """
+        if self._shut_down:
+            return
         for name, managed in self.procs.items():
             if not managed.alive:
                 continue
@@ -281,6 +288,9 @@ class ProcSupervisor:
                     pass
                 self.record("forced_kill", name)
         self.record("shutdown", "*")
+        self._shut_down = True
+        if self._log is not None:
+            self._log.close()
 
 
 def python_module_argv(module: str, *args: object) -> list:

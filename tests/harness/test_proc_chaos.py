@@ -361,6 +361,27 @@ class TestSupervisorBasics:
             logged = [json.loads(line) for line in fh]
         assert [e["seq"] for e in logged] == sorted(e["seq"] for e in logged)
 
+    def test_shutdown_closes_the_event_log(self, tmp_path):
+        import json
+
+        path = str(tmp_path / "events.jsonl")
+        sup = ProcSupervisor(log_path=path)
+        sup.spawn("child", python_module_argv("http.server", "0", "--bind", HOST))
+        sup.shutdown()
+        with open(path, "rb") as fh:
+            logged = fh.read()
+        # The log is closed: it refuses another append, and a second
+        # shutdown (a finally-block teardown) is harmless ...
+        with pytest.raises(ValueError):
+            sup._log.append({"seq": 0, "action": "late", "name": "*"})
+        sup.shutdown()
+        with open(path, "rb") as fh:
+            assert fh.read() == logged
+        # ... and holds every event, the shutdown last.
+        records = [json.loads(line) for line in logged.splitlines()]
+        assert records == sup.events
+        assert records[-1]["action"] == "shutdown"
+
     def test_sigstop_tracking_and_shutdown_unwedges(self, tmp_path):
         sup = ProcSupervisor()
         sup.spawn("child", python_module_argv("http.server", "0", "--bind", HOST))

@@ -1,5 +1,8 @@
 """Integration tests: DSDB and the GEMS preservation machinery."""
 
+import threading
+import time
+
 import pytest
 
 from repro.chirp.protocol import OpenFlags
@@ -14,8 +17,8 @@ from repro.gems import (
     Auditor,
     BudgetGreedyPolicy,
     FixedCountPolicy,
-    PreservationService,
-    Replicator,
+    Keeper,
+    KeeperConfig,
 )
 from repro.transport.metrics import MetricsRegistry
 from repro.util import errors as E
@@ -126,7 +129,9 @@ class TestDsdbMechanism:
 
     def test_add_and_drop_replica(self, dsdb):
         rec = dsdb.ingest("r", b"x" * 1000)
-        rec = dsdb.add_replica(rec["id"])
+        holder = (rec["replicas"][0]["host"], rec["replicas"][0]["port"])
+        target = next(ep for ep in dsdb.servers if ep != holder)
+        rec = dsdb.attach_replica(rec, dsdb.copy_replica(rec["id"], target))
         assert len(rec["replicas"]) == 2
         rec = dsdb.drop_replica(rec["id"], rec["replicas"][0])
         assert len(rec["replicas"]) == 1
@@ -227,7 +232,7 @@ class TestAuditor:
         documented behaviour, pinned here."""
         rec = dsdb.ingest("a", b"pristine bytes", replicas=1)
         damage(dsdb, rec["replicas"][0], b"XX")  # same size, different content
-        report = Auditor(dsdb, verify_checksums=False).audit_once()
+        report = Auditor(dsdb, mode="location").audit_once()
         assert report.damaged == 0
 
     def test_reports_lost_records(self, dsdb):
@@ -244,87 +249,130 @@ class TestAuditor:
         assert live_replicas(dsdb.get(rec["id"]))
 
 
+def keeper_for(dsdb, policy, tmp_path, **config) -> Keeper:
+    """A keeper over ``dsdb`` with its state under ``tmp_path``, on a
+    :class:`ManualClock` unless ``clock`` says otherwise."""
+    clock = config.pop("clock", ManualClock())
+    return Keeper(
+        dsdb,
+        policy,
+        KeeperConfig(state_dir=str(tmp_path / "keeper"), **config),
+        clock=clock,
+    )
+
+
+def one_pass(keeper) -> dict:
+    """Run one full audit-and-repair pass; its tick counts, summed."""
+    ticks = keeper.run_passes(1)
+    return {
+        name: sum(getattr(t, name) for t in ticks)
+        for name in ("missing", "damaged", "dropped", "committed")
+    }
+
+
+def live_count(dsdb) -> int:
+    return sum(len(live_replicas(r)) for r in dsdb.find())
+
+
+def live_bytes(dsdb) -> int:
+    """Bytes held by replicas believed intact: unlike
+    :meth:`DSDB.stored_bytes`, a ``missing`` or ``damaged`` replica the
+    pass only marked does not count."""
+    return sum(r["size"] * len(live_replicas(r)) for r in dsdb.find())
+
+
 class TestReplicatorAndPreservation:
-    def test_repair_restores_copy_count(self, dsdb):
+    """The keeper's audit-and-repair pass, the one GEMS repair loop."""
+
+    def test_repair_restores_copy_count(self, dsdb, tmp_path):
         for i in range(4):
             dsdb.ingest(f"f{i}", bytes([i]) * 1000)
         policy = BudgetGreedyPolicy(8 * 1000)  # room for 2 copies each
-        svc = PreservationService(dsdb, policy, clock=ManualClock())
-        point = svc.step()
-        assert point.stored_bytes == 8000
-        assert point.live_replicas == 8
+        one_pass(keeper_for(dsdb, policy, tmp_path))
+        assert live_bytes(dsdb) == dsdb.stored_bytes() == 8000
+        assert live_count(dsdb) == 8
 
-    def test_budget_is_respected(self, dsdb):
+    def test_budget_is_respected(self, dsdb, tmp_path):
         for i in range(4):
             dsdb.ingest(f"f{i}", bytes([i]) * 1000)
         policy = BudgetGreedyPolicy(6500)
-        svc = PreservationService(dsdb, policy, clock=ManualClock())
-        point = svc.step()
-        assert point.stored_bytes <= 6500
+        one_pass(keeper_for(dsdb, policy, tmp_path))
+        assert live_bytes(dsdb) <= dsdb.stored_bytes() <= 6500
 
-    def test_failure_detect_and_repair_cycle(self, dsdb):
+    def test_failure_detect_and_repair_cycle(self, dsdb, tmp_path):
         """The Figure 9 story at test scale: fill to budget, induce a
         failure, watch audit + repair restore the stored volume."""
         recs = [dsdb.ingest(f"f{i}", bytes([i % 251]) * 500) for i in range(8)]
         policy = BudgetGreedyPolicy(16 * 500)  # room for 2 copies of each
-        svc = PreservationService(dsdb, policy, clock=ManualClock())
-        filled = svc.step()
-        assert filled.stored_bytes == 8000
+        keeper = keeper_for(dsdb, policy, tmp_path)
+        one_pass(keeper)
+        assert live_bytes(dsdb) == 8000
         victim = dsdb.servers[0]
         killed = kill_server_data(dsdb, victim)
         assert killed > 0
-        recovered = svc.step()
-        assert recovered.missing == killed  # auditor noted each loss
-        assert recovered.stored_bytes == 8000  # replicator repaired
+        recovered = one_pass(keeper)
+        assert recovered["missing"] == killed  # auditor noted each loss
+        assert recovered["committed"] == killed  # a fresh copy for each
+        assert live_bytes(dsdb) == dsdb.stored_bytes() == 8000  # repaired
+        assert live_count(dsdb) == 16
         # and every file still fetches intact
         for rec in recs:
             assert dsdb.fetch(rec["id"], verify=True) == bytes([recs.index(rec) % 251]) * 500
 
-    def test_damaged_replica_is_replaced(self, dsdb):
+    def test_damaged_replica_is_replaced(self, dsdb, tmp_path):
         rec = dsdb.ingest("a", b"precious cargo", replicas=2)
         damage(dsdb, rec["replicas"][0], b"XXXX")
-        svc = PreservationService(dsdb, FixedCountPolicy(2), clock=ManualClock())
-        point = svc.step()
-        assert point.damaged == 1
-        assert point.dropped == 1
-        assert point.added == 1
+        counts = one_pass(keeper_for(dsdb, FixedCountPolicy(2), tmp_path))
+        assert counts["damaged"] == 1
+        assert counts["dropped"] == 1
+        assert counts["committed"] == 1
         fresh = dsdb.get(rec["id"])
         assert len(live_replicas(fresh)) == 2
         assert dsdb.fetch(fresh["id"], verify=True) == b"precious cargo"
 
-    def test_unrepairable_record_does_not_wedge_the_loop(self, dsdb):
+    def test_unrepairable_record_does_not_wedge_the_loop(self, dsdb, tmp_path):
         rec = dsdb.ingest("gone", b"x")
         for rep in rec["replicas"]:
             kill_server_data(dsdb, (rep["host"], rep["port"]))
         dsdb.ingest("fine", b"y", replicas=1)
-        svc = PreservationService(dsdb, FixedCountPolicy(2), clock=ManualClock())
-        point = svc.step()
+        counts = one_pass(keeper_for(dsdb, FixedCountPolicy(2), tmp_path))
         # the healthy record still got its second copy
         fine = dsdb.find(name="fine")[0]
         assert len(live_replicas(fine)) == 2
-        assert point.missing >= 1
+        assert counts["missing"] >= 1
 
-    def test_timeline_is_recorded(self, dsdb):
-        dsdb.ingest("a", b"1")
-        clock = ManualClock()
-        svc = PreservationService(dsdb, FixedCountPolicy(2), clock=clock, cycle_interval=10)
-        svc.run_cycles(3)
-        assert len(svc.timeline) == 3
-        assert svc.timeline[2].time >= 20
-
-    def test_background_service_runs(self, dsdb):
-        import time
-
-        dsdb.ingest("a", b"1" * 100)
-        svc = PreservationService(
-            dsdb, FixedCountPolicy(2), cycle_interval=0.05
+    def test_last_copy_is_kept(self, dsdb, tmp_path):
+        """A damaged only replica is the last pointer to the data: the
+        pass marks it but neither forgets it nor unlinks its bytes."""
+        rec = dsdb.ingest("only", b"the one and only copy", replicas=1)
+        (only,) = rec["replicas"]
+        damage(dsdb, only, b"XXX")
+        counts = one_pass(keeper_for(dsdb, FixedCountPolicy(2), tmp_path))
+        assert counts["damaged"] == 1
+        assert counts["dropped"] == 0
+        (kept,) = dsdb.get(rec["id"])["replicas"]
+        assert (kept["host"], kept["port"], kept["path"]) == (
+            only["host"], only["port"], only["path"]
         )
-        svc.start()
+        assert kept["state"] == "damaged"
+        assert store_of(dsdb, (only["host"], only["port"])).exists(only["path"])
+
+    def test_background_service_runs(self, dsdb, tmp_path):
+        rec = dsdb.ingest("a", b"1" * 100)
+        keeper = keeper_for(
+            dsdb, FixedCountPolicy(2), tmp_path, tick_interval=0.02, clock=None
+        )
+        keeper.start()
         try:
             deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and len(svc.timeline) < 2:
+            while time.monotonic() < deadline and len(
+                live_replicas(dsdb.get(rec["id"]))
+            ) < 2:
                 time.sleep(0.02)
         finally:
-            svc.stop()
-        assert len(svc.timeline) >= 2
-        assert svc.timeline[-1].live_replicas == 2
+            keeper.stop()
+        assert len(live_replicas(dsdb.get(rec["id"]))) == 2
+        # stop() joined the loop thread and closed the journal
+        assert "gems-keeper" not in {t.name for t in threading.enumerate()}
+        with pytest.raises(ValueError):
+            keeper.journal.intent(rec["id"], rec["replicas"][0])

@@ -116,6 +116,8 @@ class TestCopyByReference:
 
         verbs = registry.snapshot()["verbs"]
         assert verbs["putkey"]["calls"] >= 1
+        # the copy was verified after the write, by key, not by bytes
+        assert verbs["checksum"]["calls"] == 1
         # zero payload bytes crossed the wire in either direction
         assert verbs.get("putfile", {}).get("bytes_out", 0) == 0
         assert verbs.get("getfile", {}).get("bytes_in", 0) == 0
@@ -192,7 +194,10 @@ class TestKeyAudit:
 
         dsdb = _make_dsdb(server_factory, pool)
         rec = dsdb.ingest("data/kept", b"guarded", {})
-        rec = dsdb.add_replica(rec)  # a second, healthy copy
+        holder = (rec["replicas"][0]["host"], rec["replicas"][0]["port"])
+        spare = next(ep for ep in dsdb.servers if ep != holder)
+        # a second, healthy copy
+        rec = dsdb.attach_replica(rec, dsdb.copy_replica(rec, spare))
         replica = rec["replicas"][0]
         pool.get(replica["host"], replica["port"]).putfile(
             replica["path"], b"mangled"
