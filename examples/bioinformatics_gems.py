@@ -42,8 +42,7 @@ def live_volume(gems: DSDB) -> tuple[int, int]:
     )
 
 
-def main() -> None:
-    workspace = tempfile.mkdtemp(prefix="tss-gems-")
+def run(workspace: str) -> None:
     user = getpass.getuser()
     auth = AuthContext(enabled=("unix",))
 
@@ -140,6 +139,11 @@ def main() -> None:
     for server in servers:
         server.stop()
     print("\nGEMS bioinformatics example complete.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tss-gems-") as workspace:
+        run(workspace)
 
 
 if __name__ == "__main__":

@@ -34,8 +34,7 @@ from repro import (
 from repro.apps.sp5 import SyntheticSP5
 
 
-def main() -> None:
-    workspace = tempfile.mkdtemp(prefix="tss-sp5-")
+def run(workspace: str) -> None:
     ca = SimulatedCA("BaBarGridCA")  # the VO's certificate authority
 
     # -- the collaboration's home storage server ---------------------------
@@ -108,6 +107,11 @@ def main() -> None:
     admin.close()
     server.stop()
     print("\nSP5 grid deployment example complete.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tss-sp5-") as workspace:
+        run(workspace)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,8 @@ from repro import (
 )
 
 
-def main() -> None:
+def run(workspace: str) -> None:
     user = getpass.getuser()
-    workspace = tempfile.mkdtemp(prefix="tss-quickstart-")
     print(f"workspace: {workspace}")
 
     # -- 1. a catalog and two rapidly-deployed file servers ----------------
@@ -99,6 +98,11 @@ def main() -> None:
         server.stop()
     catalog.stop()
     print("\nquickstart complete.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tss-quickstart-") as workspace:
+        run(workspace)
 
 
 if __name__ == "__main__":

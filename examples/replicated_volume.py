@@ -30,8 +30,7 @@ from repro.core.replfs import ReplicatedFS
 from repro.transport.recovery import RetryPolicy
 
 
-def main() -> None:
-    workspace = tempfile.mkdtemp(prefix="tss-repl-")
+def run(workspace: str) -> None:
     user = getpass.getuser()
     auth = AuthContext(enabled=("unix",))
 
@@ -106,6 +105,11 @@ def main() -> None:
         if s is not victim:
             s.stop()
     print("\nreplicated volume example complete.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tss-repl-") as workspace:
+        run(workspace)
 
 
 if __name__ == "__main__":

@@ -31,8 +31,7 @@ from repro import (
 from repro.util.errors import ChirpError
 
 
-def main() -> None:
-    workspace = tempfile.mkdtemp(prefix="tss-dsfs-")
+def run(workspace: str) -> None:
     user = getpass.getuser()
     auth = AuthContext(enabled=("unix",))
     catalog = CatalogServer().start()
@@ -120,6 +119,11 @@ def main() -> None:
             server.stop()
     catalog.stop()
     print("\nshared scratch example complete.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tss-dsfs-") as workspace:
+        run(workspace)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,8 @@ __all__ = ["BlockCache"]
 # many distinct files, without ever letting a key's epoch go backwards.
 _EPOCH_LIMIT = 4096
 
+_MAX_SHARDS = 8
+
 
 class _Shard:
     __slots__ = ("lock", "entries", "bytes", "budget", "hits", "misses", "inserts", "evictions")
@@ -48,11 +50,12 @@ class _Shard:
 class BlockCache:
     """Thread-safe LRU block store with hit/miss/eviction counters."""
 
-    def __init__(self, capacity_bytes: int, block_size: int, shards: int = 8):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, capacity_bytes: int, block_size: int):
         self.block_size = int(block_size)
         self.capacity_bytes = int(capacity_bytes)
+        # Up to 8 shards, none under 8 blocks: a small cache whose keys
+        # cluster in one shard must not evict far below its capacity.
+        shards = min(_MAX_SHARDS, max(1, self.capacity_bytes // self.block_size // 8))
         # Ceil-divide the budget so the shard sum never undercuts the cap
         # by more than rounding; a single hot shard still evicts locally.
         per_shard = max(self.block_size, (self.capacity_bytes + shards - 1) // shards)

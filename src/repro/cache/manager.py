@@ -46,9 +46,7 @@ class CacheManager:
         synchronous_readahead: bool = False,
     ):
         self.policy = policy or CachePolicy()
-        self.blocks = BlockCache(
-            self.policy.capacity_bytes, self.policy.block_size, self.policy.shards
-        )
+        self.blocks = BlockCache(self.policy.capacity_bytes, self.policy.block_size)
         self.meta = MetaCache(self.policy.meta_entries, clock=clock)
         self.synchronous_readahead = synchronous_readahead
         self._fanout: Optional[FanoutPool] = None

@@ -57,7 +57,6 @@ class CachePolicy:
     :param readahead_min_run: consecutive sequential reads required
         before prefetch starts.
     :param readahead_workers: threads in the prefetch fan-out pool.
-    :param shards: lock shards in the block cache.
     """
 
     mode: str = "off"
@@ -69,7 +68,6 @@ class CachePolicy:
     readahead_blocks: int = 8
     readahead_min_run: int = 2
     readahead_workers: int = 2
-    shards: int = 8
 
     def __post_init__(self):
         if self.mode not in CACHE_MODES:
@@ -88,8 +86,6 @@ class CachePolicy:
             raise ValueError("readahead_min_run must be >= 1")
         if self.readahead_workers < 1:
             raise ValueError("readahead_workers must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
     # -- what the mode permits -----------------------------------------
 

@@ -56,15 +56,10 @@ from repro.util.errors import (
     DisconnectedError,
     DoesNotExistError,
     IntegrityError,
-    InvalidRequestError,
-    TimedOutError,
 )
 from repro.util.paths import normalize_virtual
 
 __all__ = ["ChirpClient"]
-
-#: Failures that carry no answer from the server (nothing to learn from).
-_NO_ANSWER = (DisconnectedError, TimedOutError, BusyError)
 
 
 class _HashingSink:
@@ -347,54 +342,16 @@ class ChirpClient(EndpointSession):
     def lstat(self, path: str) -> ChirpStat:
         return self._cached_meta("lstat", path, lambda: self._stat("lstat", path))
 
-    # -- protocol v4: compound verbs, learnt per session ------------------
+    # -- protocol v4: compound verbs -------------------------------------
 
     def statget(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         """``stat`` plus the content of a small regular file, one RPC.
 
         The content is None for anything but a regular file of at most
-        ``limit`` bytes that the subject may read.  Every answer teaches
-        the session whether the server speaks protocol v4; a server that
-        predates the verb answers ``INVALID_REQUEST``
-        (:class:`InvalidRequestError`), and after that refusal this
-        session raises it without asking again.
+        ``limit`` bytes that the subject may read.
         """
-        endpoint = self.endpoint
-        known = endpoint.v4
-        if known is False:
-            raise InvalidRequestError(f"{self.host}:{self.port} predates statget")
-        generation = endpoint.generation
-        try:
-            reply = self._call("statget", path, limit)
-        except InvalidRequestError:
-            if known is None:
-                endpoint.learn_v4(False, generation)
-            raise
-        except _NO_ANSWER:
-            raise
-        except ChirpError:
-            if known is None:
-                endpoint.learn_v4(True, generation)  # refused, but understood
-            raise
-        if known is None:
-            endpoint.learn_v4(True, generation)
+        reply = self._call("statget", path, limit)
         return ChirpStat.from_tokens(reply.tokens[1:-1]), reply.body
-
-    def speaks_v4(self) -> bool:
-        """Whether this session may use the protocol-v4 verbs.
-
-        Answered from what earlier ``statget`` calls taught the session;
-        when none has gone out yet this generation, one probe
-        (``statget / 0``) asks.
-        """
-        if self.endpoint.v4 is None:
-            try:
-                self.statget("/", 0)
-            except _NO_ANSWER:
-                raise
-            except ChirpError:
-                pass  # a refusal still answers the question
-        return bool(self.endpoint.v4)
 
     def putflags(
         self, path: str, data: bytes, flags: OpenFlags, mode: int = 0o644
@@ -402,13 +359,8 @@ class ChirpClient(EndpointSession):
         """Open with ``flags``, write ``data`` whole and close, in one RPC.
 
         ``wcx`` is an exclusive create-and-write; ``wt`` replaces an
-        existing file and never creates one.  Sent only to a server known
-        to speak protocol v4 (an old server would parse the payload as
-        request lines): raises :class:`InvalidRequestError` otherwise,
-        without sending.
+        existing file and never creates one.
         """
-        if not self.speaks_v4():
-            raise InvalidRequestError(f"{self.host}:{self.port} predates putflags")
         n = self._call(
             "putflags", path, flags.encode(), mode, len(data), payload=data
         ).status

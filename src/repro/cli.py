@@ -240,11 +240,13 @@ def _cmd_keeper(adapter: Adapter, args) -> int:
             return 0
         from repro.util.signals import GracefulSignals
 
+        # Installed before the first tick, so a stop signal that arrives
+        # once the keeper has shown any sign of life is graceful.
+        signals = GracefulSignals().install()
         keeper.start()
         print(f"tss keeper: guarding volume {args.volume!r} "
               f"({len(servers)} servers); journal in {args.state_dir}",
               flush=True)
-        signals = GracefulSignals().install()
         signals.wait()
         keeper.stop()
         return 0

@@ -30,7 +30,7 @@ from repro.transport.recovery import RetryPolicy
 from repro.core.cfs import CFS
 from repro.core.interface import Filesystem
 from repro.core.localfs import LocalFilesystem, wrap_os_error
-from repro.util.errors import AlreadyExistsError, InvalidRequestError
+from repro.util.errors import AlreadyExistsError
 from repro.util.jsonlog import fsync_dir
 
 __all__ = ["MetadataStore", "LocalMetadataStore", "ChirpMetadataStore", "VOLUME_FILE"]
@@ -52,17 +52,12 @@ class MetadataStore(Filesystem):
         """Read a whole (small) metadata file, e.g. a stub."""
         return self.read_file(path)
 
+    @abstractmethod
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         """An entry's stat and, for a regular file of at most ``limit``
-        bytes, its content (None otherwise): what a stub lookup needs.
-
-        Stores that can answer in one step override this stat-then-read
-        default.
+        bytes, its content (None otherwise): what a stub lookup needs,
+        in one step.
         """
-        st = self.stat(path)
-        if not st.is_file or st.size > limit:
-            return st, None
-        return st, self.read(path)
 
     @abstractmethod
     def create_exclusive(self, path: str, content: bytes) -> bool:
@@ -150,36 +145,15 @@ class ChirpMetadataStore(CFS, MetadataStore):
         super().__init__(client, root, policy)
 
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
-        """One ``statget``; a server that predates it gets stat + getfile."""
-        if self.client.endpoint.v4 is not False:
-            real = self._path(path)
-            try:
-                return self._run(lambda: self.client.statget(real, limit))
-            except InvalidRequestError:
-                if self.client.endpoint.v4 is not False:
-                    raise
-        return super().stat_read(path, limit)
+        """One ``statget``."""
+        real = self._path(path)
+        return self._run(lambda: self.client.statget(real, limit))
 
     def create_exclusive(self, path: str, content: bytes) -> bool:
-        """One ``putflags wcx`` (the create carries the content), else
-        exclusive open + pwrite + close on a server that predates it."""
+        """One ``putflags wcx``: the create carries the content."""
         real = self._path(path)
-        if self._run(self.client.speaks_v4):
-            try:
-                self._run(lambda: self.client.putflags(real, content, _WCX))
-            except AlreadyExistsError:
-                return False
-            return True
-
-        def attempt() -> bool:
-            try:
-                fd = self.client.open(real, _WCX, 0o644)
-            except AlreadyExistsError:
-                return False
-            try:
-                self.client.pwrite(fd, content, 0)
-            finally:
-                self.client.close_fd(fd)
-            return True
-
-        return self._run(attempt)
+        try:
+            self._run(lambda: self.client.putflags(real, content, _WCX))
+        except AlreadyExistsError:
+            return False
+        return True

@@ -40,7 +40,7 @@ from repro.cache.meta import MetaCache
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.core.cfs import CFS, ChirpFileHandle
-from repro.core.interface import FileHandle, Filesystem, write_whole
+from repro.core.interface import FileHandle, Filesystem
 from repro.core.metastore import MetadataStore, VOLUME_FILE
 from repro.core.placement import PlacementPolicy, RoundRobinPlacement
 from repro.core.pool import ClientPool
@@ -347,21 +347,6 @@ class StubFilesystem(Filesystem):
 
         return CachedFileHandle(handle, cache, data_key, on_mutate=on_mutate)
 
-    def _put_data(
-        self, stub: Stub, data: bytes, flags: OpenFlags, mode: int, path: str
-    ) -> int:
-        """Write ``data`` as the whole data file behind ``stub``: one
-        ``putflags`` where the data server speaks protocol v4, else open +
-        pwrite + close through a handle."""
-        client = self.pool.get(*stub.endpoint)
-        if not self.policy.run(client.speaks_v4, client.ensure_connected):
-            with self._data_handle(stub, flags, mode, path) as handle:
-                return write_whole(handle, data)
-        return self.policy.run(
-            lambda: client.putflags(stub.path, data, flags, mode),
-            client.ensure_connected,
-        )
-
     def _discard(self, member: Stub, result: Any) -> None:
         """Best-effort removal of a data file whose create succeeded
         while another member's failed."""
@@ -653,7 +638,7 @@ class StubFilesystem(Filesystem):
 
         def putter(stub, flags: OpenFlags) -> Callable[[Stub], int]:
             parts = dict(zip(self.layout.members(stub), self.layout.split(stub, data)))
-            return lambda m: self._put_data(m, parts[m], flags, mode, path)
+            return lambda m: self._call(m, lambda c: c.putflags(m.path, parts[m], flags, mode))
 
         create = OpenFlags(write=True, create=True, exclusive=True, sync=self.sync_writes)
         try:

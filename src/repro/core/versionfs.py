@@ -264,7 +264,7 @@ class VersionedFS(StubFilesystem):
         path = self._guard_name(path)
         member = self._place(path, set())[0]
         flags = OpenFlags(write=True, create=True, exclusive=True)
-        self._put_data(member, data, flags, mode, path)
+        self._call(member, lambda c: c.putflags(member.path, data, flags, mode))
         try:
             self._commit(path, member)
         except Exception:

@@ -83,8 +83,6 @@ class Endpoint:
         #: older generation are gone.  Growth dials do not bump it.
         self.generation = 0
         self.subject: Optional[str] = None
-        # (generation, answer) of the last protocol-v4 probe; see ``v4``.
-        self._v4: tuple[int, Optional[bool]] = (0, None)
         self._conns: list[Connection] = []
         self._rr = 0
         self._lock = threading.Lock()
@@ -301,22 +299,6 @@ class Endpoint:
         self._record_failure()
 
     # -- state -----------------------------------------------------------
-
-    @property
-    def v4(self) -> Optional[bool]:
-        """Whether the server speaks the protocol-v4 verbs (``statget``,
-        ``putflags``); None until this generation has learnt it.
-
-        Learnt, not configured: a reconnect may land on a different
-        server process, so the answer is kept per generation.
-        """
-        generation, answer = self._v4
-        return answer if generation == self.generation else None
-
-    def learn_v4(self, answer: bool, generation: int) -> None:
-        """Record what a ``statget`` sent under ``generation`` showed."""
-        if generation == self.generation:
-            self._v4 = (generation, answer)
 
     @property
     def live_count(self) -> int:

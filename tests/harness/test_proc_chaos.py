@@ -35,6 +35,7 @@ from repro.auth.methods import ClientCredentials
 from repro.core.dsdb import DSDB, live_replicas
 from repro.core.pool import ClientPool
 from repro.db.client import DatabaseClient
+from repro.gems.keeper import CURSOR_NAME
 from repro.sim.procchaos import (
     ProcSupervisor,
     build_plan,
@@ -129,8 +130,14 @@ class ChaosCluster:
                 "--verbose",
             ),
         )
-        time.sleep(0.3)
-        assert sup.alive("keeper"), "keeper died at boot"
+        # The first tick writes the cursor, and the keeper installs its
+        # SIGTERM handler before that tick: from here a stop is graceful.
+        cursor = state / CURSOR_NAME
+        deadline = time.monotonic() + 10.0
+        while not cursor.exists():
+            assert sup.alive("keeper"), "keeper died at boot"
+            assert time.monotonic() < deadline, "keeper never ticked"
+            time.sleep(0.02)
 
     def _server_argv(self, name: str, port: int, root) -> list:
         return python_module_argv(
@@ -329,6 +336,12 @@ class TestProcChaosSoak:
         for rid, expected in ledger:
             got = dsdb.fetch(rid, verify=True)
             assert got == expected, f"record {rid} corrupt after soak"
+
+
+class TestKeeperBoot:
+    def test_sigterm_right_after_boot_is_graceful(self, cluster):
+        cluster.sup.sigterm("keeper")
+        assert cluster.sup.wait("keeper") == 0
 
 
 class TestSupervisorBasics:

@@ -2,11 +2,10 @@
 
 ``statget`` answers a stat plus the bytes of a small file in one round
 trip; ``putflags`` is a whole-file put carrying open flags (``wcx`` for
-an exclusive create, ``wt`` to replace without creating).  A session
-learns per generation whether its server speaks them, never sends
-``putflags`` blind, and falls back to the older verb sequences on a
-server that refuses them.  Exact RPC counts per DSFS operation are the
-contract, read from a :class:`MetricsRegistry`.
+an exclusive create, ``wt`` to replace without creating).  Clients
+require a v4 server and send both verbs without a probe.  Exact RPC
+counts per DSFS operation are the contract, read from a
+:class:`MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.transport.metrics import MetricsRegistry
 from repro.util.errors import (
     AlreadyExistsError,
     DoesNotExistError,
-    InvalidRequestError,
     NotAuthorizedError,
     StatusCode,
     UnknownError,
@@ -63,12 +61,6 @@ def record_requests(server) -> list[list[str]]:
 
     server.handle = recording
     return seen
-
-
-def predating_v4(server):
-    """Make ``server`` answer the v4 verbs as unknown, like an old server."""
-    del server._verbs["statget"], server._verbs["putflags"]
-    return server
 
 
 @pytest.fixture(params=["local", "cas", "memory"])
@@ -155,7 +147,6 @@ class TestPutflags:
     def test_quota_refusal_keeps_the_connection_parseable(self, server_factory, credentials):
         server = server_factory.new(quota_bytes=1000)
         with ChirpClient(*server.address, credentials=credentials) as c:
-            c.speaks_v4()
             reply = raw_reply(c, "putflags", "/f", "wcx", 0o644, 5000, payload=b"q" * 5000)
             assert int(reply[0]) == StatusCode.NO_SPACE
             still_parses(c)
@@ -179,35 +170,11 @@ class TestPutflags:
             assert c.putflags("/f", b"second try", WCX) == 10
 
 
-class TestSessionLearning:
-    def test_one_probe_per_generation(self, client):
-        metrics = client.endpoint.metrics
-        assert client.speaks_v4() and client.speaks_v4()
-        assert calls(metrics)["statget"] == 1
-        client.connect()  # a new generation may be a different server
-        assert client.endpoint.v4 is None
-        assert client.speaks_v4()
-        assert calls(metrics)["statget"] == 2
-
-    def test_a_refusal_pins_the_old_verbs(self, server_factory, credentials):
-        server = predating_v4(server_factory.new())
-        seen = record_requests(server)
-        with ChirpClient(*server.address, credentials=credentials) as c:
-            assert c.speaks_v4() is False
-            with pytest.raises(InvalidRequestError):
-                c.statget("/", 0)
-            with pytest.raises(InvalidRequestError):
-                c.putflags("/f", b"x", WCX)
-            c.whoami()
-        assert [tokens[0] for tokens in seen] == ["statget", "whoami"]
-
-
 class DsfsRig:
     """A DSFS volume: the directory tree on one server, data on another."""
 
-    def __init__(self, server_factory, credentials, old: bool = False):
-        make = (lambda: predating_v4(server_factory.new())) if old else server_factory.new
-        self.servers = [make(), make()]
+    def __init__(self, server_factory, credentials):
+        self.servers = [server_factory.new(), server_factory.new()]
         self.seen = [record_requests(s) for s in self.servers]
         self.metrics = MetricsRegistry()
         self.pool = ClientPool(credentials, metrics=self.metrics)
@@ -215,7 +182,7 @@ class DsfsRig:
         self.fs = DSFS.create(
             self.pool, *dir_server.address, "/vol", [data_server.address]
         )
-        self.fs.write_file("/warm", b"both sessions have answered a statget")
+        self.fs.write_file("/warm", b"both sessions are dialed")
 
     def count(self, op) -> int:
         return sum(rpcs(self.metrics, op).values())
@@ -224,23 +191,22 @@ class DsfsRig:
         self.pool.close()
 
 
-@pytest.fixture(params=[False, True], ids=["v4", "old-server"])
-def rig(request, server_factory, credentials):
-    r = DsfsRig(server_factory, credentials, old=request.param)
-    r.old = request.param
+@pytest.fixture(params=["v4"])  # the protocol the counts are pinned for
+def rig(server_factory, credentials):
+    r = DsfsRig(server_factory, credentials)
     yield r
     r.close()
 
 
 class TestDsfsRoundTrips:
-    # operation -> (RPCs on a v4 server, RPCs on an old server)
+    # operation -> RPCs
     EXPECTED = {
-        "create": (2, 7),
-        "overwrite": (3, 7),
-        "stat": (2, 3),
-        "read": (2, 3),
-        "open-existing": (3, 4),
-        "unlink": (3, 4),
+        "create": 2,
+        "overwrite": 3,
+        "stat": 2,
+        "read": 2,
+        "open-existing": 3,
+        "unlink": 3,
     }
 
     def test_rpcs_per_operation(self, rig):
@@ -254,14 +220,21 @@ class TestDsfsRoundTrips:
             "open-existing": lambda: handles.append(fs.open("/f", OpenFlags(read=True))),
         }
         for name, op in ops.items():
-            assert rig.count(op) == self.EXPECTED[name][rig.old], name
+            assert rig.count(op) == self.EXPECTED[name], name
         handles[0].close()
         assert fs.stat("/f").size == 7
         assert fs.read_file("/f") == b"second!"
-        assert rig.count(lambda: fs.unlink("/f")) == self.EXPECTED["unlink"][rig.old]
+        assert rig.count(lambda: fs.unlink("/f")) == self.EXPECTED["unlink"]
         assert not fs.exists("/f")
-        if rig.old:
-            assert all(t[0] != "putflags" for seen in rig.seen for t in seen)
+
+    def test_first_write_on_a_fresh_pool_sends_no_probe(self, rig, credentials):
+        data_requests = rig.seen[1]
+        start = len(data_requests)
+        metrics = MetricsRegistry()
+        with ClientPool(credentials, metrics=metrics) as pool:
+            fs = DSFS.open_volume(pool, *rig.servers[0].address, "/vol")
+            assert sum(rpcs(metrics, lambda: fs.write_file("/fresh", b"new")).values()) == 2
+        assert data_requests[start][0] == "putflags"
 
     def test_sync_writes_add_s(self, rig):
         data_requests = rig.seen[1]
@@ -270,8 +243,7 @@ class TestDsfsRoundTrips:
         fs.write_file("/synced", b"durable")
         fs.write_file("/synced", b"durable again")
         assert fs.read_file("/synced") == b"durable again"
-        # putflags on a v4 data server, open (+ pwrite + close) on an old one
-        opened = [t[2] for t in data_requests[start:] if t[0] in ("putflags", "open")]
+        opened = [t[2] for t in data_requests[start:] if t[0] == "putflags"]
         assert opened == ["wcxs", "wts"]
 
 
@@ -279,10 +251,8 @@ class LayoutRig:
     """Every layout of the stub engine over the same three data servers,
     the directory trees on a fourth."""
 
-    def __init__(self, server_factory, credentials, old: bool = False):
-        make = (lambda: predating_v4(server_factory.new())) if old else server_factory.new
-        self.servers = [make() for _ in range(4)]
-        self.seen = [record_requests(s) for s in self.servers]
+    def __init__(self, server_factory, credentials):
+        self.servers = [server_factory.new() for _ in range(4)]
         self.metrics = MetricsRegistry()
         self.pool = ClientPool(credentials, metrics=self.metrics)
         dir_server, *data_servers = self.servers
@@ -301,7 +271,7 @@ class LayoutRig:
             "versioned": VersionedFS(meta("/v"), self.pool, data, dsfs.data_dir),
         }
         for server in self.servers:
-            self.pool.get(*server.address).speaks_v4()  # every session has probed
+            self.pool.get(*server.address).whoami()  # every session is dialed
 
     def count(self, op) -> int:
         return sum(rpcs(self.metrics, op).values())
@@ -310,22 +280,21 @@ class LayoutRig:
         self.pool.close()
 
 
-@pytest.fixture(params=[False, True], ids=["v4", "old-server"])
-def layout_rig(request, server_factory, credentials):
-    r = LayoutRig(server_factory, credentials, old=request.param)
-    r.old = request.param
+@pytest.fixture(params=["v4"])  # the protocol the counts are pinned for
+def layout_rig(server_factory, credentials):
+    r = LayoutRig(server_factory, credentials)
     yield r
     r.close()
 
 
 class TestLayoutRoundTrips:
-    # layout -> operation -> (RPCs on v4 servers, RPCs on old servers);
-    # None where the count is not part of the contract.
+    # layout -> operation -> RPCs; None where the count is not part of
+    # the contract.
     EXPECTED = {
-        "dsfs": {"create": (2, 7), "stat": (2, 3), "read": (2, 3), "unlink": (3, 4)},
-        "replicated": {"create": (3, 11), "stat": (2, 3), "read": (2, 3), "unlink": (4, 5)},
-        "striped": {"create": (4, 15), "stat": (4, 5), "read": (4, 5), "unlink": (5, 6)},
-        "versioned": {"create": None, "stat": (2, 3), "read": (2, 3), "unlink": None},
+        "dsfs": {"create": 2, "stat": 2, "read": 2, "unlink": 3},
+        "replicated": {"create": 3, "stat": 2, "read": 2, "unlink": 4},
+        "striped": {"create": 4, "stat": 4, "read": 4, "unlink": 5},
+        "versioned": {"create": None, "stat": 2, "read": 2, "unlink": None},
     }
 
     @pytest.mark.parametrize("layout", list(EXPECTED))
@@ -343,8 +312,6 @@ class TestLayoutRoundTrips:
             n = layout_rig.count(op)
             expected = self.EXPECTED[layout][name]
             if expected is not None:
-                assert n == expected[layout_rig.old], name
+                assert n == expected, name
         assert got["bytes"] == data
         assert not fs.exists("/f")
-        if layout_rig.old:
-            assert all(t[0] != "putflags" for seen in layout_rig.seen for t in seen)

@@ -2,8 +2,8 @@
 
 Each example boots its own servers on loopback ports, tells one of the
 paper's stories and exits 0.  Running them here keeps them working as
-the library under them changes; their scratch directories land in
-``tmp_path`` through ``TMPDIR``.
+the library under them changes.  Each makes its scratch directory in
+``TMPDIR`` (``tmp_path`` here) and removes it before it exits.
 """
 
 import os
@@ -29,6 +29,7 @@ def test_example_exits_cleanly(script, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert not list(tmp_path.glob("tss-*")), "the example left its workspace behind"
 
 
 def test_every_example_is_collected():

@@ -273,7 +273,6 @@ class TestDeadlineDoesNotLinger:
     def bounded(self, file_server, credentials):
         c = _client(file_server, credentials, max_conns=1)
         c.putfile("/f", _payload(MIB))
-        assert c.speaks_v4()  # learnt now, so putflags sends no probe later
         c.stat("/f", deadline=Deadline(0.5, ManualClock()))
         sock = c.endpoint.raw_stream().socket
         assert sock.gettimeout() == pytest.approx(0.5)

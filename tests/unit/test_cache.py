@@ -8,6 +8,8 @@ metadata caching wired through :class:`~repro.chirp.client.ChirpClient`.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cache.block import BlockCache
@@ -35,7 +37,7 @@ def block(byte: int, size: int = BS) -> bytes:
 
 class TestBlockCache:
     def test_get_put_and_counters(self):
-        bc = BlockCache(capacity_bytes=8 * BS, block_size=BS, shards=2)
+        bc = BlockCache(capacity_bytes=8 * BS, block_size=BS)
         assert bc.get("f", 0) is None
         assert bc.put("f", 0, block(1))
         assert bc.get("f", 0) == block(1)
@@ -51,7 +53,7 @@ class TestBlockCache:
         assert bc.get("f", 0) is None
 
     def test_lru_eviction_respects_byte_budget(self):
-        bc = BlockCache(capacity_bytes=4 * BS, block_size=BS, shards=1)
+        bc = BlockCache(capacity_bytes=4 * BS, block_size=BS)
         for i in range(6):
             assert bc.put("f", i, block(i))
         assert bc.cached_bytes <= 4 * BS
@@ -62,7 +64,7 @@ class TestBlockCache:
         assert bc.get("f", 5) == block(5)
 
     def test_lru_order_follows_access(self):
-        bc = BlockCache(capacity_bytes=2 * BS, block_size=BS, shards=1)
+        bc = BlockCache(capacity_bytes=2 * BS, block_size=BS)
         bc.put("f", 0, block(0))
         bc.put("f", 1, block(1))
         assert bc.get("f", 0) == block(0)  # refresh block 0
@@ -80,7 +82,7 @@ class TestBlockCache:
         assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
 
     def test_invalidate_range_drops_overlapped_blocks_only(self):
-        bc = BlockCache(capacity_bytes=16 * BS, block_size=BS, shards=1)
+        bc = BlockCache(capacity_bytes=16 * BS, block_size=BS)
         for i in range(4):
             bc.put("f", i, block(i))
         # Touch bytes inside blocks 1 and 2.
@@ -125,6 +127,16 @@ class TestBlockCache:
         assert bc.get("h:1:/ab", 0) == block(3)
         # Descendant epochs were bumped: an in-flight fetch is refused.
         assert not bc.put("h:1:/a/x", 0, block(2), epoch=stale)
+
+    def test_small_cache_holds_half_its_capacity_whatever_the_keys(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            bc = BlockCache(capacity_bytes=16 * BS, block_size=BS)
+            keys = rng.sample(range(10**9), 8)
+            for k in keys:
+                assert bc.put(f"h:1:/{k}", 0, block(1))
+            assert bc.snapshot()["evictions"] == 0
+            assert all(bc.peek(f"h:1:/{k}", 0) for k in keys)
 
     def test_epoch_map_is_bounded_and_stays_monotonic(self):
         from repro.cache.block import _EPOCH_LIMIT
