@@ -39,7 +39,7 @@ from repro.core import (
     DSFS,
     DSDB,
     ClientPool,
-    LocalFilesystem,
+    StoreFilesystem,
     RetryPolicy,
 )
 from repro.adapter import Adapter, Mountlist, interposed
@@ -72,7 +72,7 @@ __all__ = [
     "DSFS",
     "DSDB",
     "ClientPool",
-    "LocalFilesystem",
+    "StoreFilesystem",
     "RetryPolicy",
     "Adapter",
     "Mountlist",

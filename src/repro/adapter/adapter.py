@@ -5,7 +5,9 @@ The adapter resolves every path in three steps:
 1. the *mountlist* rewrites private logical names,
 2. explicit mounts (``adapter.mount('/data', some_fs)``) match by longest
    prefix -- any :class:`~repro.core.interface.Filesystem` can be mounted,
-   including a :class:`~repro.core.localfs.LocalFilesystem` or a DPFS,
+   including a local directory (a
+   :class:`~repro.core.storefs.StoreFilesystem` over a
+   :class:`~repro.store.localdir.LocalDirStore`) or a DPFS,
 3. the built-in namespaces ``/cfs/<host:port>/...`` and
    ``/dsfs/<host:port>@<volume>/...`` construct abstractions on demand
    from the adapter's connection pool.

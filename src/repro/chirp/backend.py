@@ -51,7 +51,7 @@ from typing import Optional
 
 from repro.auth.acl import ACL_FILE_NAME, Acl, parse_rights
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
-from repro.store import BlobHandle, BlobStore
+from repro.store import BlobStore, FileHandle
 from repro.util.errors import (
     AlreadyExistsError,
     BadFileDescriptorError,
@@ -342,14 +342,14 @@ class Backend:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _handle(handle) -> BlobHandle:
-        if not isinstance(handle, BlobHandle):
+    def _handle(handle) -> FileHandle:
+        if not isinstance(handle, FileHandle):
             raise BadFileDescriptorError(f"not an open handle: {handle!r}")
         return handle
 
     def open(
         self, subject: str, vpath: str, flags: OpenFlags, mode: int, charge: int = 0
-    ) -> BlobHandle:
+    ) -> FileHandle:
         """Open a file, returning a store handle.
 
         ``charge`` is the size of a whole-file write about to follow: its

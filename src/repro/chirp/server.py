@@ -33,7 +33,7 @@ from repro.chirp.protocol import (
     VERBS,
     payload_length,
 )
-from repro.store import BlobHandle, HandleReader, HandleWriter, make_store
+from repro.store import FileHandle, HandleReader, HandleWriter, make_store
 from repro.util.errors import (
     BadFileDescriptorError,
     ChirpError,
@@ -118,7 +118,7 @@ class _CountingWriter:
     failure.
     """
 
-    def __init__(self, handle: BlobHandle):
+    def __init__(self, handle: FileHandle):
         self._writer = HandleWriter(handle)
         self.consumed = 0
 
@@ -133,10 +133,10 @@ class _Connection(Session):
     def __init__(self, stream: LineStream, subject: str, max_open: int):
         super().__init__(stream, subject)
         self.max_open = max_open
-        self.fds: dict[int, BlobHandle] = {}  # client fd -> store handle
+        self.fds: dict[int, FileHandle] = {}  # client fd -> store handle
         self.next_fd = 3
 
-    def install_fd(self, handle: BlobHandle) -> int:
+    def install_fd(self, handle: FileHandle) -> int:
         if len(self.fds) >= self.max_open:
             try:
                 handle.close()
@@ -150,13 +150,13 @@ class _Connection(Session):
         self.fds[cfd] = handle
         return cfd
 
-    def lookup_fd(self, cfd: int) -> BlobHandle:
+    def lookup_fd(self, cfd: int) -> FileHandle:
         try:
             return self.fds[cfd]
         except KeyError:
             raise BadFileDescriptorError(f"fd {cfd}") from None
 
-    def drop_fd(self, cfd: int) -> BlobHandle:
+    def drop_fd(self, cfd: int) -> FileHandle:
         try:
             return self.fds.pop(cfd)
         except KeyError:

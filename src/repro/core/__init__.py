@@ -22,7 +22,7 @@ on it unavailable; the namespace (or database) stays navigable.
 from repro.core.interface import Filesystem, FileHandle, StatResult, to_stat_result
 from repro.transport.recovery import RetryPolicy
 from repro.core.pool import ClientPool
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
 from repro.core.cfs import CFS
 from repro.core.dpfs import DPFS
 from repro.core.dsfs import DSFS
@@ -46,7 +46,7 @@ __all__ = [
     "to_stat_result",
     "RetryPolicy",
     "ClientPool",
-    "LocalFilesystem",
+    "StoreFilesystem",
     "CFS",
     "DPFS",
     "DSFS",

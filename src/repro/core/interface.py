@@ -9,18 +9,21 @@ future work, each a layout of :mod:`repro.core.stubfs`) plug in without
 touching the adapter.
 
 Positions are explicit (``pread``/``pwrite``): seek state belongs to the
-caller, exactly like the Chirp protocol itself.
+caller, exactly like the Chirp protocol itself.  The handle contract,
+:class:`FileHandle`, is the storage resources' own
+(:mod:`repro.store.interface`), re-exported here: a store's handle *is* a
+filesystem handle.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import NamedTuple
 
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
+from repro.store.interface import FileHandle, write_all
 
-__all__ = ["FileHandle", "Filesystem", "StatResult", "to_stat_result", "write_whole"]
+__all__ = ["FileHandle", "Filesystem", "StatResult", "to_stat_result"]
 
 
 class StatResult(NamedTuple):
@@ -55,50 +58,6 @@ def to_stat_result(st: ChirpStat) -> StatResult:
         st_mtime=st.mtime,
         st_ctime=st.ctime,
     )
-
-
-class FileHandle(ABC):
-    """An open file within some abstraction.
-
-    Handles own their recovery: an implementation that talks to a remote
-    server transparently reconnects and re-opens according to its
-    :class:`~repro.transport.recovery.RetryPolicy`, raising
-    :class:`~repro.util.errors.StaleHandleError` if the file changed
-    identity underneath (the paper's NFS-style stale-handle rule).
-    """
-
-    @abstractmethod
-    def pread(self, length: int, offset: int) -> bytes: ...
-
-    @abstractmethod
-    def pwrite(self, data: bytes, offset: int) -> int: ...
-
-    @abstractmethod
-    def fsync(self) -> None: ...
-
-    @abstractmethod
-    def fstat(self) -> ChirpStat: ...
-
-    def ftruncate(self, size: int) -> None:
-        raise NotImplementedError(f"{type(self).__name__} does not support ftruncate")
-
-    @abstractmethod
-    def close(self) -> None: ...
-
-    def __enter__(self) -> "FileHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def write_whole(handle: FileHandle, data: bytes) -> int:
-    """Write ``data`` from offset 0 in 1 MiB ``pwrite`` calls."""
-    offset = 0
-    view = memoryview(data)
-    while offset < len(data):
-        offset += handle.pwrite(bytes(view[offset : offset + (1 << 20)]), offset)
-    return offset
 
 
 class Filesystem(ABC):
@@ -172,7 +131,7 @@ class Filesystem(ABC):
         """Create/replace a whole file via the handle interface."""
         flags = OpenFlags(write=True, create=True, truncate=True)
         with self.open(path, flags, mode) as h:
-            return write_whole(h, data)
+            return write_all(h, data)
 
     def makedirs(self, path: str, mode: int = 0o755) -> None:
         """Create a directory and any missing ancestors."""

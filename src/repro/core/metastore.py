@@ -11,9 +11,11 @@ captures that seam as a small interface with two implementations:
 so the stub engine in :mod:`repro.core.stubfs`, and every layout over it
 (single, replicated, striped, versioned), is written once.  Thanks to
 recursive abstractions each store *is* a filesystem -- a
-:class:`~repro.core.localfs.LocalFilesystem` or a :class:`~repro.core.cfs.CFS`
--- plus the *exclusive create* that makes the crash-safe file creation
-protocol work on either.
+:class:`~repro.core.storefs.StoreFilesystem` over a
+:class:`~repro.store.localdir.LocalDirStore`, or a
+:class:`~repro.core.cfs.CFS` over the file server's own store -- plus the
+*exclusive create* that makes the crash-safe file creation protocol work
+on either.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from typing import Optional
 
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.localdir import stat_read_path
+from repro.store.interface import write_all
+from repro.store.localdir import LocalDirStore
 from repro.transport.recovery import RetryPolicy
 from repro.core.cfs import CFS
 from repro.core.interface import Filesystem
-from repro.core.localfs import LocalFilesystem, wrap_os_error
+from repro.core.storefs import StoreFilesystem
 from repro.util.errors import AlreadyExistsError
 from repro.util.jsonlog import fsync_dir
 
@@ -86,44 +89,34 @@ class MetadataStore(Filesystem):
             raise AlreadyExistsError("volume already initialized here")
 
 
-class LocalMetadataStore(LocalFilesystem, MetadataStore):
+class LocalMetadataStore(StoreFilesystem, MetadataStore):
     """Directory tree in a private local filesystem (the DPFS case).
 
-    The namespace operations are :class:`LocalFilesystem`'s own -- the
-    private tree is just another filesystem, recursion all the way down;
-    this class adds the stub reads and the durable exclusive create.
+    The namespace operations, stub reads included, are a
+    :class:`LocalDirStore`'s own -- the private tree is just another
+    storage resource, recursion all the way down, with the file server's
+    confinement, error mapping and (under ``sync_meta``) directory
+    fsyncs; this class adds the durable exclusive create.
     """
 
     def __init__(self, root: str, sync_meta: bool = True):
         os.makedirs(root, exist_ok=True)
-        super().__init__(root)
-        self.sync_meta = sync_meta
-
-    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
-        try:
-            st, data = stat_read_path(self._real(path), limit)
-        except OSError as exc:
-            raise wrap_os_error(exc, path) from exc
-        return ChirpStat.from_os(st), data
+        super().__init__(LocalDirStore(root, sync_meta=sync_meta))
 
     def create_exclusive(self, path: str, content: bytes) -> bool:
         try:
-            fd = os.open(self._real(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
+            handle = self.store.open(path, _WCX, 0o644)
+        except AlreadyExistsError:
             return False
-        except OSError as exc:
-            raise wrap_os_error(exc, path) from exc
-        try:
-            os.write(fd, content)
-            if self.sync_meta:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
+        with handle:
+            write_all(handle, content)
+            if self.store.sync_meta:
+                handle.fsync()
         # The stub-creation protocol's crash-safety rests on the O_EXCL
         # create being durable; that requires syncing the parent
         # directory's entry table, not just the new file's data.
-        if self.sync_meta:
-            fsync_dir(os.path.dirname(self._real(path)))
+        if self.store.sync_meta:
+            fsync_dir(os.path.dirname(self.store._real(path)))
         return True
 
 

@@ -35,12 +35,13 @@ from typing import Optional, Sequence
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle, write_whole
+from repro.core.interface import FileHandle
 from repro.core.metastore import MetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
 from repro.core.stubfs import Layout, StubFilesystem
 from repro.core.stubs import Stub, decode_doc, encode_doc
+from repro.store.interface import write_all
 from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     AlreadyExistsError,
@@ -256,7 +257,7 @@ class VersionedFS(StubFilesystem):
             dflags = replace(flags, create=True, exclusive=True)
             handle = self._data_handle(member, dflags, mode)
             if seed is not None:
-                write_whole(handle, self._call(seed, lambda c: c.getfile(seed.path)))
+                write_all(handle, self._call(seed, lambda c: c.getfile(seed.path)))
         return _CommitOnClose(handle, lambda: self._commit(path, member))
 
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:

@@ -285,6 +285,11 @@ class Keeper:
         self._pass_unreachable: set[tuple] = set()
         self._pass_answered: set[tuple] = set()
         self.dead: set[tuple] = set()
+        # Repair planning state for the current pass: every file record's
+        # summary, read with one query at the pass's first repair and kept
+        # current from each batch's re-fetched records and each commit,
+        # so a tick plans without re-reading the whole database.
+        self._summaries: Optional[dict[str, RecordSummary]] = None
         self._counters = {
             "ticks": 0,
             "passes_completed": 0,
@@ -515,6 +520,7 @@ class Keeper:
             # starts over from the top.
             tick.wrapped = True
             self._cursor = None
+            self._summaries = None
             self._counters["passes_completed"] += 1
             self._fold_unreachable_pass()
             self._save_cursor()
@@ -561,10 +567,17 @@ class Keeper:
 
     def _repair(self, batch: list[dict], tick: KeeperTick) -> None:
         budget_left = self.config.max_repairs_per_tick
+        if self._summaries is None:
+            records = self.dsdb.query(Query.where(tss_kind=FILE_KIND))
+            self._summaries = {
+                r["id"]: RecordSummary.from_record(r) for r in records
+            }
+        summaries = self._summaries
         # Drop what the audit just noted (refetch: states changed above).
         for stale in batch:
             record = self.dsdb.get(stale["id"])
             if record is None:
+                summaries.pop(stale["id"], None)
                 continue
             # Replicas on declared-dead servers become authoritatively
             # missing -- the hysteresis already separated "gone" from
@@ -585,6 +598,7 @@ class Keeper:
                 record = self.dsdb.drop_replica(record, bad)
                 tick.dropped += 1
                 self._counters["dropped"] += 1
+            summaries[record["id"]] = RecordSummary.from_record(record)
         # Proactive drain: records in this batch with live copies on
         # suspect or draining servers get one extra copy on healthy
         # ground now, before those servers finish dying.
@@ -596,10 +610,8 @@ class Keeper:
                 if record is not None and self._proactive_copy(record, tick):
                     budget_left -= 1
         # Policy-planned repairs, highest priority first.
-        records = self.dsdb.query(Query.where(tss_kind=FILE_KIND))
-        summaries = [RecordSummary.from_record(r) for r in records]
         plan = self.replicator.policy.plan_additions(
-            summaries, len(self.dsdb.servers)
+            list(summaries.values()), len(self.dsdb.servers)
         )
         if plan:
             log.info(
@@ -610,7 +622,10 @@ class Keeper:
             if budget_left <= 0:
                 break
             record = self.dsdb.get(record_id)
-            if record is None or not live_replicas(record):
+            if record is None:
+                summaries.pop(record_id, None)
+                continue
+            if not live_replicas(record):
                 continue
             target = self.replicator.choose_target(
                 record, avoid=self._avoid()
@@ -656,7 +671,7 @@ class Keeper:
         self.repair_budget.charge(record.get("size", 0))
         try:
             replica = self.dsdb.copy_replica(record, target, path=path)
-            self.dsdb.attach_replica(record, replica)
+            record = self.dsdb.attach_replica(record, replica)
         except (ChirpError, LookupError) as exc:
             client = self.dsdb.pool.try_get(*target)
             if client is not None:
@@ -674,6 +689,8 @@ class Keeper:
             )
             return False
         self.journal.commit(seq)
+        if self._summaries is not None:
+            self._summaries[record["id"]] = RecordSummary.from_record(record)
         log.info(
             "repair: record %s copied to %s:%d",
             record["id"], target[0], int(target[1]),

@@ -10,8 +10,8 @@ from __future__ import annotations
 from repro.store.cas import CasStore
 from repro.store.faulty import DiskFaultPlan, DiskFaultScript, FaultyStore
 from repro.store.interface import (
-    BlobHandle,
     BlobStore,
+    FileHandle,
     HandleReader,
     HandleWriter,
     read_all,
@@ -21,12 +21,12 @@ from repro.store.localdir import LocalDirStore
 from repro.store.memory import MemoryStore
 
 __all__ = [
-    "BlobHandle",
     "BlobStore",
     "CasStore",
     "DiskFaultPlan",
     "DiskFaultScript",
     "FaultyStore",
+    "FileHandle",
     "HandleReader",
     "HandleWriter",
     "LocalDirStore",

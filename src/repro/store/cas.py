@@ -56,7 +56,7 @@ import tempfile
 import time
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.interface import BlobHandle, BlobStore, stat_stamp
+from repro.store.interface import BlobStore, FileHandle, stat_stamp
 from repro.util.checksum import data_checksum, file_checksum, stream_checksum
 from repro.util.errors import (
     AlreadyExistsError,
@@ -65,8 +65,7 @@ from repro.util.errors import (
     IsADirectoryError_,
     NotAuthorizedError,
     UnknownError,
-    error_from_status,
-    status_from_exception,
+    wrap_os_error,
 )
 from repro.util.jsonlog import fsync_dir
 from repro.util.paths import PathEscapeError, confine
@@ -85,10 +84,6 @@ def _discard(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def _wrap_os_error(exc: OSError, path: str = "") -> Exception:
-    return error_from_status(status_from_exception(exc), f"{path}: {exc.strerror or exc}")
 
 
 class _Pointer:
@@ -128,7 +123,7 @@ class _Pointer:
         )
 
 
-class _CasReadHandle(BlobHandle):
+class _CasReadHandle(FileHandle):
     """A read-only handle: an OS fd on the sealed object itself (on
     ``/dev/null`` for the implicit empty blob)."""
 
@@ -136,12 +131,13 @@ class _CasReadHandle(BlobHandle):
         self._fd = fd
         self._ptr = ptr
         self._ptr_real = ptr_real
+        self._closed = False
 
     def pread(self, length: int, offset: int) -> bytes:
         try:
             return os.pread(self._fd, length, offset)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def pwrite(self, data: bytes, offset: int) -> int:
         raise BadFileDescriptorError("handle not open for writing")
@@ -159,13 +155,16 @@ class _CasReadHandle(BlobHandle):
         raise BadFileDescriptorError("handle not open for writing")
 
     def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         try:
             os.close(self._fd)
         except OSError as exc:
             raise BadFileDescriptorError(str(exc)) from exc
 
 
-class _CasWriteHandle(BlobHandle):
+class _CasWriteHandle(FileHandle):
     """A writable handle: mutations accumulate on a spool, sealed back
     into the object plane on fsync/close."""
 
@@ -226,7 +225,7 @@ class _CasWriteHandle(BlobHandle):
         try:
             pst = os.stat(ptr_real)
         except OSError as exc:
-            raise _wrap_os_error(exc, self._vpath) from exc
+            raise wrap_os_error(exc, self._vpath) from exc
         st = ChirpStat.from_os(pst)
         return ChirpStat(
             device=st.device,
@@ -267,7 +266,7 @@ class _CasWriteHandle(BlobHandle):
 
     def close(self) -> None:
         if self._closed:
-            raise BadFileDescriptorError("handle is closed")
+            return
         try:
             self._seal()
         finally:
@@ -375,7 +374,7 @@ class CasStore(BlobStore):
         except FileNotFoundError as exc:
             raise DoesNotExistError(vpath) from exc
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         try:
             return _Pointer.from_bytes(data)
         except (ValueError, KeyError) as exc:
@@ -411,7 +410,7 @@ class CasStore(BlobStore):
         except OSError as exc:
             _discard(tmp)
             if exclusive:
-                raise _wrap_os_error(exc, real) from exc
+                raise wrap_os_error(exc, real) from exc
             raise
         if exclusive:
             _discard(tmp)
@@ -498,7 +497,7 @@ class CasStore(BlobStore):
 
     # -- file I/O -------------------------------------------------------
 
-    def open(self, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle:
+    def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
         real = self._ns(vpath)
         if os.path.isdir(real):
             raise IsADirectoryError_(vpath)
@@ -508,7 +507,7 @@ class CasStore(BlobStore):
             try:
                 fd = os.open(self._content_path(ptr.key), os.O_RDONLY)
             except OSError as exc:
-                raise _wrap_os_error(exc, vpath) from exc
+                raise wrap_os_error(exc, vpath) from exc
             self._count("open")
             return _CasReadHandle(fd, ptr, real)
 
@@ -549,7 +548,7 @@ class CasStore(BlobStore):
                             break
                         handle._spool.write(chunk)
             except OSError as exc:
-                raise _wrap_os_error(exc, vpath) from exc
+                raise wrap_os_error(exc, vpath) from exc
         self._count("open")
         return handle
 
@@ -561,12 +560,12 @@ class CasStore(BlobStore):
             try:
                 return ChirpStat.from_os(os.stat(real))
             except OSError as exc:
-                raise _wrap_os_error(exc, vpath) from exc
+                raise wrap_os_error(exc, vpath) from exc
         ptr = self._read_pointer(real, vpath)
         try:
             return _stat_from_pointer(ptr, real)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def lstat(self, vpath: str) -> ChirpStat:
         return self.stat(vpath)  # pointer files are not symlinks
@@ -588,7 +587,7 @@ class CasStore(BlobStore):
         try:
             return os.listdir(self._ns(vpath))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def unlink(self, vpath: str) -> None:
         real = self._ns(vpath)
@@ -599,7 +598,7 @@ class CasStore(BlobStore):
             try:
                 os.unlink(real)
             except OSError as exc:
-                raise _wrap_os_error(exc, vpath) from exc
+                raise wrap_os_error(exc, vpath) from exc
             self._decref(ptr.key)
         self._fsync_dir(os.path.dirname(real))
 
@@ -618,7 +617,7 @@ class CasStore(BlobStore):
             try:
                 os.rename(real_old, real_new)
             except OSError as exc:
-                raise _wrap_os_error(exc, vold) from exc
+                raise wrap_os_error(exc, vold) from exc
             if clobbered is not None:
                 self._decref(clobbered)
         self._fsync_dir(os.path.dirname(real_new))
@@ -630,7 +629,7 @@ class CasStore(BlobStore):
         try:
             os.mkdir(real, mode & 0o777)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         self._fsync_dir(os.path.dirname(real))
 
     def rmdir(self, vpath: str) -> None:
@@ -638,7 +637,7 @@ class CasStore(BlobStore):
         try:
             os.rmdir(real)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         self._fsync_dir(os.path.dirname(real))
 
     def truncate(self, vpath: str, size: int) -> None:
@@ -664,7 +663,7 @@ class CasStore(BlobStore):
             try:
                 os.utime(real, (atime, mtime))
             except OSError as exc:
-                raise _wrap_os_error(exc, vpath) from exc
+                raise wrap_os_error(exc, vpath) from exc
             return
         with self._lock:
             ptr = self._read_pointer(real, vpath)

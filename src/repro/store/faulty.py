@@ -46,7 +46,7 @@ from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.cas import EMPTY_KEY
-from repro.store.interface import BlobHandle, BlobStore
+from repro.store.interface import BlobStore, FileHandle
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.errors import InvalidRequestError, NoSpaceError, UnknownError
 
@@ -252,10 +252,10 @@ class DiskFaultPlan:
             return tuple(self._events)
 
 
-class _FaultyHandle(BlobHandle):
+class _FaultyHandle(FileHandle):
     """Wraps an inner handle, consulting the plan on every data-path op."""
 
-    def __init__(self, store: "FaultyStore", inner: BlobHandle, vpath: str):
+    def __init__(self, store: "FaultyStore", inner: FileHandle, vpath: str):
         self._store = store
         self._inner = inner
         self._vpath = vpath
@@ -356,7 +356,7 @@ class FaultyStore(BlobStore):
 
     # -- file I/O -------------------------------------------------------
 
-    def open(self, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle:
+    def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
         return _FaultyHandle(self, self.inner.open(vpath, flags, mode), vpath)
 
     # -- namespace (transparent) ----------------------------------------

@@ -9,7 +9,7 @@ the server's abstraction layer (ACLs, quotas, fd bookkeeping in
 
 - a POSIX-ish namespace of files and directories addressed by *virtual*
   absolute paths (``/a/b/c``), normalized and confined by the store;
-- random-access file handles (:class:`BlobHandle`) with explicit-offset
+- random-access file handles (:class:`FileHandle`) with explicit-offset
   reads and writes, mirroring the wire protocol's ``pread``/``pwrite``;
 - whole-blob helpers used by the layer above for its own bookkeeping
   (ACL files travel through the store like any other blob, so every
@@ -44,7 +44,7 @@ from repro.util.errors import InvalidRequestError, UnknownError
 
 __all__ = [
     "BlobStore",
-    "BlobHandle",
+    "FileHandle",
     "HandleReader",
     "HandleWriter",
     "read_all",
@@ -76,13 +76,28 @@ def stat_stamp(st: os.stat_result) -> Hashable:
     return (st.st_ino, st.st_mtime_ns, ctime, st.st_size)
 
 
-class BlobHandle(ABC):
-    """An open file within a store.
+class FileHandle(ABC):
+    """An open file: the one handle contract of every layer.
+
+    Store handles, :class:`~repro.core.cfs.ChirpFileHandle`, the layout
+    handles and :class:`~repro.cache.handle.CachedFileHandle` all
+    subclass this class, so a server serves, and a client stacks, any
+    of them alike.
 
     Handles own no seek position: ``pread``/``pwrite`` carry explicit
     offsets, exactly like the wire protocol, so one handle may serve
     concurrent requests.  Streaming callers wrap a handle in
     :class:`HandleReader`/:class:`HandleWriter` for a cursor.
+
+    ``close`` is idempotent: a second call is a no-op, never a second
+    release of a resource (an fd number the kernel may already have
+    handed to another file).
+
+    Handles own their recovery: an implementation that talks to a remote
+    server transparently reconnects and re-opens according to its
+    :class:`~repro.transport.recovery.RetryPolicy`, raising
+    :class:`~repro.util.errors.StaleHandleError` if the file changed
+    identity underneath (the paper's NFS-style stale-handle rule).
     """
 
     @abstractmethod
@@ -113,7 +128,7 @@ class BlobHandle(ABC):
         """
         return None
 
-    def __enter__(self) -> "BlobHandle":
+    def __enter__(self) -> "FileHandle":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -128,7 +143,7 @@ class HandleReader:
     whether an OS fd backs the handle.
     """
 
-    def __init__(self, handle: BlobHandle, offset: int = 0):
+    def __init__(self, handle: FileHandle, offset: int = 0):
         self._handle = handle
         self._offset = offset
 
@@ -141,7 +156,7 @@ class HandleReader:
 class HandleWriter:
     """A write-cursor over a handle (file-object ``write`` protocol)."""
 
-    def __init__(self, handle: BlobHandle, offset: int = 0):
+    def __init__(self, handle: FileHandle, offset: int = 0):
         self._handle = handle
         self._offset = offset
 
@@ -160,7 +175,7 @@ class HandleWriter:
         return done
 
 
-def read_all(handle: BlobHandle, chunk_size: int = 1 << 20) -> bytes:
+def read_all(handle: FileHandle, chunk_size: int = 1 << 20) -> bytes:
     """Drain a handle from offset 0 (helper for whole-blob reads)."""
     chunks = []
     offset = 0
@@ -172,7 +187,7 @@ def read_all(handle: BlobHandle, chunk_size: int = 1 << 20) -> bytes:
         offset += len(chunk)
 
 
-def write_all(handle: BlobHandle, data: bytes, chunk_size: int = 1 << 20) -> int:
+def write_all(handle: FileHandle, data: bytes, chunk_size: int = 1 << 20) -> int:
     """Write a whole byte string from offset 0."""
     writer = HandleWriter(handle)
     view = memoryview(data)
@@ -208,7 +223,7 @@ class BlobStore(ABC):
     # -- file I/O -------------------------------------------------------
 
     @abstractmethod
-    def open(self, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle: ...
+    def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle: ...
 
     # -- namespace ------------------------------------------------------
 

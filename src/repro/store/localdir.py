@@ -23,28 +23,19 @@ import stat as stat_mod
 from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.interface import BlobHandle, BlobStore, stat_stamp
+from repro.store.interface import BlobStore, FileHandle, stat_stamp
 from repro.util import checksum as checksum_mod
 from repro.util.jsonlog import fsync_dir
-from repro.util.errors import (
-    IsADirectoryError_,
-    NotAuthorizedError,
-    error_from_status,
-    status_from_exception,
-)
+from repro.util.errors import IsADirectoryError_, NotAuthorizedError, wrap_os_error
 from repro.util.paths import PathEscapeError, confine
 
-__all__ = ["LocalDirStore", "STAGING_PREFIX", "stat_read_path"]
+__all__ = ["LocalDirStore", "STAGING_PREFIX"]
 
 #: Reserved basename prefix for write_blob staging files.  The prefix
 #: must be distinctive: a plain ``<name>.tmp`` convention would make the
 #: boot janitor delete legitimate client files that happen to be named
 #: ``*.tmp``, whereas nothing legitimate starts with this marker.
 STAGING_PREFIX = ".tss-tmp."
-
-
-def _wrap_os_error(exc: OSError, path: str = "") -> Exception:
-    return error_from_status(status_from_exception(exc), f"{path}: {exc.strerror or exc}")
 
 
 def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[bytes]]:
@@ -72,32 +63,33 @@ def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[byte
     return os.stat(real), None
 
 
-class _OsFdHandle(BlobHandle):
+class _OsFdHandle(FileHandle):
     """A handle backed by an OS file descriptor."""
 
     def __init__(self, store: "LocalDirStore", fd: int):
         self._store = store
         self._fd = fd
+        self._closed = False
 
     def pread(self, length: int, offset: int) -> bytes:
         try:
             return os.pread(self._fd, length, offset)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def pwrite(self, data: bytes, offset: int) -> int:
         if not self._store.tracking_usage:
             try:
                 return os.pwrite(self._fd, data, offset)
             except OSError as exc:
-                raise _wrap_os_error(exc) from exc
+                raise wrap_os_error(exc) from exc
         # Account in a finally so a partial failure (ENOSPC/EIO mid-op
         # may still have extended the file) cannot skew the counter.
         before = os.fstat(self._fd).st_size
         try:
             return os.pwrite(self._fd, data, offset)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
         finally:
             self._account_after(before)
 
@@ -108,26 +100,26 @@ class _OsFdHandle(BlobHandle):
         try:
             os.fsync(self._fd)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def fstat(self) -> ChirpStat:
         try:
             return ChirpStat.from_os(os.fstat(self._fd))
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
 
     def ftruncate(self, size: int) -> None:
         if not self._store.tracking_usage:
             try:
                 os.ftruncate(self._fd, size)
             except OSError as exc:
-                raise _wrap_os_error(exc) from exc
+                raise wrap_os_error(exc) from exc
             return
         before = os.fstat(self._fd).st_size
         try:
             os.ftruncate(self._fd, size)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
         finally:
             self._account_after(before)
 
@@ -146,10 +138,13 @@ class _OsFdHandle(BlobHandle):
             self._store._account(after - before)
 
     def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         try:
             os.close(self._fd)
         except OSError as exc:
-            raise _wrap_os_error(exc) from exc
+            raise wrap_os_error(exc) from exc
 
 
 class LocalDirStore(BlobStore):
@@ -226,14 +221,14 @@ class LocalDirStore(BlobStore):
 
     # -- file I/O -------------------------------------------------------
 
-    def open(self, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle:
+    def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
         real = self._real(vpath)
         if os.path.isdir(real):
             raise IsADirectoryError_(vpath)
         try:
             fd = os.open(real, flags.to_os_flags(), mode & 0o777)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         self._count("open")
         return _OsFdHandle(self, fd)
 
@@ -243,19 +238,19 @@ class LocalDirStore(BlobStore):
         try:
             return ChirpStat.from_os(os.stat(self._real(vpath)))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def lstat(self, vpath: str) -> ChirpStat:
         try:
             return ChirpStat.from_os(os.lstat(self._real(vpath)))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def stat_read(self, vpath: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         try:
             st, data = stat_read_path(self._real(vpath), limit)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         return ChirpStat.from_os(st), data
 
     def stamp(self, vpath: str):
@@ -274,7 +269,7 @@ class LocalDirStore(BlobStore):
         try:
             return os.listdir(self._real(vpath))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def unlink(self, vpath: str) -> None:
         real = self._real(vpath)
@@ -282,7 +277,7 @@ class LocalDirStore(BlobStore):
         try:
             os.unlink(real)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         self._account(-freed)
         if self.sync_meta:
             fsync_dir(os.path.dirname(real))
@@ -293,7 +288,7 @@ class LocalDirStore(BlobStore):
         try:
             os.rename(real_old, real_new)
         except OSError as exc:
-            raise _wrap_os_error(exc, vold) from exc
+            raise wrap_os_error(exc, vold) from exc
         self._account(-clobbered)
         # Both directory entries changed; a crash must not resurrect the
         # old name or lose the new one.
@@ -307,7 +302,7 @@ class LocalDirStore(BlobStore):
         try:
             os.mkdir(real, mode & 0o777)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         if self.sync_meta:
             fsync_dir(os.path.dirname(real))
 
@@ -316,7 +311,7 @@ class LocalDirStore(BlobStore):
         try:
             os.rmdir(real)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         if self.sync_meta:
             fsync_dir(os.path.dirname(real))
 
@@ -326,7 +321,7 @@ class LocalDirStore(BlobStore):
         try:
             os.truncate(real, size)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         if self.tracking_usage:
             self._account(self._size_if_file(real) - before)
 
@@ -334,13 +329,13 @@ class LocalDirStore(BlobStore):
         try:
             os.utime(self._real(vpath), (atime, mtime))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     def checksum(self, vpath: str) -> str:
         try:
             return checksum_mod.file_checksum(self._real(vpath))
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
 
     # -- whole blobs ----------------------------------------------------
 
@@ -361,7 +356,7 @@ class LocalDirStore(BlobStore):
                 os.fsync(fh.fileno())
             os.replace(tmp, real)
         except OSError as exc:
-            raise _wrap_os_error(exc, vpath) from exc
+            raise wrap_os_error(exc, vpath) from exc
         if self.tracking_usage:
             self._account(len(data) - before)
 

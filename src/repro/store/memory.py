@@ -15,7 +15,7 @@ import stat as stat_mod
 import time
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.store.interface import BlobHandle, BlobStore
+from repro.store.interface import BlobStore, FileHandle
 from repro.util.checksum import data_checksum
 from repro.util.errors import (
     AlreadyExistsError,
@@ -71,7 +71,7 @@ def _stat_of(node) -> ChirpStat:
     )
 
 
-class _MemHandle(BlobHandle):
+class _MemHandle(FileHandle):
     def __init__(self, store: "MemoryStore", node: _File, flags: OpenFlags):
         self._store = store
         self._node = node
@@ -176,7 +176,7 @@ class MemoryStore(BlobStore):
 
     # -- file I/O -------------------------------------------------------
 
-    def open(self, vpath: str, flags: OpenFlags, mode: int) -> BlobHandle:
+    def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
         with self._lock:
             parent, name = self._parent_of(vpath)
             if not name:

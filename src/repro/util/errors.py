@@ -41,6 +41,7 @@ __all__ = [
     "UnknownError",
     "status_from_exception",
     "error_from_status",
+    "wrap_os_error",
     "busy_message",
     "parse_retry_after",
 ]
@@ -371,6 +372,11 @@ def error_from_status(status: int, message: str = "") -> ChirpError:
         return UnknownError(message or f"unknown status {status}")
     cls = _STATUS_TO_ERROR.get(code, UnknownError)
     return cls(message)
+
+
+def wrap_os_error(exc: OSError, path: str = "") -> ChirpError:
+    """The :class:`ChirpError` for an ``OSError`` raised on ``path``."""
+    return error_from_status(status_from_exception(exc), f"{path}: {exc.strerror or exc}")
 
 
 def oserror_from_status(status: int, message: str = "", path: str | None = None) -> OSError:

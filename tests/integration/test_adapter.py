@@ -11,7 +11,8 @@ from repro.adapter.adapter import Adapter
 from repro.adapter.interpose import interposed
 from repro.adapter.mountlist import Mountlist
 from repro.core.dsfs import DSFS
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 from repro.transport.recovery import RetryPolicy
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)
@@ -77,7 +78,7 @@ class TestMounts:
         local = tmp_path / "localtree"
         local.mkdir()
         (local / "f.txt").write_text("local")
-        adapter.mount("/mnt", LocalFilesystem(str(local)))
+        adapter.mount("/mnt", StoreFilesystem(LocalDirStore(str(local))))
         assert adapter.listdir("/mnt") == ["f.txt"]
         assert adapter.read_bytes("/mnt/f.txt") == b"local"
 
@@ -94,13 +95,13 @@ class TestMounts:
         assert a.exists(f"{cfs_url}/x")
 
     def test_unmount(self, adapter, tmp_path):
-        adapter.mount("/mnt", LocalFilesystem(str(tmp_path)))
+        adapter.mount("/mnt", StoreFilesystem(LocalDirStore(str(tmp_path))))
         adapter.unmount("/mnt")
         with pytest.raises(OSError):
             adapter.listdir("/mnt")
 
     def test_rename_across_abstractions_is_exdev(self, adapter, tmp_path, cfs_url):
-        adapter.mount("/mnt", LocalFilesystem(str(tmp_path)))
+        adapter.mount("/mnt", StoreFilesystem(LocalDirStore(str(tmp_path))))
         adapter.write_bytes("/mnt/f", b"1")
         with pytest.raises(OSError) as exc:
             adapter.rename("/mnt/f", f"{cfs_url}/f")

@@ -1,7 +1,7 @@
 """Property test: a private-mode cache is invisible to the reader.
 
 Random sequences of pread/pwrite/ftruncate are applied to a
-:class:`CachedFileHandle` wrapping a :class:`LocalFilesystem` handle and
+:class:`CachedFileHandle` wrapping a local store handle and
 to an uncached reference handle on a second copy of the file; every
 observable result must match byte-for-byte.  Readahead runs in
 synchronous mode so the schedule is deterministic; a tiny block size and
@@ -16,7 +16,8 @@ from repro.cache.handle import CachedFileHandle
 from repro.cache.manager import CacheManager, file_key
 from repro.cache.policy import CachePolicy
 from repro.chirp.protocol import OpenFlags
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 
 BS = 8  # tiny blocks: every multi-byte read crosses boundaries
 
@@ -35,7 +36,7 @@ class TestPrivateCacheEquivalence:
     @given(initial=st.binary(max_size=96), operations=ops)
     def test_cached_reads_match_uncached(self, tmp_path_factory, initial, operations):
         root = tmp_path_factory.mktemp("cachefs")
-        fs = LocalFilesystem(str(root))
+        fs = StoreFilesystem(LocalDirStore(str(root)))
         fs.write_file("/cached.bin", initial)
         fs.write_file("/plain.bin", initial)
 

@@ -1,10 +1,10 @@
 """Property tests: AdapterFile behaves like a local file.
 
 Random sequences of read/write/seek/truncate are applied to an
-:class:`AdapterFile` over a :class:`LocalFilesystem` handle and to a
-reference ``io.BytesIO``; observable behaviour must match byte-for-byte.
-(LocalFilesystem shares the handle machinery with the remote
-abstractions, so this pins the whole file-object layer cheaply.)
+:class:`AdapterFile` over a local store handle and to a reference
+``io.BytesIO``; observable behaviour must match byte-for-byte.  (Every
+layer shares the one handle contract, so this pins the whole file-object
+layer cheaply.)
 """
 
 import io
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.adapter.fileobj import AdapterFile
 from repro.chirp.protocol import OpenFlags
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 
 ops = st.lists(
     st.one_of(
@@ -63,7 +64,7 @@ class TestFileObjectEquivalence:
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            fs = LocalFilesystem(tmp)
+            fs = StoreFilesystem(LocalDirStore(tmp))
             fs.write_file("/f.bin", initial)
             handle = fs.open("/f.bin", OpenFlags(read=True, write=True))
             ours = AdapterFile(handle, "/f.bin", readable=True, writable=True)
@@ -92,7 +93,7 @@ class TestFileObjectEquivalence:
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            fs = LocalFilesystem(tmp)
+            fs = StoreFilesystem(LocalDirStore(tmp))
             fs.write_file("/log", b"")
             expected = b""
             for chunk in chunks:
@@ -109,7 +110,7 @@ class TestFileObjectEquivalence:
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            fs = LocalFilesystem(tmp)
+            fs = StoreFilesystem(LocalDirStore(tmp))
             fs.write_file("/f", data)
             handle = fs.open("/f", OpenFlags(read=True))
             raw = AdapterFile(handle, "/f", readable=True, writable=False)

@@ -1,4 +1,5 @@
-"""Unit tests for adapter internals (no sockets: LocalFilesystem mounts)."""
+"""Unit tests for adapter internals (no sockets: local-directory mounts,
+each a StoreFilesystem over a LocalDirStore)."""
 
 import errno
 import io
@@ -11,7 +12,8 @@ from repro.adapter.adapter import Adapter, _parse_endpoint
 from repro.adapter.fileobj import AdapterFile
 from repro.adapter.interpose import interposed
 from repro.chirp.protocol import OpenFlags
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 
 
 @pytest.fixture()
@@ -21,7 +23,7 @@ def adapter(tmp_path):
     root.mkdir()
     (root / "f.txt").write_text("content")
     (root / "sub").mkdir()
-    a.mount("/mnt", LocalFilesystem(str(root)))
+    a.mount("/mnt", StoreFilesystem(LocalDirStore(str(root))))
     return a
 
 
@@ -30,7 +32,7 @@ class TestResolution:
         inner_root = tmp_path / "inner"
         inner_root.mkdir()
         (inner_root / "deep.txt").write_text("deep")
-        adapter.mount("/mnt/sub", LocalFilesystem(str(inner_root)))
+        adapter.mount("/mnt/sub", StoreFilesystem(LocalDirStore(str(inner_root))))
         fs, inner = adapter.resolve("/mnt/sub/deep.txt")
         assert inner == "/deep.txt"
         assert adapter.read_bytes("/mnt/sub/deep.txt") == b"deep"
@@ -49,12 +51,12 @@ class TestResolution:
         other = tmp_path / "other"
         other.mkdir()
         (other / "g.txt").write_text("other")
-        adapter.mount("/mnt", LocalFilesystem(str(other)))
+        adapter.mount("/mnt", StoreFilesystem(LocalDirStore(str(other))))
         assert adapter.listdir("/mnt") == ["g.txt"]
 
     def test_mount_over_root_rejected(self, adapter, tmp_path):
         with pytest.raises(ValueError):
-            adapter.mount("/", LocalFilesystem(str(tmp_path)))
+            adapter.mount("/", StoreFilesystem(LocalDirStore(str(tmp_path))))
 
     def test_claims(self, adapter):
         assert adapter.claims("/mnt/f.txt")
@@ -178,7 +180,7 @@ class TestInterposeEdgeCases:
         assert not os.path.exists("/mnt/f.txt")
 
 
-class TestLocalHandleViaInterface:
+class TestStoreHandleViaInterface:
     def test_statfs(self, adapter):
         fs = adapter.statfs("/mnt")
         assert fs.total_bytes > 0

@@ -19,7 +19,8 @@ from repro.cache.meta import MetaCache
 from repro.cache.policy import CachePolicy
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
-from repro.core.localfs import LocalFilesystem
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 from repro.util.clock import ManualClock
 from repro.util.errors import DoesNotExistError
 
@@ -299,7 +300,7 @@ def make_cached(tmp_path, data: bytes, **policy_kwargs):
     policy_kwargs.setdefault("capacity_bytes", 64 * BS)
     policy = CachePolicy(**policy_kwargs)
     cache = CacheManager(policy, synchronous_readahead=True)
-    fs = LocalFilesystem(str(tmp_path))
+    fs = StoreFilesystem(LocalDirStore(str(tmp_path)))
     fs.write_file("/data.bin", data)
     inner = fs.open("/data.bin", OpenFlags(read=True, write=True))
     key = file_key("local", 0, "/data.bin")
@@ -397,7 +398,7 @@ class TestCachedFileHandle:
         data = block(7) * 4
         policy = CachePolicy(mode="private", block_size=BS, capacity_bytes=64 * BS)
         cache = CacheManager(policy, synchronous_readahead=True)
-        fs = LocalFilesystem(str(tmp_path))
+        fs = StoreFilesystem(LocalDirStore(str(tmp_path)))
         fs.write_file("/m.bin", data)
         inner = fs.open("/m.bin", OpenFlags(read=True, write=True))
         calls = []

@@ -1,19 +1,28 @@
-"""Unit tests for the Filesystem bulk helpers and stat adaptation."""
+"""Unit tests for the Filesystem bulk helpers and stat adaptation, run
+over :class:`StoreFilesystem`, the bridge from any storage resource to
+the abstraction interface."""
 
 import os
 import stat as stat_mod
 
 import pytest
 
-from repro.chirp.protocol import ChirpStat
-from repro.core.interface import StatResult, to_stat_result
-from repro.core.localfs import LocalFilesystem
+from repro.chirp.protocol import ChirpStat, OpenFlags
+from repro.core.interface import FileHandle, StatResult, to_stat_result
+from repro.core.storefs import StoreFilesystem
+from repro.store import make_store
 from repro.util import errors as E
+
+
+def store_fs(kind, tmp_path):
+    root = tmp_path / f"store-{kind}"
+    root.mkdir()
+    return StoreFilesystem(make_store(kind, str(root)))
 
 
 @pytest.fixture()
 def fs(tmp_path):
-    return LocalFilesystem(str(tmp_path))
+    return StoreFilesystem(make_store("local", str(tmp_path)))
 
 
 class TestBulkHelpers:
@@ -59,6 +68,40 @@ class TestBulkHelpers:
     def test_read_missing_raises_chirp_error(self, fs):
         with pytest.raises(E.ChirpError):
             fs.read_file("/missing")
+
+    def test_listdir_is_sorted(self, fs):
+        for name in ("b", "c", "a"):
+            fs.write_file("/" + name, b"")
+        assert fs.listdir("/") == ["a", "b", "c"]
+
+    def test_open_returns_the_stores_own_handle(self, fs):
+        fs.write_file("/f", b"x")
+        with fs.open("/f", OpenFlags(read=True)) as handle:
+            assert isinstance(handle, FileHandle)
+            assert type(handle).__module__.startswith("repro.store.")
+
+
+class TestBulkHelpersOnEveryStore(TestBulkHelpers):
+    """The same battery over the memory and CAS stores (the class above
+    runs it on a local directory)."""
+
+    @pytest.fixture(params=("memory", "cas"))
+    def fs(self, request, tmp_path):
+        return store_fs(request.param, tmp_path)
+
+
+class TestLocalMount:
+    def test_dotdot_symlink_escape_is_not_authorized(self, tmp_path):
+        fs = store_fs("local", tmp_path)
+        os.symlink("..", str(tmp_path / "store-local" / "up"))
+        with pytest.raises(E.NotAuthorizedError):
+            fs.stat("/up/store-local")
+        with pytest.raises(E.NotAuthorizedError):
+            fs.write_file("/up/escaped", b"x")
+        assert not (tmp_path / "escaped").exists()
+
+    def test_statfs_is_the_store_capacity(self, fs):
+        assert fs.statfs().total_bytes == fs.store.capacity()[0]
 
 
 class TestStatAdaptation:

@@ -12,7 +12,10 @@ import os
 import pytest
 
 from repro.catalog.report import ServerReport
+from repro.core.dsdb import DSDB, FILE_KIND
 from repro.core.placement import RoundRobinPlacement
+from repro.db.engine import MetadataDB
+from repro.db.query import Query
 from repro.gems.keeper import (
     Keeper,
     KeeperConfig,
@@ -439,3 +442,51 @@ class TestAuditorUnreachableSemantics:
         assert report.lost_records == []
         assert report.unreachable == 2
         assert dsdb.db.updates == []
+
+
+class _CountingDSDB(DSDB):
+    """A real DSDB over an in-memory database, with the data path faked:
+    every replica audits ok and a copy moves no bytes.  Counts the rows
+    its ``query`` returns."""
+
+    def __init__(self, servers):
+        super().__init__(MetadataDB(None), FakePool(), servers)
+        self.query_rows = 0
+
+    def query(self, query, limit=None):
+        rows = super().query(query, limit)
+        self.query_rows += len(rows)
+        return rows
+
+    def verify_replica(self, record, replica):
+        return "ok"
+
+    def copy_replica(self, record, endpoint, path=None):
+        return {"host": endpoint[0], "port": endpoint[1], "path": path, "state": "ok"}
+
+
+class TestRepairPlanning:
+    N = 200
+
+    def test_one_pass_reads_each_record_once_in_priority_order(self, tmp_path):
+        dsdb = _CountingDSDB([("a", 1), ("b", 2), ("c", 3)])
+        for i in range(self.N):
+            dsdb.db.insert({
+                "tss_kind": FILE_KIND,
+                "size": i,
+                "replicas": [{"host": "a", "port": 1, "path": f"/d/{i}", "state": "ok"}],
+            })
+        config = KeeperConfig(state_dir=str(tmp_path / "keeper"), scan_batch=16)
+        keeper = Keeper(dsdb, FixedCountPolicy(2), config, clock=ManualClock())
+        ticks = keeper.run_passes(1)
+        # Planning each tick over every record read N rows per tick.
+        assert dsdb.query_rows <= self.N + 2 * config.scan_batch
+        # FixedCountPolicy repairs the biggest under-replicated records
+        # first, across the whole pass, not batch by batch.
+        repaired = sum(t.committed for t in ticks)
+        assert repaired == (len(ticks) - 1) * config.max_repairs_per_tick
+        files = dsdb.db.query(Query.where(tss_kind=FILE_KIND))
+        copies = {r["size"]: len(r["replicas"]) for r in files}
+        assert {size for size, n in copies.items() if n == 2} == set(
+            range(self.N - repaired, self.N)
+        )

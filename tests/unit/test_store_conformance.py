@@ -264,6 +264,20 @@ class TestStoreConformance:
         backend.setacl(OWNER, "/", "unix:visitor", "rl")
         assert backend.stat_read("unix:visitor", "/f", 4096)[1] == b"secret"
 
+    def test_second_close_is_a_noop(self, backend):
+        # A second close must not release an fd number the kernel has
+        # since handed to another open file.
+        write_file(backend, "/a", b"aaa")
+        write_file(backend, "/b", b"bbb")
+        for flags in (OpenFlags(read=True), OpenFlags(write=True)):
+            first = backend.open(OWNER, "/a", flags, 0o644)
+            backend.close(first)
+            second = backend.open(OWNER, "/b", OpenFlags(read=True), 0)
+            backend.close(first)
+            assert backend.pread(second, 3, 0) == b"bbb"
+            backend.close(second)
+        assert read_file(backend, "/a") == b"aaa"
+
 
 class TestQuotaConformance:
     @pytest.fixture(params=ALL_KINDS)
@@ -334,7 +348,7 @@ class TestLocalStatRead:
 
 
 class TestFilenoCapability:
-    """``BlobHandle.fileno()``: an fd holding exactly the handle's bytes
+    """``FileHandle.fileno()``: an fd holding exactly the handle's bytes
     (the server ``sendfile``s from it), or None where none may be used."""
 
     PAYLOAD = bytes(range(256)) * 300 + b"tail"
