@@ -30,8 +30,8 @@ import time
 import pytest
 
 from repro.auth.methods import AuthContext, ClientCredentials
-from repro.cache.manager import CacheManager, file_key
-from repro.cache.handle import CachedFileHandle
+from repro.cache.fs import CachedFilesystem
+from repro.cache.manager import CacheManager
 from repro.cache.policy import CachePolicy
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
@@ -77,14 +77,13 @@ def slow_link(tmp_path_factory):
 
 def open_stack(slow_link, policy: CachePolicy | None):
     """A CFS over the proxied link, optionally cached."""
-    cache = CacheManager(policy) if policy is not None else None
     client = ChirpClient(
-        *slow_link["proxy"].address,
-        credentials=ClientCredentials(methods=("unix",)),
-        cache=cache,
+        *slow_link["proxy"].address, credentials=ClientCredentials(methods=("unix",))
     )
-    fs = CFS(client, cache=cache)
-    return fs, client, cache
+    if policy is None:
+        return CFS(client), client, None
+    cache = CacheManager(policy)
+    return CachedFilesystem(CFS(client), cache), client, cache
 
 
 def timed_read(fs, length: int, chunk: int) -> float:
@@ -133,8 +132,6 @@ class TestCacheAblation:
             block_size=BLOCK,
             capacity_bytes=4 * len(data),
             readahead_blocks=8,
-            readahead_min_run=2,
-            readahead_workers=2,
         )
         fs, client, cache = open_stack(slow_link, with_ra)
         cold_ra = timed_read(fs, len(data), BLOCK)

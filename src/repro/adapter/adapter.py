@@ -29,6 +29,7 @@ from typing import Optional, Union
 from repro.auth.methods import ClientCredentials
 from repro.adapter.fileobj import AdapterFile
 from repro.adapter.mountlist import Mountlist
+from repro.cache.fs import CachedFilesystem
 from repro.cache.manager import CacheManager
 from repro.cache.policy import CachePolicy
 from repro.chirp.protocol import OpenFlags, StatFs
@@ -73,13 +74,13 @@ class Adapter:
     :param metrics: registry observing this adapter's transport traffic
         (ignored when ``pool`` is supplied).
     :param cache_policy: opt-in client-side caching for the abstractions
-        this adapter builds (see :mod:`repro.cache.policy` for the
-        coherence contract of each mode).  Default: no caching -- the
-        paper's semantics.  With a ``pool`` supplied externally, the
-        pool's sessions are left as-is (metadata caching happens at the
-        filesystem layer only); a pool created here carries the cache
-        into every session.  The manager appears as the ``cache`` section
-        of the pool's metrics snapshot.
+        this adapter builds under ``/cfs`` and ``/dsfs``: each is wrapped
+        in a :class:`~repro.cache.fs.CachedFilesystem` (see
+        :mod:`repro.cache.policy` for the coherence contract of each
+        mode).  Default: no caching -- the paper's semantics.
+        Filesystems attached with :meth:`mount` are used as given.  The
+        manager appears as the ``cache`` section of the pool's metrics
+        snapshot.
     """
 
     def __init__(
@@ -104,7 +105,7 @@ class Adapter:
                 kwargs["max_conns_per_endpoint"] = max_conns_per_endpoint
             if metrics is not None:
                 kwargs["metrics"] = metrics
-            pool = ClientPool(credentials, policy=policy, cache=self.cache, **kwargs)
+            pool = ClientPool(credentials, policy=policy, **kwargs)
         self.pool = pool
         if self.cache is not None:
             self.pool.metrics.attach_section("cache", self.cache)
@@ -162,6 +163,9 @@ class Adapter:
             return self._auto_dsfs(full)
         raise OSError(errno.ENOENT, f"path {path!r} is outside the TSS namespace")
 
+    def _cached(self, fs: Filesystem) -> Filesystem:
+        return fs if self.cache is None else CachedFilesystem(fs, self.cache)
+
     def _auto_cfs(self, full: str) -> tuple[Filesystem, str]:
         rest = full[len("/cfs/"):]
         endpoint_text, _, inner = rest.partition("/")
@@ -176,11 +180,8 @@ class Adapter:
                 client = self.pool.get(host, port)
             except ChirpError as exc:
                 raise _oserror(exc, full) from exc
-            fs = CFS(
-                client,
-                policy=self.policy,
-                sync_writes=self.sync_writes,
-                cache=self.cache,
+            fs = self._cached(
+                CFS(client, policy=self.policy, sync_writes=self.sync_writes)
             )
             with self._lock:
                 self._auto_cache.setdefault(key, fs)
@@ -198,14 +199,15 @@ class Adapter:
         if fs is None:
             host, port = _parse_endpoint(endpoint_text)
             try:
-                fs = DSFS.open_volume(
-                    self.pool,
-                    host,
-                    port,
-                    "/" + volume,
-                    policy=self.policy,
-                    sync_writes=self.sync_writes,
-                    cache=self.cache,
+                fs = self._cached(
+                    DSFS.open_volume(
+                        self.pool,
+                        host,
+                        port,
+                        "/" + volume,
+                        policy=self.policy,
+                        sync_writes=self.sync_writes,
+                    )
                 )
             except ChirpError as exc:
                 raise _oserror(exc, full) from exc

@@ -9,10 +9,12 @@ are fetched as one contiguous ranged ``pread`` spanning every missing
 block, so a cold multi-block read still costs one RPC.  Writes go
 straight through to the server -- the handle adds *no* write buffering,
 keeping the paper's ordering guarantee -- and then invalidate the
-overlapped blocks plus the file's cached metadata.
+overlapped blocks plus the file's cached metadata
+(:class:`WriteThroughHandle`, which is also the whole handle when only
+metadata is cached).
 
 Sequential readahead: the handle watches its own read offsets; once
-``readahead_min_run`` consecutive sequential reads are seen, it keeps a
+``READAHEAD_MIN_RUN`` consecutive sequential reads are seen, it keeps a
 prefetch frontier ``readahead_blocks`` ahead of the reader, fetching each
 window as a single ranged ``pread`` on the fan-out pool.  A foreground
 miss that lands inside an in-flight window waits for that window rather
@@ -24,13 +26,13 @@ window fetched before a write can never be installed after it.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cache.manager import CacheManager
 from repro.chirp.protocol import ChirpStat
 from repro.core.interface import FileHandle
 
-__all__ = ["CachedFileHandle"]
+__all__ = ["CachedFileHandle", "WriteThroughHandle"]
 
 #: Largest contiguous miss fetched as one RPC (bounds per-read memory).
 _MAX_SPAN_BLOCKS = 32
@@ -39,29 +41,64 @@ _MAX_SPAN_BLOCKS = 32
 #: before giving up and fetching for itself.
 _INFLIGHT_WAIT = 60.0
 
+#: Consecutive sequential reads seen before prefetch starts.
+READAHEAD_MIN_RUN = 2
 
-class CachedFileHandle(FileHandle):
-    """Block-cached, readahead-capable view of an inner handle.
+
+class WriteThroughHandle(FileHandle):
+    """An inner handle whose writes drop the file's cached entries.
+
+    Reads pass straight through.  A ``pwrite`` invalidates the blocks
+    it overlapped and the file's metadata (its size and times moved);
+    an ``ftruncate`` drops every block.  Used alone for writable
+    handles when only metadata is cached (``ttl``), so a client's own
+    writes show in its next ``stat``.
 
     :param inner: the real handle; owns recovery and ordering.
     :param cache: the stack's shared :class:`CacheManager`.
-    :param key: this file's cache key (``host:port:/server/path``).
-    :param on_mutate: called after any write-path operation so the owning
-        filesystem can invalidate *its* metadata entries (e.g. the stub
-        filesystem's merged stat) that the shared key does not cover.
+    :param key: the file's cache key.
     """
 
-    def __init__(
-        self,
-        inner: FileHandle,
-        cache: CacheManager,
-        key: str,
-        on_mutate: Optional[Callable[[], None]] = None,
-    ):
+    def __init__(self, inner: FileHandle, cache: CacheManager, key: str):
         self.inner = inner
         self.cache = cache
         self.key = key
-        self._on_mutate = on_mutate
+
+    def _inner_pread(self, length: int, offset: int, deadline=None) -> bytes:
+        if deadline is None:
+            return self.inner.pread(length, offset)
+        return self.inner.pread(length, offset, deadline=deadline)
+
+    def pread(self, length: int, offset: int, deadline=None) -> bytes:
+        return self._inner_pread(length, offset, deadline)
+
+    def pwrite(self, data: bytes, offset: int) -> int:
+        n = self.inner.pwrite(data, offset)
+        if n:
+            self.cache.on_data_write(self.key, offset, n)
+        return n
+
+    def ftruncate(self, size: int) -> None:
+        self.inner.ftruncate(size)
+        self.cache.invalidate_data(self.key)
+
+    def fsync(self) -> None:
+        self.inner.fsync()
+
+    def fstat(self) -> ChirpStat:
+        return self.inner.fstat()
+
+    def close(self) -> None:
+        # A prefetch still in flight then fails harmlessly (counted as
+        # dropped); nothing to cancel explicitly.
+        self.inner.close()
+
+
+class CachedFileHandle(WriteThroughHandle):
+    """Block-cached, readahead-capable view of an inner handle."""
+
+    def __init__(self, inner: FileHandle, cache: CacheManager, key: str):
+        super().__init__(inner, cache, key)
         self._bs = cache.policy.block_size
         self._det_lock = threading.Lock()
         self._expected: Optional[int] = None  # next sequential offset
@@ -69,19 +106,6 @@ class CachedFileHandle(FileHandle):
         self._ra_next: Optional[int] = None  # prefetch frontier (block index)
         self._ra_eof = False  # a prefetch already hit EOF; stop scheduling
         self._inflight: dict[int, tuple[int, object]] = {}  # start -> (count, future)
-
-    # -- plumbing --------------------------------------------------------
-
-    def _inner_pread(self, length: int, offset: int, deadline=None) -> bytes:
-        if deadline is None:
-            return self.inner.pread(length, offset)
-        return self.inner.pread(length, offset, deadline=deadline)
-
-    def _mutated(self) -> None:
-        with self._det_lock:
-            self._ra_eof = False
-        if self._on_mutate is not None:
-            self._on_mutate()
 
     # -- read path -------------------------------------------------------
 
@@ -167,7 +191,7 @@ class CachedFileHandle(FileHandle):
                 self._ra_next = None
                 self._ra_eof = False
             self._expected = offset + nbytes
-            if self._run < policy.readahead_min_run or self._ra_eof:
+            if self._run < READAHEAD_MIN_RUN or self._ra_eof:
                 return
             cursor = self._expected // self._bs  # block the next read needs
             if self._ra_next is None or self._ra_next < cursor:
@@ -208,27 +232,16 @@ class CachedFileHandle(FileHandle):
 
     # -- write path (write-through + invalidate) -------------------------
 
+    def _mutated(self) -> None:
+        # The file may have grown past a prefetch that hit EOF.
+        with self._det_lock:
+            self._ra_eof = False
+
     def pwrite(self, data: bytes, offset: int) -> int:
-        n = self.inner.pwrite(data, offset)
-        if n:
-            self.cache.on_data_write(self.key, offset, n)
+        n = super().pwrite(data, offset)
         self._mutated()
         return n
 
     def ftruncate(self, size: int) -> None:
-        self.inner.ftruncate(size)
-        self.cache.invalidate_data(self.key)
+        super().ftruncate(size)
         self._mutated()
-
-    # -- passthrough -----------------------------------------------------
-
-    def fsync(self) -> None:
-        self.inner.fsync()
-
-    def fstat(self) -> ChirpStat:
-        return self.inner.fstat()
-
-    def close(self) -> None:
-        # In-flight prefetch against a closed handle fails harmlessly
-        # (counted as dropped); nothing to cancel explicitly.
-        self.inner.close()

@@ -8,9 +8,10 @@ and exposes a ``snapshot()`` so the whole subsystem appears as the
 weakly, so whoever wires the cache must keep a reference, as the adapter
 does).
 
-Invalidation helpers take the shared file-key convention
-(``host:port:/server/path``) so the client, the abstractions and the
-handles all hit the same entries.
+Invalidation helpers take one file's key, the string the block and
+metadata caches both file it under.  The keys are minted by
+:class:`~repro.cache.fs.CachedFilesystem`, which with the handles it
+opens is the only caller.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from repro.cache.policy import CachePolicy
 from repro.transport.fanout import FanoutPool
 from repro.util.clock import Clock
 
-__all__ = ["CacheManager", "file_key"]
+__all__ = ["CacheManager"]
 
-
-def file_key(host: str, port: int, path: str) -> str:
-    """The one key string naming a server file in every cache."""
-    return f"{host}:{int(port)}:{path}"
+#: Threads in the readahead fan-out pool.
+READAHEAD_WORKERS = 2
 
 
 class CacheManager:
@@ -47,7 +46,7 @@ class CacheManager:
     ):
         self.policy = policy or CachePolicy()
         self.blocks = BlockCache(self.policy.capacity_bytes, self.policy.block_size)
-        self.meta = MetaCache(self.policy.meta_entries, clock=clock)
+        self.meta = MetaCache(clock=clock)
         self.synchronous_readahead = synchronous_readahead
         self._fanout: Optional[FanoutPool] = None
         self._lock = threading.Lock()
@@ -70,14 +69,11 @@ class CacheManager:
     def readahead_enabled(self) -> bool:
         return self.policy.readahead_enabled
 
-    # -- invalidation helpers (shared key convention) --------------------
+    # -- invalidation helpers --------------------------------------------
 
     def invalidate_data(self, key: str) -> None:
         """All blocks + metadata for one file (unlink/truncate/putfile)."""
         self.blocks.invalidate_file(key)
-        self.meta.invalidate(key)
-
-    def invalidate_meta(self, key: str) -> None:
         self.meta.invalidate(key)
 
     def invalidate_subtree(self, key: str) -> None:
@@ -87,11 +83,6 @@ class CacheManager:
         metadata for ``key`` and everything under ``key + "/"``."""
         self.blocks.invalidate_prefix(key)
         self.meta.invalidate_prefix(key)
-
-    def invalidate_dirent(self, dir_key: str) -> None:
-        """A directory changed membership: drop its listing *and* stat
-        (its mtime/nlink moved too)."""
-        self.meta.invalidate(dir_key)
 
     def on_data_write(self, key: str, offset: int, length: int) -> None:
         """Write-through bookkeeping: a write landed on the server; the
@@ -125,7 +116,7 @@ class CacheManager:
             return None
         with self._lock:
             if self._fanout is None:
-                self._fanout = FanoutPool(self.policy.readahead_workers)
+                self._fanout = FanoutPool(READAHEAD_WORKERS)
             fanout = self._fanout
         return fanout.submit(guarded)
 

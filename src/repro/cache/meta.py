@@ -147,12 +147,6 @@ class MetaCache:
                 if self._entries.pop((kind, key), None) is not None:
                     self.invalidations += 1
 
-    def invalidate_kind(self, kind: str, key: str) -> None:
-        with self._lock:
-            self._bump_generation_locked(key)
-            if self._entries.pop((kind, key), None) is not None:
-                self.invalidations += 1
-
     def invalidate_prefix(self, prefix: str) -> int:
         """Drop ``prefix`` itself and every key under ``prefix + "/"``.
 

@@ -49,14 +49,9 @@ class CachePolicy:
     :param capacity_bytes: byte budget for the block cache (LRU beyond).
     :param meta_ttl: lifetime of positive metadata entries in ``ttl``
         mode; ``private`` entries live until invalidated.
-    :param negative_ttl: lifetime of negative (ENOENT) entries in ``ttl``
-        mode.
-    :param meta_entries: entry-count bound on the metadata cache.
+    :param negative_ttl: lifetime of negative (ENOENT) entries.
     :param readahead_blocks: prefetch window, in blocks, fetched ahead of
         a detected sequential reader (0 disables readahead).
-    :param readahead_min_run: consecutive sequential reads required
-        before prefetch starts.
-    :param readahead_workers: threads in the prefetch fan-out pool.
     """
 
     mode: str = "off"
@@ -64,10 +59,7 @@ class CachePolicy:
     capacity_bytes: int = 64 * 1024 * 1024
     meta_ttl: float = 2.0
     negative_ttl: float = 1.0
-    meta_entries: int = 4096
     readahead_blocks: int = 8
-    readahead_min_run: int = 2
-    readahead_workers: int = 2
 
     def __post_init__(self):
         if self.mode not in CACHE_MODES:
@@ -78,14 +70,8 @@ class CachePolicy:
             raise ValueError("capacity_bytes must hold at least one block")
         if self.meta_ttl <= 0 or self.negative_ttl <= 0:
             raise ValueError("TTLs must be positive")
-        if self.meta_entries < 1:
-            raise ValueError("meta_entries must be >= 1")
         if self.readahead_blocks < 0:
             raise ValueError("readahead_blocks must be >= 0")
-        if self.readahead_min_run < 1:
-            raise ValueError("readahead_min_run must be >= 1")
-        if self.readahead_workers < 1:
-            raise ValueError("readahead_workers must be >= 1")
 
     # -- what the mode permits -----------------------------------------
 

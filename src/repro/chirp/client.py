@@ -35,14 +35,11 @@ from __future__ import annotations
 
 import io
 import itertools
-import posixpath
 import threading
 from typing import BinaryIO, Optional, Union
 
 from repro.auth.acl import Acl, AclEntry, parse_rights
 from repro.auth.methods import ClientCredentials
-from repro.cache.manager import CacheManager
-from repro.cache.meta import MetaCache
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.transport.connection import Connection, Reply
 from repro.transport.deadline import Deadline
@@ -54,10 +51,8 @@ from repro.util.errors import (
     BusyError,
     ChirpError,
     DisconnectedError,
-    DoesNotExistError,
     IntegrityError,
 )
-from repro.util.paths import normalize_virtual
 
 __all__ = ["ChirpClient"]
 
@@ -83,18 +78,15 @@ class ChirpClient(EndpointSession):
     """A session with one Chirp file server.
 
     Thread-safe.  All errors surface as
-    :class:`~repro.util.errors.ChirpError` subclasses.
+    :class:`~repro.util.errors.ChirpError` subclasses.  Like the server
+    it talks to, the client caches nothing: every call is an RPC.
+    Client caching is one filesystem layer above the abstractions, the
+    ``CachedFilesystem`` decorator.
 
     :param endpoint: share an existing endpoint session (the
         :class:`~repro.core.pool.ClientPool` path); when omitted, the
         client owns a private endpoint built from ``credentials``,
         ``timeout`` and ``max_conns``.
-    :param cache: optional :class:`~repro.cache.manager.CacheManager`.
-        When its policy allows metadata caching, ``stat``/``lstat``/
-        ``getdir`` (and negative stats) are served from it; every
-        mutating verb on this client invalidates the affected entries
-        (same-client invalidation -- other clients' writes are only seen
-        after TTL expiry, per the policy's coherence contract).
     """
 
     def __init__(
@@ -106,15 +98,12 @@ class ChirpClient(EndpointSession):
         endpoint: Optional[Endpoint] = None,
         max_conns: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        cache: Optional[CacheManager] = None,
     ):
-        self.cache = cache
-        # Virtual fd -> (connection, raw server fd, server path).  The
-        # path rides along so fd-level writes can invalidate the cache.
-        # Virtual fds are never reused (monotonic counter), so a stale
-        # number can never alias an fd opened after a reconnect.
+        # Virtual fd -> (connection, raw server fd).  Virtual fds are
+        # never reused (monotonic counter), so a stale number can never
+        # alias an fd opened after a reconnect.
         self._fd_lock = threading.Lock()
-        self._fds: dict[int, tuple[Connection, int, str]] = {}
+        self._fds: dict[int, tuple[Connection, int]] = {}
         self._next_fd = itertools.count(3)
         super().__init__(
             host, port, credentials, timeout, endpoint,
@@ -187,8 +176,8 @@ class ChirpClient(EndpointSession):
     def _stat(self, verb: str, *args: object, **options) -> ChirpStat:
         return ChirpStat.from_tokens(self._call(verb, *args, **options).tokens[1:])
 
-    def _fd_entry(self, fd: int) -> tuple[Connection, int, str]:
-        """Route a virtual fd to its owning connection (and server path)."""
+    def _fd_conn(self, fd: int) -> tuple[Connection, int]:
+        """Route a virtual fd to its owning connection."""
         with self._fd_lock:
             entry = self._fds.get(fd)
         if entry is None:
@@ -196,37 +185,13 @@ class ChirpClient(EndpointSession):
             # stay mapped (to a closed connection) so recovery still sees
             # DisconnectedError below.
             raise BadFileDescriptorError(f"fd {fd} is not open on this client")
-        conn, raw_fd, path = entry
+        conn, raw_fd = entry
         if conn.closed:
             # Keep the mapping: the caller may probe the dead fd again
             # before recovery runs, and each probe must keep reading as a
             # disconnect.  connect()/close() clear the table.
             raise DisconnectedError(f"fd {fd}: its connection is gone")
-        return conn, raw_fd, path
-
-    def _fd_conn(self, fd: int) -> tuple[Connection, int]:
-        conn, raw_fd, _ = self._fd_entry(fd)
         return conn, raw_fd
-
-    # -- cache plumbing --------------------------------------------------
-
-    def _ckey(self, path: str) -> str:
-        return f"{self.host}:{self.port}:{normalize_virtual(path)}"
-
-    def _parent_ckey(self, path: str) -> str:
-        parent = posixpath.dirname(normalize_virtual(path)) or "/"
-        return f"{self.host}:{self.port}:{parent}"
-
-    def _cache_entry_changed(self, path: str, data: bool = False) -> None:
-        """A namespace entry changed under this client: drop its cached
-        metadata (and blocks when ``data``), plus the parent listing."""
-        if self.cache is None:
-            return
-        if data:
-            self.cache.invalidate_data(self._ckey(path))
-        else:
-            self.cache.invalidate_meta(self._ckey(path))
-        self.cache.invalidate_dirent(self._parent_ckey(path))
 
     # -- file I/O -------------------------------------------------------
 
@@ -254,15 +219,7 @@ class ChirpClient(EndpointSession):
             self.endpoint.checkin(conn)
         with self._fd_lock:
             fd = next(self._next_fd)
-            self._fds[fd] = (conn, raw_fd, path)
-        if self.cache is not None:
-            if flags.truncate:
-                # O_TRUNC wiped the data on the server.
-                self.cache.invalidate_data(self._ckey(path))
-            if flags.create:
-                # The file may have just come into existence: kill any
-                # negative stat entry and the parent's cached listing.
-                self._cache_entry_changed(path)
+            self._fds[fd] = (conn, raw_fd)
         return fd
 
     def close_fd(self, fd: int) -> None:
@@ -285,11 +242,8 @@ class ChirpClient(EndpointSession):
         return conn.call("pread", raw_fd, length, offset, deadline=deadline).body
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        conn, raw_fd, path = self._fd_entry(fd)
-        n = conn.call("pwrite", raw_fd, len(data), offset, payload=data).status
-        if self.cache is not None and n:
-            self.cache.on_data_write(self._ckey(path), offset, n)
-        return n
+        conn, raw_fd = self._fd_conn(fd)
+        return conn.call("pwrite", raw_fd, len(data), offset, payload=data).status
 
     def fsync(self, fd: int) -> None:
         conn, raw_fd = self._fd_conn(fd)
@@ -300,47 +254,16 @@ class ChirpClient(EndpointSession):
         return ChirpStat.from_tokens(conn.call("fstat", raw_fd).tokens[1:])
 
     def ftruncate(self, fd: int, size: int) -> None:
-        conn, raw_fd, path = self._fd_entry(fd)
+        conn, raw_fd = self._fd_conn(fd)
         conn.call("ftruncate", raw_fd, size)
-        if self.cache is not None:
-            self.cache.invalidate_data(self._ckey(path))
 
     # -- namespace ------------------------------------------------------
 
-    def _cached_meta(self, kind: str, path: str, fetch):
-        """Serve one metadata lookup through the cache (incl. absences)."""
-        cache = self.cache
-        if cache is None or not cache.meta_enabled:
-            return fetch()
-        key = self._ckey(path)
-        hit = cache.meta.get(kind, key)
-        if hit is MetaCache.NEGATIVE:
-            raise DoesNotExistError(f"{path}: no such file or directory (cached)")
-        if hit is not MetaCache.MISS:
-            return hit
-        # Sample the generation before the RPC: if a same-client mutation
-        # invalidates this key mid-fetch, the put below is refused rather
-        # than installing the pre-mutation result.
-        generation = cache.meta.generation(key)
-        try:
-            value = fetch()
-        except DoesNotExistError:
-            cache.meta.put_negative(
-                kind, key, cache.policy.negative_expiry(), generation=generation
-            )
-            raise
-        cache.meta.put(
-            kind, key, value, cache.policy.meta_expiry(), generation=generation
-        )
-        return value
-
     def stat(self, path: str, deadline: Optional[Deadline] = None) -> ChirpStat:
-        return self._cached_meta(
-            "stat", path, lambda: self._stat("stat", path, deadline=deadline)
-        )
+        return self._stat("stat", path, deadline=deadline)
 
     def lstat(self, path: str) -> ChirpStat:
-        return self._cached_meta("lstat", path, lambda: self._stat("lstat", path))
+        return self._stat("lstat", path)
 
     # -- protocol v4: compound verbs -------------------------------------
 
@@ -361,11 +284,9 @@ class ChirpClient(EndpointSession):
         ``wcx`` is an exclusive create-and-write; ``wt`` replaces an
         existing file and never creates one.
         """
-        n = self._call(
+        return self._call(
             "putflags", path, flags.encode(), mode, len(data), payload=data
         ).status
-        self._cache_entry_changed(path, data=True)
-        return n
 
     def access(self, path: str, rights: str = "l") -> None:
         self._call("access", path, rights)
@@ -380,49 +301,27 @@ class ChirpClient(EndpointSession):
 
     def unlink(self, path: str) -> None:
         self._call("unlink", path)
-        self._cache_entry_changed(path, data=True)
 
     def rename(self, old: str, new: str) -> None:
         self._call("rename", old, new)
-        if self.cache is not None:
-            # ``old`` may be a directory, in which case every descendant's
-            # cached entry is keyed under the old prefix and would poison
-            # a later reuse of that path; sweep both subtrees.
-            self.cache.invalidate_subtree(self._ckey(old))
-            self.cache.invalidate_subtree(self._ckey(new))
-            self.cache.invalidate_dirent(self._parent_ckey(old))
-            self.cache.invalidate_dirent(self._parent_ckey(new))
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         self._call("mkdir", path, mode)
-        self._cache_entry_changed(path)
 
     def rmdir(self, path: str) -> None:
         self._call("rmdir", path)
-        self._cache_entry_changed(path)
 
     def getdir(self, path: str, deadline: Optional[Deadline] = None) -> list[str]:
-        names = self._cached_meta(
-            "dirent",
-            path,
-            lambda: tuple(
-                [entry[0] if entry else ""
-                 for entry in self._call("getdir", path, deadline=deadline).body]
-            ),
-        )
-        # Stored as a tuple so a caller mutating its copy cannot poison
-        # the cache.
-        return list(names)
+        return [
+            entry[0] if entry else ""
+            for entry in self._call("getdir", path, deadline=deadline).body
+        ]
 
     def truncate(self, path: str, size: int) -> None:
         self._call("truncate", path, size)
-        if self.cache is not None:
-            self.cache.invalidate_data(self._ckey(path))
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         self._call("utime", path, atime, mtime)
-        if self.cache is not None:
-            self.cache.invalidate_meta(self._ckey(path))
 
     def checksum(self, path: str, deadline: Optional[Deadline] = None) -> str:
         return self._call("checksum", path, deadline=deadline).tokens[1]
@@ -441,9 +340,7 @@ class ChirpClient(EndpointSession):
         absent (caller falls back to putfile) and InvalidRequestError on
         non-CAS servers.
         """
-        n = self._call("putkey", path, mode, key).status
-        self._cache_entry_changed(path, data=True)
-        return n
+        return self._call("putkey", path, mode, key).status
 
     def keyof(self, path: str) -> str:
         """The content key a path is bound to (metadata-only)."""
@@ -507,9 +404,7 @@ class ChirpClient(EndpointSession):
             data.seek(0, io.SEEK_END)
             length = data.tell() - pos
             data.seek(pos)
-        n = self._call("putfile", path, mode, length, payload=data).status
-        self._cache_entry_changed(path, data=True)
-        return n
+        return self._call("putfile", path, mode, length, payload=data).status
 
     # -- ACLs and server state ---------------------------------------------
 

@@ -18,8 +18,6 @@ import threading
 from dataclasses import replace
 from typing import Optional
 
-from repro.cache.handle import CachedFileHandle
-from repro.cache.manager import CacheManager, file_key
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.core.interface import FileHandle, Filesystem
@@ -143,13 +141,9 @@ class CFS(Filesystem):
     :param policy: reconnection policy shared by all handles.
     :param sync_writes: transparently add ``O_SYNC`` to every open -- the
         adapter's synchronous-write switch.
-    :param cache: optional shared :class:`CacheManager`.  With a
-        data-caching policy (``private``), handles are wrapped in
-        :class:`~repro.cache.handle.CachedFileHandle`; metadata caching
-        happens in the client when the same manager is wired there (the
-        :class:`~repro.core.pool.ClientPool` path).  CFS is single-server
-        and typically single-writer, which is exactly the ``private``
-        contract.
+
+    CFS itself caches nothing, as the paper's does; a client cache is a
+    decorator over it like over any other filesystem.
     """
 
     def __init__(
@@ -158,33 +152,17 @@ class CFS(Filesystem):
         root: str = "/",
         policy: Optional[RetryPolicy] = None,
         sync_writes: bool = False,
-        cache: Optional[CacheManager] = None,
     ):
         self.client = client
         self.root = normalize_virtual(root)
         self.policy = policy or RetryPolicy()
         self.sync_writes = sync_writes
-        self.cache = cache
 
     def _path(self, path: str) -> str:
         inner = normalize_virtual(path)
         if self.root == "/":
             return inner
         return self.root if inner == "/" else self.root + inner
-
-    def _key(self, server_path: str) -> str:
-        return file_key(self.client.host, self.client.port, server_path)
-
-    def _entry_changed(self, server_path: str, data: bool = True) -> None:
-        """Belt-and-braces invalidation at the abstraction layer: covers
-        stacks where the fs has a cache but the (externally supplied)
-        client does not.  Idempotent with the client's own invalidation."""
-        if self.cache is None:
-            return
-        if data:
-            self.cache.invalidate_data(self._key(server_path))
-        else:
-            self.cache.invalidate_meta(self._key(server_path))
 
     def _run(self, op):
         return self.policy.run(op, self.client.ensure_connected)
@@ -194,14 +172,7 @@ class CFS(Filesystem):
     def open(self, path: str, flags: OpenFlags, mode: int = 0o644) -> FileHandle:
         if self.sync_writes and flags.write and not flags.sync:
             flags = replace(flags, sync=True)
-        target = self._path(path)
-        handle = ChirpFileHandle(self.client, target, flags, mode, self.policy)
-        if self.cache is None or not self.cache.data_enabled:
-            return handle
-        key = self._key(target)
-        if flags.truncate:
-            self.cache.invalidate_data(key)
-        return CachedFileHandle(handle, self.cache, key)
+        return ChirpFileHandle(self.client, self._path(path), flags, mode, self.policy)
 
     def stat(self, path: str) -> ChirpStat:
         return self._run(lambda: self.client.stat(self._path(path)))
@@ -215,36 +186,26 @@ class CFS(Filesystem):
     def unlink(self, path: str) -> None:
         target = self._path(path)
         self._run(lambda: self.client.unlink(target))
-        self._entry_changed(target)
 
     def rename(self, old: str, new: str) -> None:
         src, dst = self._path(old), self._path(new)
         self._run(lambda: self.client.rename(src, dst))
-        if self.cache is not None:
-            # Directory renames strand descendant entries under the old
-            # prefix; sweep both subtrees (idempotent with the client's).
-            self.cache.invalidate_subtree(self._key(src))
-            self.cache.invalidate_subtree(self._key(dst))
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         target = self._path(path)
         self._run(lambda: self.client.mkdir(target, mode))
-        self._entry_changed(target, data=False)
 
     def rmdir(self, path: str) -> None:
         target = self._path(path)
         self._run(lambda: self.client.rmdir(target))
-        self._entry_changed(target, data=False)
 
     def truncate(self, path: str, size: int) -> None:
         target = self._path(path)
         self._run(lambda: self.client.truncate(target, size))
-        self._entry_changed(target)
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         target = self._path(path)
         self._run(lambda: self.client.utime(target, atime, mtime))
-        self._entry_changed(target, data=False)
 
     def statfs(self) -> StatFs:
         return self._run(self.client.statfs)
@@ -255,12 +216,8 @@ class CFS(Filesystem):
         """Whole-file read as a single ``getfile`` exchange.
 
         One RPC instead of an open/pread-loop/close sequence -- the
-        streaming fast path of the adapter's bulk helpers.  With a
-        data-caching policy the handle path is used instead, so repeat
-        reads hit the block cache.
+        streaming fast path of the adapter's bulk helpers.
         """
-        if self.cache is not None and self.cache.data_enabled:
-            return super().read_file(path)
         target = self._path(path)
         return self._run(lambda: self.client.getfile(target))
 
@@ -273,6 +230,4 @@ class CFS(Filesystem):
         if self.sync_writes:
             return super().write_file(path, data, mode)
         target = self._path(path)
-        n = self._run(lambda: self.client.putfile(target, data, mode))
-        self._entry_changed(target)
-        return n
+        return self._run(lambda: self.client.putfile(target, data, mode))

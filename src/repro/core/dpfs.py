@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from repro.cache.manager import CacheManager
 from repro.core.metastore import LocalMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
@@ -48,7 +47,6 @@ class DPFS(StubFilesystem):
         name: str = "dpfs",
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
-        cache: Optional[CacheManager] = None,
     ) -> "DPFS":
         """Create a new DPFS volume.
 
@@ -68,7 +66,6 @@ class DPFS(StubFilesystem):
             data_dir,
             placement=placement,
             policy=policy,
-            cache=cache,
         )
         return fs
 
@@ -80,7 +77,6 @@ class DPFS(StubFilesystem):
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
         sync_writes: bool = False,
-        cache: Optional[CacheManager] = None,
     ) -> "DPFS":
         """Open an existing DPFS volume from its local metadata root."""
         meta = LocalMetadataStore(meta_root)
@@ -93,5 +89,4 @@ class DPFS(StubFilesystem):
             placement=placement,
             policy=policy,
             sync_writes=sync_writes,
-            cache=cache,
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cache.manager import CacheManager
 from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
@@ -59,7 +58,6 @@ class DSFS(StubFilesystem):
         name: str = "dsfs",
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
-        cache: Optional[CacheManager] = None,
     ) -> "DSFS":
         """Create a new shared volume rooted at ``dir_root`` on the
         directory server, storing data across ``servers``."""
@@ -76,7 +74,6 @@ class DSFS(StubFilesystem):
             data_dir,
             placement=placement,
             policy=policy,
-            cache=cache,
         )
         fs.meta.write_config({"name": name, "servers": servers, "data_dir": data_dir})
         return fs
@@ -91,7 +88,6 @@ class DSFS(StubFilesystem):
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
         sync_writes: bool = False,
-        cache: Optional[CacheManager] = None,
     ) -> "DSFS":
         """Open an existing shared volume by directory-server address."""
         meta = ChirpMetadataStore(
@@ -110,5 +106,4 @@ class DSFS(StubFilesystem):
             placement=placement,
             policy=policy,
             sync_writes=sync_writes,
-            cache=cache,
         )

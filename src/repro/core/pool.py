@@ -20,7 +20,6 @@ import threading
 from typing import Optional
 
 from repro.auth.methods import ClientCredentials
-from repro.cache.manager import CacheManager
 from repro.chirp.client import ChirpClient
 from repro.transport.endpoint import DEFAULT_MAX_CONNS, EndpointManager
 from repro.transport.health import HealthRegistry
@@ -36,9 +35,9 @@ class ClientPool:
     :param max_conns_per_endpoint: connection cap handed to every
         endpoint; >1 lets fan-out abstractions overlap RPCs to the same
         server.
-    :param cache: optional :class:`CacheManager` handed to every session,
-        so metadata caching (and its invalidation) is shared across all
-        servers the pool reaches.
+
+    Sessions cache nothing; client caching wraps the filesystems built
+    over the pool instead.
     """
 
     def __init__(
@@ -49,7 +48,6 @@ class ClientPool:
         policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         health: Optional[HealthRegistry] = None,
-        cache: Optional[CacheManager] = None,
     ):
         self.endpoints = EndpointManager(
             credentials=credentials,
@@ -61,7 +59,6 @@ class ClientPool:
         )
         self.credentials = self.endpoints.credentials
         self.timeout = timeout
-        self.cache = cache
         self._clients: dict[tuple[str, int], ChirpClient] = {}
         self._lock = threading.Lock()
 
@@ -89,10 +86,7 @@ class ClientPool:
             client = self._clients.get(key)
             if client is None:
                 client = ChirpClient(
-                    host,
-                    int(port),
-                    endpoint=self.endpoints.endpoint(host, int(port)),
-                    cache=self.cache,
+                    host, int(port), endpoint=self.endpoints.endpoint(host, int(port))
                 )
                 self._clients[key] = client
             return client

@@ -29,14 +29,10 @@ statfs and the protocol-v4 whole-file paths exist once, here.
 from __future__ import annotations
 
 import functools
-import itertools
 import posixpath
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.cache.handle import CachedFileHandle
-from repro.cache.manager import CacheManager, file_key
-from repro.cache.meta import MetaCache
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.core.cfs import CFS, ChirpFileHandle
@@ -70,11 +66,6 @@ _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
 # A member that is missing or unreachable; a redundant layout carries on
 # without it.
 _LOST = (DoesNotExistError, DisconnectedError)
-
-# Merged stats (namespace identity + data-file attributes) are cached
-# under a synthetic per-instance "host" so two stub filesystems mounted
-# over the same cache manager can never see each other's entries.
-_stubfs_ns = itertools.count()
 
 
 def _ensure_remote_dirs(pool: ClientPool, servers, data_dir: str) -> None:
@@ -181,7 +172,6 @@ class StubFilesystem(Filesystem):
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
         sync_writes: bool = False,
-        cache: Optional[CacheManager] = None,
         avoid_servers: Optional[Callable[[], Iterable[tuple[str, int]]]] = None,
     ):
         if not servers:
@@ -193,14 +183,12 @@ class StubFilesystem(Filesystem):
         self.placement = placement or RoundRobinPlacement()
         self.policy = policy or RetryPolicy()
         self.sync_writes = sync_writes
-        self.cache = cache
         # Advisory placement exclusions (e.g. servers advertising drain
         # in the catalog; see DrainingServerView).  Consulted per create;
         # the callable must be cheap and must not raise.
         self.avoid_servers = avoid_servers
         # Runs per-member RPCs and the statfs probes concurrently.
         self.fanout = FanoutPool(min(len(self.servers), DEFAULT_FANOUT))
-        self._cache_host = f"stubfs{next(_stubfs_ns)}"
 
     # ------------------------------------------------------------------
     # helpers
@@ -310,42 +298,9 @@ class StubFilesystem(Filesystem):
                 errors.append(exc)
         raise next((e for e in errors if isinstance(e, DisconnectedError)), errors[0])
 
-    def _merged_key(self, path: str) -> str:
-        return file_key(self._cache_host, 0, normalize_virtual(path))
-
-    def _entry_changed(self, path: str, stub=None) -> None:
-        """Drop the merged stat for ``path`` and, when the stub is known,
-        the data files' blocks + metadata on their servers' shared keys."""
-        if self.cache is None:
-            return
-        self.cache.meta.invalidate(self._merged_key(path))
-        if stub is not None:
-            for m in self.layout.members(stub):
-                self.cache.invalidate_data(file_key(m.host, m.port, m.path))
-
-    def _data_handle(
-        self, stub: Stub, flags: OpenFlags, mode: int, path: Optional[str] = None
-    ) -> FileHandle:
+    def _data_handle(self, stub: Stub, flags: OpenFlags, mode: int) -> FileHandle:
         client = self.pool.get(*stub.endpoint)
-        handle: FileHandle = ChirpFileHandle(
-            client, stub.path, flags, mode, self.policy
-        )
-        cache = self.cache
-        if cache is None or not cache.data_enabled:
-            return handle
-        data_key = file_key(stub.host, stub.port, stub.path)
-        if flags.truncate:
-            cache.invalidate_data(data_key)
-        merged_key = self._merged_key(path) if path is not None else None
-
-        def on_mutate():
-            # The data write already invalidated the shared data-server
-            # key (CachedFileHandle does that); the merged stat lives
-            # under this filesystem's private namespace and must go too.
-            if merged_key is not None:
-                cache.meta.invalidate(merged_key)
-
-        return CachedFileHandle(handle, cache, data_key, on_mutate=on_mutate)
+        return ChirpFileHandle(client, stub.path, flags, mode, self.policy)
 
     def _discard(self, member: Stub, result: Any) -> None:
         """Best-effort removal of a data file whose create succeeded
@@ -373,7 +328,7 @@ class StubFilesystem(Filesystem):
 
         def open_members(stub) -> FileHandle:
             handles = self._each(
-                self.layout.members(stub), lambda m: self._data_handle(m, dflags, mode, path)
+                self.layout.members(stub), lambda m: self._data_handle(m, dflags, mode)
             )
             return self.layout.handle(stub, handles, self.fanout)
 
@@ -425,8 +380,6 @@ class StubFilesystem(Filesystem):
             outcomes = fan_out(self.fanout, self.layout.members(stub), step3(stub))
             failed = [(m, e) for m, _, e in outcomes if e is not None]
             if not failed:
-                # The path may have been cached as absent before creation.
-                self._entry_changed(path)
                 return stub, [r for _, r, _ in outcomes]
             for member, result, exc in outcomes:
                 if exc is None:
@@ -445,7 +398,7 @@ class StubFilesystem(Filesystem):
         dflags = replace(flags, create=True, exclusive=True, write=True)
         try:
             stub, handles = self._create(
-                path, lambda stub: lambda m: self._data_handle(m, dflags, mode, path)
+                path, lambda stub: lambda m: self._data_handle(m, dflags, mode)
             )
             return self.layout.handle(stub, handles, self.fanout)
         except AlreadyExistsError:
@@ -459,34 +412,6 @@ class StubFilesystem(Filesystem):
 
     def stat(self, path: str) -> ChirpStat:
         path = self._guard_name(path)
-        cache = self.cache
-        key = None
-        generation = 0
-        if cache is not None and cache.meta_enabled:
-            key = self._merged_key(path)
-            cached = cache.meta.get("stat", key)
-            if cached is MetaCache.NEGATIVE:
-                raise DoesNotExistError(f"{path}: no such file or directory (cached)")
-            if cached is not MetaCache.MISS:
-                return cached
-            # Sampled before the RPCs so a concurrent same-client
-            # mutation's invalidation refuses this (now stale) result.
-            generation = cache.meta.generation(key)
-        try:
-            merged = self._stat_uncached(path)
-        except DoesNotExistError:
-            if key is not None:
-                cache.meta.put_negative(
-                    "stat", key, cache.policy.negative_expiry(), generation=generation
-                )
-            raise
-        if key is not None:
-            cache.meta.put(
-                "stat", key, merged, cache.policy.meta_expiry(), generation=generation
-            )
-        return merged
-
-    def _stat_uncached(self, path: str) -> ChirpStat:
         mst, stub = self._lookup(path)
         if stub is None:
             return mst
@@ -526,42 +451,30 @@ class StubFilesystem(Filesystem):
             if not (force and isinstance(exc, DisconnectedError)):
                 raise exc
         self.meta.unlink(path)
-        self._entry_changed(path, stub)
 
     def rename(self, old: str, new: str) -> None:
         # Name-only: the stub moves, the data file never does.
         old, new = self._guard_name(old), self._guard_name(new)
         self.meta.rename(old, new)
-        if self.cache is not None:
-            # ``old`` may be a directory: descendants' merged stats are
-            # keyed under the old prefix and must go too.  Data blocks
-            # live under data-server keys, which a rename never moves.
-            self.cache.invalidate_subtree(self._merged_key(old))
-            self.cache.invalidate_subtree(self._merged_key(new))
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         path = self._guard_name(path)
         self.meta.mkdir(path, mode)
-        # The path may have been cached as absent before creation.
-        self._entry_changed(path)
 
     def rmdir(self, path: str) -> None:
         path = self._guard_name(path)
         self.meta.rmdir(path)
-        self._entry_changed(path)
 
     def truncate(self, path: str, size: int) -> None:
         path = self._guard_name(path)
         stub = self._stub(path)
         sizes = dict(zip(self.layout.members(stub), self.layout.truncate_sizes(stub, size)))
         self._each(list(sizes), lambda m: self._call(m, lambda c: c.truncate(m.path, sizes[m])))
-        self._entry_changed(path, stub)
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         path = self._guard_name(path)
         members = self.layout.members(self._stub(path))
         self._each(members, lambda m: self._call(m, lambda c: c.utime(m.path, atime, mtime)))
-        self._entry_changed(path)
 
     def statfs(self) -> StatFs:
         """Aggregate capacity over the *reachable* data servers."""
@@ -607,11 +520,8 @@ class StubFilesystem(Filesystem):
 
         Mirrors :meth:`_open_existing`'s tolerance of the create window:
         a stub whose data file has not appeared yet gets a few retries
-        before being declared dangling.  With a data-caching policy the
-        handle path is used instead, so repeat reads hit the block cache.
+        before being declared dangling.
         """
-        if self.cache is not None and self.cache.data_enabled:
-            return super().read_file(path)
         path = self._guard_name(path)
 
         def getfile(stub) -> bytes:
@@ -629,11 +539,8 @@ class StubFilesystem(Filesystem):
         back as :meth:`open` does.  When the stub already exists the file
         is replaced in place: one lookup, then ``putflags wt`` on its
         data files, which never creates one, so a dangling stub stays
-        dangling.  With a data-caching policy the handle path is used
-        instead, as :meth:`read_file` does.
+        dangling.
         """
-        if self.cache is not None and self.cache.data_enabled:
-            return super().write_file(path, data, mode)
         path = self._guard_name(path)
 
         def putter(stub, flags: OpenFlags) -> Callable[[Stub], int]:
@@ -650,7 +557,6 @@ class StubFilesystem(Filesystem):
 
         def put(stub) -> int:
             self._each(self.layout.members(stub), putter(stub, overwrite))
-            self._entry_changed(path, stub)
             return len(data)
 
         return self._on_data(path, put)

@@ -125,13 +125,17 @@ class _Pointer:
 
 class _CasReadHandle(FileHandle):
     """A read-only handle: an OS fd on the sealed object itself (on
-    ``/dev/null`` for the implicit empty blob)."""
+    ``/dev/null`` for the implicit empty blob).  ``close`` sets the fd
+    to -1, so a later call can never reach a reused fd number."""
 
     def __init__(self, fd: int, ptr: _Pointer, ptr_real: str):
         self._fd = fd
         self._ptr = ptr
         self._ptr_real = ptr_real
-        self._closed = False
+
+    def _check_open(self) -> None:
+        if self._fd < 0:
+            raise BadFileDescriptorError("handle is closed")
 
     def pread(self, length: int, offset: int) -> bytes:
         try:
@@ -146,20 +150,21 @@ class _CasReadHandle(FileHandle):
         return self._fd
 
     def fsync(self) -> None:
-        pass  # sealed objects are already durable
+        self._check_open()  # sealed objects are already durable
 
     def fstat(self) -> ChirpStat:
+        self._check_open()
         return _stat_from_pointer(self._ptr, self._ptr_real)
 
     def ftruncate(self, size: int) -> None:
         raise BadFileDescriptorError("handle not open for writing")
 
     def close(self) -> None:
-        if self._closed:
+        fd, self._fd = self._fd, -1
+        if fd < 0:
             return
-        self._closed = True
         try:
-            os.close(self._fd)
+            os.close(fd)
         except OSError as exc:
             raise BadFileDescriptorError(str(exc)) from exc
 

@@ -80,9 +80,8 @@ class FileHandle(ABC):
     """An open file: the one handle contract of every layer.
 
     Store handles, :class:`~repro.core.cfs.ChirpFileHandle`, the layout
-    handles and :class:`~repro.cache.handle.CachedFileHandle` all
-    subclass this class, so a server serves, and a client stacks, any
-    of them alike.
+    handles and the client cache's handles all subclass this class, so
+    a server serves, and a client stacks, any of them alike.
 
     Handles own no seek position: ``pread``/``pwrite`` carry explicit
     offsets, exactly like the wire protocol, so one handle may serve

@@ -26,7 +26,12 @@ from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.interface import BlobStore, FileHandle, stat_stamp
 from repro.util import checksum as checksum_mod
 from repro.util.jsonlog import fsync_dir
-from repro.util.errors import IsADirectoryError_, NotAuthorizedError, wrap_os_error
+from repro.util.errors import (
+    BadFileDescriptorError,
+    IsADirectoryError_,
+    NotAuthorizedError,
+    wrap_os_error,
+)
 from repro.util.paths import PathEscapeError, confine
 
 __all__ = ["LocalDirStore", "STAGING_PREFIX"]
@@ -64,12 +69,16 @@ def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[byte
 
 
 class _OsFdHandle(FileHandle):
-    """A handle backed by an OS file descriptor."""
+    """A handle backed by an OS file descriptor.
+
+    ``close`` sets the fd to -1, so every later call fails with EBADF
+    (``BadFileDescriptorError``) and can never reach another file that
+    the kernel has since given the old fd number.
+    """
 
     def __init__(self, store: "LocalDirStore", fd: int):
         self._store = store
         self._fd = fd
-        self._closed = False
 
     def pread(self, length: int, offset: int) -> bytes:
         try:
@@ -78,25 +87,25 @@ class _OsFdHandle(FileHandle):
             raise wrap_os_error(exc) from exc
 
     def pwrite(self, data: bytes, offset: int) -> int:
-        if not self._store.tracking_usage:
+        try:
+            if not self._store.tracking_usage:
+                return os.pwrite(self._fd, data, offset)
+            # Account in a finally so a partial failure (ENOSPC/EIO mid-op
+            # may still have extended the file) cannot skew the counter.
+            before = os.fstat(self._fd).st_size
             try:
                 return os.pwrite(self._fd, data, offset)
-            except OSError as exc:
-                raise wrap_os_error(exc) from exc
-        # Account in a finally so a partial failure (ENOSPC/EIO mid-op
-        # may still have extended the file) cannot skew the counter.
-        before = os.fstat(self._fd).st_size
-        try:
-            return os.pwrite(self._fd, data, offset)
+            finally:
+                self._account_after(before)
         except OSError as exc:
             raise wrap_os_error(exc) from exc
-        finally:
-            self._account_after(before)
 
     def fileno(self) -> int:
         return self._fd
 
     def fsync(self) -> None:
+        if self._fd < 0:  # os.fsync refuses -1 with ValueError, not EBADF
+            raise BadFileDescriptorError("handle is closed")
         try:
             os.fsync(self._fd)
         except OSError as exc:
@@ -109,19 +118,17 @@ class _OsFdHandle(FileHandle):
             raise wrap_os_error(exc) from exc
 
     def ftruncate(self, size: int) -> None:
-        if not self._store.tracking_usage:
+        try:
+            if not self._store.tracking_usage:
+                os.ftruncate(self._fd, size)
+                return
+            before = os.fstat(self._fd).st_size
             try:
                 os.ftruncate(self._fd, size)
-            except OSError as exc:
-                raise wrap_os_error(exc) from exc
-            return
-        before = os.fstat(self._fd).st_size
-        try:
-            os.ftruncate(self._fd, size)
+            finally:
+                self._account_after(before)
         except OSError as exc:
             raise wrap_os_error(exc) from exc
-        finally:
-            self._account_after(before)
 
     def _account_after(self, before: int) -> None:
         """Charge the *observed* size delta, success or failure.
@@ -138,11 +145,11 @@ class _OsFdHandle(FileHandle):
             self._store._account(after - before)
 
     def close(self) -> None:
-        if self._closed:
+        fd, self._fd = self._fd, -1
+        if fd < 0:
             return
-        self._closed = True
         try:
-            os.close(self._fd)
+            os.close(fd)
         except OSError as exc:
             raise wrap_os_error(exc) from exc
 

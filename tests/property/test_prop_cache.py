@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.handle import CachedFileHandle
-from repro.cache.manager import CacheManager, file_key
+from repro.cache.manager import CacheManager
 from repro.cache.policy import CachePolicy
 from repro.chirp.protocol import OpenFlags
 from repro.core.storefs import StoreFilesystem
@@ -45,13 +45,10 @@ class TestPrivateCacheEquivalence:
             block_size=BS,
             capacity_bytes=4 * BS,  # tiny: constant LRU eviction
             readahead_blocks=2,
-            readahead_min_run=2,
         )
         cache = CacheManager(policy, synchronous_readahead=True)
         flags = OpenFlags(read=True, write=True)
-        cached = CachedFileHandle(
-            fs.open("/cached.bin", flags), cache, file_key("p", 0, "/cached.bin")
-        )
+        cached = CachedFileHandle(fs.open("/cached.bin", flags), cache, "p:/cached.bin")
         plain = fs.open("/plain.bin", flags)
         try:
             for op, a, b in operations:

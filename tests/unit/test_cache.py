@@ -2,23 +2,31 @@
 
 Covers the block cache (LRU budget, full-block rule, epochs), the
 metadata cache (TTL, negatives, LRU bound), the cached handle (span
-fetch, readahead, write-through invalidation) and the client-level
-metadata caching wired through :class:`~repro.chirp.client.ChirpClient`.
+fetch, readahead, write-through invalidation) and the one decorator
+that wires them over any filesystem,
+:class:`~repro.cache.fs.CachedFilesystem`, over live CFS, DPFS and DSFS
+volumes.
 """
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import pytest
 
+from repro.adapter.adapter import Adapter
 from repro.cache.block import BlockCache
+from repro.cache.fs import CachedFilesystem
 from repro.cache.handle import CachedFileHandle
-from repro.cache.manager import CacheManager, file_key
+from repro.cache.manager import CacheManager
 from repro.cache.meta import MetaCache
 from repro.cache.policy import CachePolicy
-from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
+from repro.core.cfs import CFS
+from repro.core.dpfs import DPFS
+from repro.core.dsfs import DSFS
+from repro.core.interface import Filesystem
 from repro.core.storefs import StoreFilesystem
 from repro.store.localdir import LocalDirStore
 from repro.util.clock import ManualClock
@@ -303,8 +311,7 @@ def make_cached(tmp_path, data: bytes, **policy_kwargs):
     fs = StoreFilesystem(LocalDirStore(str(tmp_path)))
     fs.write_file("/data.bin", data)
     inner = fs.open("/data.bin", OpenFlags(read=True, write=True))
-    key = file_key("local", 0, "/data.bin")
-    return CachedFileHandle(inner, cache, key), cache, fs
+    return CachedFileHandle(inner, cache, "local:/data.bin"), cache, fs
 
 
 class RecordingHandle:
@@ -374,9 +381,7 @@ class TestCachedFileHandle:
 
     def test_sequential_reads_trigger_readahead(self, tmp_path):
         data = block(5) * 32
-        handle, cache, _ = make_cached(
-            tmp_path, data, readahead_blocks=4, readahead_min_run=2
-        )
+        handle, cache, _ = make_cached(tmp_path, data, readahead_blocks=4)
         with handle:
             for i in range(8):
                 assert handle.pread(BS, i * BS) == block(5)
@@ -386,29 +391,19 @@ class TestCachedFileHandle:
 
     def test_random_reads_do_not_trigger_readahead(self, tmp_path):
         data = block(6) * 32
-        handle, cache, _ = make_cached(
-            tmp_path, data, readahead_blocks=4, readahead_min_run=2
-        )
+        handle, cache, _ = make_cached(tmp_path, data, readahead_blocks=4)
         with handle:
             for i in (9, 2, 17, 5, 26, 11):
                 handle.pread(BS, i * BS)
         assert cache.snapshot()["readahead"]["windows"] == 0
 
-    def test_on_mutate_callback_fires_on_writes(self, tmp_path):
-        data = block(7) * 4
-        policy = CachePolicy(mode="private", block_size=BS, capacity_bytes=64 * BS)
-        cache = CacheManager(policy, synchronous_readahead=True)
-        fs = StoreFilesystem(LocalDirStore(str(tmp_path)))
-        fs.write_file("/m.bin", data)
-        inner = fs.open("/m.bin", OpenFlags(read=True, write=True))
-        calls = []
-        handle = CachedFileHandle(
-            inner, cache, "k", on_mutate=lambda: calls.append(1)
-        )
+    def test_writes_drop_the_file_stat(self, tmp_path):
+        handle, cache, _ = make_cached(tmp_path, block(7) * 4)
         with handle:
-            handle.pwrite(b"z", 0)
-            handle.ftruncate(4)
-        assert len(calls) == 2
+            for write in (lambda: handle.pwrite(b"z", 0), lambda: handle.ftruncate(4)):
+                cache.meta.put("stat", handle.key, "stale", None)
+                write()
+                assert cache.meta.get("stat", handle.key) is MetaCache.MISS
 
     def test_manager_snapshot_shape(self, tmp_path):
         handle, cache, _ = make_cached(tmp_path, block(8) * 4)
@@ -425,119 +420,110 @@ class TestCachedFileHandle:
 
 
 # ----------------------------------------------------------------------
-# Client-level metadata caching (live server)
+# Metadata caching over a live CFS
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture()
-def caching_client(file_server, credentials):
+def caching_cfs(client):
     cache = CacheManager(CachePolicy(mode="private", negative_ttl=30.0))
-    c = ChirpClient(
-        *file_server.address, credentials=credentials, timeout=10.0, cache=cache
-    )
-    yield c, cache
-    c.close()
+    yield CachedFilesystem(CFS(client), cache), cache
     cache.close()
 
 
 class TestClientMetaCaching:
-    def test_stat_served_from_cache(self, caching_client):
-        client, cache = caching_client
-        client.putfile("/f.txt", b"hello")
-        st1 = client.stat("/f.txt")
-        st2 = client.stat("/f.txt")
+    def test_stat_served_from_cache(self, caching_cfs):
+        fs, cache = caching_cfs
+        fs.write_file("/f.txt", b"hello")
+        st1 = fs.stat("/f.txt")
+        st2 = fs.stat("/f.txt")
         assert st1.size == st2.size == 5
         assert cache.meta.snapshot()["hits"] >= 1
 
-    def test_negative_stat_cached_until_created(self, caching_client):
-        client, cache = caching_client
+    def test_negative_stat_cached_until_created(self, caching_cfs):
+        fs, cache = caching_cfs
         with pytest.raises(DoesNotExistError):
-            client.stat("/nope.txt")
+            fs.stat("/nope.txt")
         with pytest.raises(DoesNotExistError) as excinfo:
-            client.stat("/nope.txt")
+            fs.stat("/nope.txt")
         assert "cached" in str(excinfo.value)
         # Creating the file invalidates the negative entry at once.
-        client.putfile("/nope.txt", b"x")
-        assert client.stat("/nope.txt").size == 1
+        fs.write_file("/nope.txt", b"x")
+        assert fs.stat("/nope.txt").size == 1
 
-    def test_own_writes_invalidate_metadata(self, caching_client):
-        client, cache = caching_client
-        client.putfile("/grow.txt", b"ab")
-        assert client.stat("/grow.txt").size == 2
-        fd = client.open("/grow.txt", OpenFlags(write=True))
-        client.pwrite(fd, b"abcd", 0)
-        client.close_fd(fd)
-        assert client.stat("/grow.txt").size == 4
+    def test_own_writes_invalidate_metadata(self, caching_cfs):
+        fs, cache = caching_cfs
+        fs.write_file("/grow.txt", b"ab")
+        assert fs.stat("/grow.txt").size == 2
+        with fs.open("/grow.txt", OpenFlags(write=True)) as h:
+            h.pwrite(b"abcd", 0)
+        assert fs.stat("/grow.txt").size == 4
 
-    def test_getdir_cached_and_invalidated_by_membership(self, caching_client):
-        client, cache = caching_client
-        client.mkdir("/d")
-        client.putfile("/d/one", b"1")
-        assert client.getdir("/d") == ["one"]
-        assert client.getdir("/d") == ["one"]
+    def test_getdir_cached_and_invalidated_by_membership(self, caching_cfs):
+        fs, cache = caching_cfs
+        fs.mkdir("/d")
+        fs.write_file("/d/one", b"1")
+        assert fs.listdir("/d") == ["one"]
+        assert fs.listdir("/d") == ["one"]
         assert cache.meta.snapshot()["hits"] >= 1
-        client.putfile("/d/two", b"2")
-        assert sorted(client.getdir("/d")) == ["one", "two"]
-        client.unlink("/d/one")
-        assert client.getdir("/d") == ["two"]
+        fs.write_file("/d/two", b"2")
+        assert sorted(fs.listdir("/d")) == ["one", "two"]
+        fs.unlink("/d/one")
+        assert fs.listdir("/d") == ["two"]
 
-    def test_rename_invalidates_both_names(self, caching_client):
-        client, cache = caching_client
-        client.putfile("/old.txt", b"abc")
-        assert client.stat("/old.txt").size == 3
+    def test_rename_invalidates_both_names(self, caching_cfs):
+        fs, cache = caching_cfs
+        fs.write_file("/old.txt", b"abc")
+        assert fs.stat("/old.txt").size == 3
         with pytest.raises(DoesNotExistError):
-            client.stat("/new.txt")
-        client.rename("/old.txt", "/new.txt")
-        assert client.stat("/new.txt").size == 3
+            fs.stat("/new.txt")
+        fs.rename("/old.txt", "/new.txt")
+        assert fs.stat("/new.txt").size == 3
         with pytest.raises(DoesNotExistError):
-            client.stat("/old.txt")
+            fs.stat("/old.txt")
 
-    def test_directory_rename_sweeps_descendant_entries(self, caching_client):
+    def test_directory_rename_sweeps_descendant_entries(self, caching_cfs):
         # rename A->B then C->A: entries cached under /A must not survive
         # to describe the *old* children once the path is reused.
-        client, cache = caching_client
-        client.mkdir("/src")
-        client.putfile("/src/f", b"old")
-        assert client.stat("/src/f").size == 3
-        assert client.getdir("/src") == ["f"]
-        client.mkdir("/other")
-        client.putfile("/other/f", b"fresh-longer")
-        client.putfile("/other/g", b"x")
-        client.rename("/src", "/gone")
-        client.rename("/other", "/src")
-        assert client.stat("/src/f").size == 12
-        assert sorted(client.getdir("/src")) == ["f", "g"]
+        fs, cache = caching_cfs
+        fs.mkdir("/src")
+        fs.write_file("/src/f", b"old")
+        assert fs.stat("/src/f").size == 3
+        assert fs.listdir("/src") == ["f"]
+        fs.mkdir("/other")
+        fs.write_file("/other/f", b"fresh-longer")
+        fs.write_file("/other/g", b"x")
+        fs.rename("/src", "/gone")
+        fs.rename("/other", "/src")
+        assert fs.stat("/src/f").size == 12
+        assert sorted(fs.listdir("/src")) == ["f", "g"]
 
-    def test_mkdir_rmdir_invalidate_metadata(self, caching_client):
-        client, cache = caching_client
+    def test_mkdir_rmdir_invalidate_metadata(self, caching_cfs):
+        fs, cache = caching_cfs
         with pytest.raises(DoesNotExistError):
-            client.stat("/d")  # caches the absence
-        client.mkdir("/d")
-        assert client.stat("/d").mode  # negative entry was dropped
-        client.rmdir("/d")
+            fs.stat("/d")  # caches the absence
+        fs.mkdir("/d")
+        assert fs.stat("/d").mode  # negative entry was dropped
+        fs.rmdir("/d")
         with pytest.raises(DoesNotExistError):
-            client.stat("/d")
+            fs.stat("/d")
 
     def test_uncached_client_unaffected(self, client):
-        # The default client has no cache; plain operation still works.
+        # The client caches nothing; plain operation still works.
         client.putfile("/plain.txt", b"xyz")
         assert client.stat("/plain.txt").size == 3
 
 
 # ----------------------------------------------------------------------
-# Stub-filesystem merged-stat coherence (DPFS over a live server)
+# Stub-filesystem stat coherence (DPFS over a live server)
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture()
 def caching_dpfs(file_server, pool, tmp_path):
-    from repro.core.dpfs import DPFS
-
     cache = CacheManager(CachePolicy(mode="private", negative_ttl=300.0))
-    fs = DPFS.create(
-        str(tmp_path / "meta"), pool, [file_server.address], name="vol", cache=cache
-    )
-    yield fs
+    dpfs = DPFS.create(str(tmp_path / "meta"), pool, [file_server.address], name="vol")
+    yield CachedFilesystem(dpfs, cache)
     cache.close()
 
 
@@ -545,7 +531,7 @@ class TestStubfsMetaCoherence:
     def test_rmdir_invalidates_cached_dir_stat(self, caching_dpfs):
         fs = caching_dpfs
         fs.mkdir("/d")
-        assert fs.stat("/d").is_dir  # now cached under the merged key
+        assert fs.stat("/d").is_dir  # now cached
         fs.rmdir("/d")
         with pytest.raises(DoesNotExistError):
             fs.stat("/d")
@@ -561,7 +547,7 @@ class TestStubfsMetaCoherence:
         fs = caching_dpfs
         fs.mkdir("/a")
         fs.write_file("/a/f", b"old")
-        assert fs.stat("/a/f").size == 3  # cached under /a/f's merged key
+        assert fs.stat("/a/f").size == 3  # cached under /a/f's key
         fs.mkdir("/c")
         fs.write_file("/c/f", b"fresh-longer")
         assert fs.stat("/c/f").size == 12
@@ -569,3 +555,121 @@ class TestStubfsMetaCoherence:
         fs.rename("/c", "/a")
         assert fs.stat("/a/f").size == 12
         assert fs.stat("/b/f").size == 3
+
+
+# ----------------------------------------------------------------------
+# One set of rules over CFS, DPFS and DSFS, in both metadata modes
+# ----------------------------------------------------------------------
+
+META_TTL = 5.0
+
+
+class Stack(NamedTuple):
+    cached: CachedFilesystem
+    plain: Filesystem  # an uncached view of the same volume
+    tree: Filesystem  # where the directories live, uncached
+    clock: ManualClock
+
+
+@pytest.fixture(
+    params=[(k, m) for k in ("cfs", "dpfs", "dsfs") for m in ("private", "ttl")],
+    ids=lambda p: "-".join(p),
+)
+def stack(request, file_server, pool, tmp_path):
+    kind, mode = request.param
+    address = file_server.address
+    if kind == "cfs":
+        def view():
+            return CFS(pool.get(*address))
+    elif kind == "dpfs":
+        meta_root = str(tmp_path / "meta")
+        DPFS.create(meta_root, pool, [address], name="vol")
+
+        def view():
+            return DPFS.open_volume(meta_root, pool)
+    else:
+        DSFS.create(pool, *address, "/vol", [address], name="vol")
+
+        def view():
+            return DSFS.open_volume(pool, *address, "/vol")
+    clock = ManualClock()
+    policy = CachePolicy(mode=mode, meta_ttl=META_TTL, negative_ttl=META_TTL)
+    cache = CacheManager(policy, clock=clock)
+    plain = view()
+    yield Stack(CachedFilesystem(view(), cache), plain, getattr(plain, "meta", plain), clock)
+    cache.close()
+
+
+class TestCachedFilesystemCoherence:
+    @pytest.mark.parametrize("change", ["mkdir", "write_file", "unlink"])
+    def test_parent_stat_follows_a_change_inside_it(self, stack, change):
+        fs = stack.cached
+        fs.mkdir("/d")
+        fs.write_file("/d/f", b"x")
+        # Backdate the directory behind the cache's back, then cache it.
+        stack.tree.utime("/d", 1000, 1000)
+        assert fs.stat("/d").mtime == 1000
+        if change == "mkdir":
+            fs.mkdir("/d/sub")
+        elif change == "write_file":
+            fs.write_file("/d/g", b"y")
+        else:
+            fs.unlink("/d/f")
+        got, want = fs.stat("/d"), stack.tree.stat("/d")
+        assert want.mtime != 1000
+        assert (got.nlink, got.mtime) == (want.nlink, want.mtime)
+
+    @pytest.mark.parametrize("write", ["pwrite", "ftruncate"])
+    def test_own_handle_write_shows_in_the_next_stat(self, stack, write):
+        fs = stack.cached
+        fs.write_file("/f", b"ab")
+        assert fs.stat("/f").size == 2
+        with fs.open("/f", OpenFlags(read=True, write=True)) as h:
+            if write == "pwrite":
+                h.pwrite(b"abcdef", 0)
+            else:
+                h.ftruncate(6)
+            assert fs.stat("/f").size == 6
+        assert stack.plain.stat("/f").size == 6
+
+    @pytest.mark.parametrize(
+        "stack", [(k, "ttl") for k in ("cfs", "dpfs", "dsfs")], indirect=True,
+        ids=lambda p: "-".join(p),
+    )
+    def test_other_clients_change_shows_after_meta_ttl(self, stack):
+        fs = stack.cached
+        fs.write_file("/f", b"ab")
+        assert fs.stat("/f").size == 2
+        stack.plain.write_file("/f", b"abcdef")  # another client, uncached
+        stack.clock.advance(META_TTL - 0.5)
+        assert fs.stat("/f").size == 2  # bounded staleness, by contract
+        stack.clock.advance(1.0)
+        assert fs.stat("/f").size == 6
+
+
+class TestAdapterCaching:
+    @pytest.mark.parametrize("mode", ["private", "ttl"])
+    def test_auto_namespaces_see_own_changes(self, file_server, pool, credentials, mode):
+        host, port = file_server.address
+        DSFS.create(pool, host, port, "/vol", [(host, port)], name="vol")
+        cached = Adapter(credentials=credentials, cache_policy=CachePolicy(mode=mode))
+        plain = Adapter(credentials=credentials)
+
+        def assert_fresh(path):
+            got, want = cached.stat(path), plain.stat(path)
+            assert (got.st_nlink, got.st_mtime, got.st_size) == (
+                want.st_nlink, want.st_mtime, want.st_size
+            )
+
+        with cached, plain:
+            for base in (f"/cfs/{host}:{port}", f"/dsfs/{host}:{port}@vol"):
+                assert isinstance(cached.resolve(base + "/d")[0], CachedFilesystem)
+                cached.mkdir(base + "/d")
+                assert_fresh(base + "/d")
+                cached.mkdir(base + "/d/sub")
+                assert_fresh(base + "/d")
+                cached.write_bytes(base + "/d/f", b"ab")
+                assert_fresh(base + "/d/f")
+                with cached.open(base + "/d/f", "r+b") as fh:
+                    fh.write(b"abcdef")
+                assert_fresh(base + "/d/f")

@@ -278,6 +278,34 @@ class TestStoreConformance:
             backend.close(second)
         assert read_file(backend, "/a") == b"aaa"
 
+    @pytest.mark.parametrize(
+        "flags", [OpenFlags(read=True), OpenFlags(write=True)], ids=["read", "write"]
+    )
+    def test_closed_handle_refuses_every_data_call(self, backend, flags):
+        # A closed handle must fail, not reach the file that the kernel
+        # gave its old fd number to (``/b``, opened right after).
+        store = backend.store
+        store.write_blob("/a", b"aaa")
+        store.write_blob("/b", b"bbb")
+        handle = store.open("/a", flags, 0o644)
+        handle.close()
+        other = store.open("/b", OpenFlags(read=True, write=True), 0o644)
+        calls = {
+            "pread": lambda: handle.pread(3, 0),
+            "pwrite": lambda: handle.pwrite(b"x", 0),
+            "fsync": handle.fsync,
+            "fstat": handle.fstat,
+            "ftruncate": lambda: handle.ftruncate(0),
+        }
+        try:
+            for name, call in calls.items():
+                with pytest.raises(E.BadFileDescriptorError):
+                    call()
+        finally:
+            other.close()
+        assert read_file(backend, "/a") == b"aaa"
+        assert read_file(backend, "/b") == b"bbb"
+
 
 class TestQuotaConformance:
     @pytest.fixture(params=ALL_KINDS)
