@@ -13,9 +13,16 @@ reads and writes ``.__acl`` entries with ``read_blob``/``write_blob``
 and never touches the disk directly, so a CAS store's ACLs are
 deduplicated pointer records while a local store's are the exact bytes
 the pre-refactor code wrote.  Parsed ACLs are kept per blob and checked
-against the store's ``stamp`` on every lookup, so an edit made behind
-the server's back is seen on the next request; stores that cannot
-stamp (memory, fault injection) are re-read every time.
+against the store's ``stamp`` on every visitor lookup, so an edit made
+behind the server's back is seen on the next request; stores that
+cannot stamp (memory, fault injection) are re-read every time.  The
+owner holds every right whatever an ACL says, so an owner's request
+looks up no ACL at all.
+
+Each request path is resolved once: the store's ``resolve`` normalizes
+and confines it in one walk, and the ACL lookups and the store call of
+that request reuse the walk (an ancestor's ACL blob costs one ``lstat``
+in a directory the walk has just seen).
 
 Rights required per operation (one judgment call documented here: the
 paper presents ``D`` as a way to grant *delete-but-not-modify* to others,
@@ -63,7 +70,6 @@ from repro.util.errors import (
     TryAgainError,
     UnknownError,
 )
-from repro.util.paths import normalize_virtual, split_virtual
 
 __all__ = ["Backend"]
 
@@ -130,12 +136,26 @@ class Backend:
         return getattr(self.store, "root", "")
 
     # ------------------------------------------------------------------
-    # ACL plumbing (ACLs are blobs in the store)
+    # request paths and ACL plumbing (ACLs are blobs in the store)
     # ------------------------------------------------------------------
+
+    def _resolve(self, vpath: str) -> tuple[str, str, str]:
+        """A request path resolved once: ``(path, parent, name)``.
+
+        ``path`` is the store's :meth:`~repro.store.BlobStore.resolve`
+        of ``vpath``: normal, so nothing here normalizes it again, and
+        carrying the store's walk to the ACL lookups and the store call
+        of this request.  ``parent`` is its normal parent directory and
+        ``name`` its basename (empty for the root).
+        """
+        path = self.store.resolve(vpath)
+        parent, _, name = path.rpartition("/")
+        return path, parent or "/", name
 
     @staticmethod
     def _acl_vpath(vdir: str) -> str:
-        return posixpath.join(normalize_virtual(vdir), ACL_FILE_NAME)
+        """Where the ACL of the normal directory ``vdir`` is stored."""
+        return posixpath.join(vdir, ACL_FILE_NAME)
 
     def _read_acl(self, vpath: str) -> Acl | None:
         try:
@@ -146,22 +166,25 @@ class Backend:
             return None
         return Acl.from_text(data.decode("utf-8"))
 
-    def _load_acl(self, vdir: str) -> Acl | None:
-        """The ACL stored in ``vdir`` itself (None when it has none).
+    def _load_acl(self, vdir: str, near: Optional[str] = None) -> Acl | None:
+        """The ACL stored in the normal directory ``vdir`` itself (None
+        when it has none).  ``near`` is a path the store resolved at or
+        below ``vdir``: the blob's lookup reuses its walk.
 
         The returned object may be shared with the cache: never mutate it.
         """
         vpath = self._acl_vpath(vdir)
         if not self.store.supports_stamp:
             return self._read_acl(vpath)
-        stamp = self.store.stamp(vpath)
+        blob = self.store.resolve(vpath, near)
+        stamp = self.store.stamp(blob)
         if stamp is None:
             self._acl_cache.pop(vpath, None)
             return None
         cached = self._acl_cache.get(vpath)
         if cached is not None and cached[0] == stamp:
             return cached[1]
-        acl = self._read_acl(vpath)
+        acl = self._read_acl(blob)
         if acl is None:
             self._acl_cache.pop(vpath, None)
         else:
@@ -174,8 +197,8 @@ class Backend:
         self._acl_cache.pop(vpath, None)
 
     def _forget_acls(self, vdir: str) -> None:
-        """Drop cached ACLs of ``vdir`` and everything below it."""
-        prefix = normalize_virtual(vdir).rstrip("/") + "/"
+        """Drop cached ACLs of the normal directory ``vdir`` and below."""
+        prefix = vdir.rstrip("/") + "/"
         for vpath in list(self._acl_cache):
             if vpath.startswith(prefix):
                 self._acl_cache.pop(vpath, None)
@@ -186,48 +209,48 @@ class Backend:
         return acl.to_text() if acl is not None else ""
 
     @staticmethod
-    def _forbid_acl_name(vpath: str) -> None:
-        if posixpath.basename(normalize_virtual(vpath)) == ACL_FILE_NAME:
+    def _forbid_acl_name(name: str) -> None:
+        if name == ACL_FILE_NAME:
             raise NotAuthorizedError("ACL files are managed via getacl/setacl")
 
-    def effective_acl(self, vdir: str) -> Acl:
-        """The ACL governing a directory: its own, else the nearest ancestor's.
+    def effective_acl(self, vdir: str, near: Optional[str] = None) -> Acl:
+        """The ACL governing the normal directory ``vdir``: its own, else
+        the nearest ancestor's.  ``near`` is as for :meth:`_load_acl`.
 
         The result may be shared with other callers: never mutate it.
         """
-        vdir = normalize_virtual(vdir)
         while True:
             # Under a non-directory the ACL blob is simply absent.
-            acl = self._load_acl(vdir)
+            acl = self._load_acl(vdir, near)
             if acl is not None:
                 return acl
             if vdir == "/":
                 # Root ACL was created in __init__; reaching here means it
                 # was deleted out from under us -- fail closed.
                 return Acl()
-            vdir = posixpath.dirname(vdir) or "/"
+            vdir = vdir.rpartition("/")[0] or "/"
 
-    def _check(self, subject: str, vdir: str, right: str) -> Acl:
-        """Verify ``subject`` holds ``right`` on ``vdir``; returns the ACL."""
-        acl = self.effective_acl(vdir)
-        if subject == self.owner_subject:
-            return acl
-        if not acl.check(subject, right):
+    def _require(self, subject: str, acl: Acl, rights: str, vdir: str) -> None:
+        """Refuse a visitor holding none of ``rights`` in ``acl``."""
+        if subject != self.owner_subject and acl.rights_for(subject).flags.isdisjoint(rights):
             raise NotAuthorizedError(
-                f"subject {subject!r} lacks right {right!r} on {vdir!r}"
+                f"subject {subject!r} lacks {'all of ' if len(rights) > 1 else 'right '}"
+                f"{rights!r} on {vdir!r}"
             )
-        return acl
 
-    def _check_any(self, subject: str, vdir: str, rights: str) -> Acl:
-        """Verify the subject holds at least one of ``rights`` on ``vdir``."""
-        acl = self.effective_acl(vdir)
+    def _check(
+        self, subject: str, vdir: str, rights: str, near: Optional[str] = None
+    ) -> Acl | None:
+        """Verify ``subject`` holds one of ``rights`` on the normal
+        directory ``vdir``; returns the ACL, or None for the owner.
+
+        The owner holds every right whatever an ACL says, so its checks
+        walk no ACL.  ``near`` is as for :meth:`_load_acl`.
+        """
         if subject == self.owner_subject:
-            return acl
-        held = acl.rights_for(subject).flags
-        if not (held & set(rights)):
-            raise NotAuthorizedError(
-                f"subject {subject!r} lacks all of {rights!r} on {vdir!r}"
-            )
+            return None
+        acl = self.effective_acl(vdir, near)
+        self._require(subject, acl, rights, vdir)
         return acl
 
     # ------------------------------------------------------------------
@@ -356,15 +379,15 @@ class Backend:
         quota check happens before the store is touched, so a refused
         put creates and truncates nothing.
         """
-        self._forbid_acl_name(vpath)
-        parent, _name = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         if flags.write or flags.create or flags.truncate:
-            self._check(subject, parent, "w")
+            self._check(subject, parent, "w", path)
             self._refuse_if_read_only()
             self._charge_quota(charge)
-            return self._store_write(self.store.open, vpath, flags, mode)
-        self._check(subject, parent, "r")
-        return self.store.open(vpath, flags, mode)
+            return self._store_write(self.store.open, path, flags, mode)
+        self._check(subject, parent, "r", path)
+        return self.store.open(path, flags, mode)
 
     def close(self, handle) -> None:
         self._handle(handle).close()
@@ -400,10 +423,10 @@ class Backend:
     # ------------------------------------------------------------------
 
     def stat(self, subject: str, vpath: str) -> ChirpStat:
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "l")
-        return self.store.stat(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "l", path)
+        return self.store.stat(path)
 
     def stat_read(
         self, subject: str, vpath: str, limit: int
@@ -415,49 +438,49 @@ class Backend:
         resolved and checked once) and the file is at most ``limit``
         bytes.
         """
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        acl = self._check(subject, parent, "l")
-        if subject != self.owner_subject and not acl.check(subject, "r"):
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        acl = self._check(subject, parent, "l", path)
+        if acl is not None and not acl.check(subject, "r"):
             limit = -1
-        return self.store.stat_read(vpath, limit)
+        return self.store.stat_read(path, limit)
 
     def lstat(self, subject: str, vpath: str) -> ChirpStat:
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "l")
-        return self.store.lstat(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "l", path)
+        return self.store.lstat(path)
 
     def access(self, subject: str, vpath: str, rights: str) -> None:
         """Check existence plus the given rights (string over ``rwld``)."""
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         for right in rights or "l":
-            self._check(subject, parent, right)
-        if not self.store.exists(vpath):
+            self._check(subject, parent, right, path)
+        if not self.store.exists(path):
             raise DoesNotExistError(vpath)
 
     def unlink(self, subject: str, vpath: str) -> None:
-        self._forbid_acl_name(vpath)
-        parent, name = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot unlink the root")
-        self._check_any(subject, parent, "wd")
-        self.store.unlink(vpath)
+        self._check(subject, parent, "wd", path)
+        self.store.unlink(path)
 
     def rename(self, subject: str, vold: str, vnew: str) -> None:
-        self._forbid_acl_name(vold)
-        self._forbid_acl_name(vnew)
-        old_parent, old_name = split_virtual(vold)
-        new_parent, new_name = split_virtual(vnew)
+        old, old_parent, old_name = self._resolve(vold)
+        new, new_parent, new_name = self._resolve(vnew)
+        self._forbid_acl_name(old_name)
+        self._forbid_acl_name(new_name)
         if not old_name or not new_name:
             raise InvalidRequestError("cannot rename the root")
-        self._check_any(subject, old_parent, "wd")
-        self._check(subject, new_parent, "w")
+        self._check(subject, old_parent, "wd", old)
+        self._check(subject, new_parent, "w", new)
         self._refuse_if_read_only()
-        self.store.rename(vold, vnew)
-        self._forget_acls(vold)
-        self._forget_acls(vnew)
+        self.store.rename(old, new)
+        self._forget_acls(old)
+        self._forget_acls(new)
 
     def mkdir(self, subject: str, vpath: str, mode: int) -> None:
         """Create a directory, applying reserve-right semantics.
@@ -468,62 +491,57 @@ class Backend:
         namespaces.  Otherwise ``w`` is required and the directory inherits
         the parent's ACL dynamically.
         """
-        self._forbid_acl_name(vpath)
-        parent, name = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         if not name:
             # POSIX: mkdir of an existing directory (the root always
             # exists) reports EEXIST, which os.makedirs-style callers
             # tolerate.
             raise AlreadyExistsError("/")
-        acl = self.effective_acl(parent)
-        rights = acl.rights_for(subject)
-        is_owner = subject == self.owner_subject
-        reserved = "v" in rights.flags and not is_owner
-        if not (is_owner or "v" in rights.flags or "w" in rights.flags):
-            raise NotAuthorizedError(
-                f"subject {subject!r} lacks both w and v on {parent!r}"
-            )
+        acl = self._check(subject, parent, "vw", path)
+        reserved = acl is not None and acl.check(subject, "v")
         self._refuse_if_read_only()
-        self.store.mkdir(vpath, mode)
+        self.store.mkdir(path, mode)
         if reserved:
-            self._store_acl(vpath, acl.reserved_for(subject))
+            self._store_acl(path, acl.reserved_for(subject))
 
     def rmdir(self, subject: str, vpath: str) -> None:
-        self._forbid_acl_name(vpath)
-        parent, name = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot rmdir the root")
-        self._check_any(subject, parent, "wd")
+        self._check(subject, parent, "wd", path)
         # A directory whose only content is its ACL file counts as empty.
-        entries = self.store.listdir(vpath)
+        entries = self.store.listdir(path)
         if entries == [ACL_FILE_NAME]:
             try:
-                self.store.unlink(self._acl_vpath(vpath))
+                self.store.unlink(self._acl_vpath(path))
             except ChirpError:
                 pass
-        self.store.rmdir(vpath)
-        self._forget_acls(vpath)
+        self.store.rmdir(path)
+        self._forget_acls(path)
 
     def getdir(self, subject: str, vpath: str) -> list[str]:
-        self._check(subject, vpath, "l")
-        names = self.store.listdir(vpath)
+        path, _, _ = self._resolve(vpath)
+        self._check(subject, path, "l", path)
+        names = self.store.listdir(path)
         return sorted(n for n in names if n != ACL_FILE_NAME)
 
     def truncate(self, subject: str, vpath: str, size: int) -> None:
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "w")
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "w", path)
         if size < 0:
             raise InvalidRequestError("negative size")
         self._refuse_if_read_only()
-        self._store_write(self.store.truncate, vpath, size)
+        self._store_write(self.store.truncate, path, size)
 
     def utime(self, subject: str, vpath: str, atime: int, mtime: int) -> None:
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "w")
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "w", path)
         self._refuse_if_read_only()
-        self.store.utime(vpath, atime, mtime)
+        self.store.utime(path, atime, mtime)
 
     def checksum(self, subject: str, vpath: str) -> str:
         """Server-side checksum so auditors avoid reading whole replicas.
@@ -531,10 +549,10 @@ class Backend:
         O(1) on content-addressed stores: the stored key *is* the
         checksum.
         """
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "r")
-        return self.store.checksum(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "r", path)
+        return self.store.checksum(path)
 
     # ------------------------------------------------------------------
     # content-addressed operations (CAS stores only; others refuse with
@@ -552,49 +570,53 @@ class Backend:
         No payload bytes move and no quota is charged: linking an
         existing blob adds nothing to physical usage.
         """
-        self._forbid_acl_name(vpath)
-        parent, name = split_virtual(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot putkey the root")
-        self._check(subject, parent, "w")
+        self._check(subject, parent, "w", path)
         self._refuse_if_read_only()
-        return self._store_write(self.store.link_key, vpath, key, mode)
+        return self._store_write(self.store.link_key, path, key, mode)
 
     def keyof(self, subject: str, vpath: str) -> str:
         """The content key a path is bound to (metadata-only audit)."""
-        self._forbid_acl_name(vpath)
-        parent, _ = split_virtual(vpath)
-        self._check(subject, parent, "r")
-        return self.store.key_of(vpath)
+        path, parent, name = self._resolve(vpath)
+        self._forbid_acl_name(name)
+        self._check(subject, parent, "r", path)
+        return self.store.key_of(path)
 
     # ------------------------------------------------------------------
     # ACL management
     # ------------------------------------------------------------------
 
     def getacl(self, subject: str, vpath: str) -> Acl:
-        self._check(subject, vpath, "l")
-        if not self.store.isdir(vpath):
+        path, _, _ = self._resolve(vpath)
+        acl = self.effective_acl(path, path)
+        self._require(subject, acl, "l", path)
+        if not self.store.isdir(path):
             raise DoesNotExistError(vpath)
-        return Acl(list(self.effective_acl(vpath).entries))
+        return Acl(list(acl.entries))
 
     def setacl(self, subject: str, vpath: str, pattern: str, rights_text: str) -> None:
         self._refuse_if_read_only()
         with self._lock:
-            acl = self._check(subject, vpath, "a")
-            if not self.store.isdir(vpath):
+            path, _, _ = self._resolve(vpath)
+            acl = self.effective_acl(path, path)
+            self._require(subject, acl, "a", path)
+            if not self.store.isdir(path):
                 raise DoesNotExistError(vpath)
             # Edit a copy -- of this directory's own ACL, else of the
             # inherited one, so the edit affects only this subtree.  The
             # loaded ACL may be cached and must keep matching the blob
             # even when the write below fails.
-            own = self._load_acl(vpath)
+            own = self._load_acl(path, path)
             own = Acl(list((acl if own is None else own).entries))
             rights = parse_rights(rights_text) if rights_text not in ("n", "none") else None
             if rights is None:
                 own.set_entry(pattern, "")
             else:
                 own.set_entry(pattern, rights)
-            self._store_acl(vpath, own)
+            self._store_acl(path, own)
 
     # ------------------------------------------------------------------
     # capacity

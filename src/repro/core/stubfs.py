@@ -473,7 +473,11 @@ class StubFilesystem(Filesystem):
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         path = self._guard_name(path)
-        members = self.layout.members(self._stub(path))
+        stub = self._lookup(path)[1]
+        if stub is None:  # a directory lives in the metadata tree only
+            self.meta.utime(path, atime, mtime)
+            return
+        members = self.layout.members(stub)
         self._each(members, lambda m: self._call(m, lambda c: c.utime(m.path, atime, mtime)))
 
     def statfs(self) -> StatFs:

@@ -54,6 +54,7 @@ import os
 import stat as stat_mod
 import tempfile
 import time
+from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
 from repro.store.interface import BlobStore, FileHandle, stat_stamp
@@ -68,7 +69,7 @@ from repro.util.errors import (
     wrap_os_error,
 )
 from repro.util.jsonlog import fsync_dir
-from repro.util.paths import PathEscapeError, confine
+from repro.util.paths import PathEscapeError, Resolved, resolve
 
 __all__ = ["CasStore", "EMPTY_KEY"]
 
@@ -154,7 +155,10 @@ class _CasReadHandle(FileHandle):
 
     def fstat(self) -> ChirpStat:
         self._check_open()
-        return _stat_from_pointer(self._ptr, self._ptr_real)
+        try:
+            return _stat_from_pointer(self._ptr, os.stat(self._ptr_real))
+        except OSError as exc:
+            raise wrap_os_error(exc) from exc
 
     def ftruncate(self, size: int) -> None:
         raise BadFileDescriptorError("handle not open for writing")
@@ -279,10 +283,10 @@ class _CasWriteHandle(FileHandle):
             self._spool.close()
 
 
-def _stat_from_pointer(ptr: _Pointer, ptr_real: str) -> ChirpStat:
-    """Synthesize a file stat: identity from the pointer inode, size and
-    times from the pointer record, type always regular-file."""
-    pst = os.stat(ptr_real)
+def _stat_from_pointer(ptr: _Pointer, pst: os.stat_result) -> ChirpStat:
+    """Synthesize a file stat: identity from the pointer file's stat
+    ``pst``, size and times from the pointer record, type always
+    regular-file."""
     st = ChirpStat.from_os(pst)
     return ChirpStat(
         device=st.device,
@@ -344,11 +348,21 @@ class CasStore(BlobStore):
 
     # -- plumbing -------------------------------------------------------
 
-    def _ns(self, vpath: str) -> str:
+    def resolve(self, vpath: str, known: Optional[str] = None) -> Resolved:
         try:
-            return confine(self.ns_root, vpath)
+            return resolve(self.ns_root, vpath, known)
         except PathEscapeError as exc:
             raise NotAuthorizedError(str(exc)) from exc
+
+    def _ns(self, vpath: str) -> str:
+        return self.resolve(vpath).real
+
+    def _file_ns(self, vpath: str) -> str:
+        """The pointer file of ``vpath``; a directory is refused."""
+        path = self.resolve(vpath)
+        if path.isdir():
+            raise IsADirectoryError_(vpath)
+        return path.real
 
     def _object_path(self, key: str) -> str:
         if not key or "/" in key or key.startswith("."):
@@ -503,9 +517,7 @@ class CasStore(BlobStore):
     # -- file I/O -------------------------------------------------------
 
     def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         writable = flags.write or flags.create or flags.truncate
         if not writable:
             ptr = self._read_pointer(real, vpath)
@@ -516,7 +528,8 @@ class CasStore(BlobStore):
             self._count("open")
             return _CasReadHandle(fd, ptr, real)
 
-        handle = _CasWriteHandle(self, vpath, flags, mode)
+        # The handle outlives this call: it keeps the path, not the walk.
+        handle = _CasWriteHandle(self, str(vpath), flags, mode)
         with self._lock:
             exists = os.path.isfile(real)
             if not exists:
@@ -560,15 +573,12 @@ class CasStore(BlobStore):
     # -- namespace ------------------------------------------------------
 
     def stat(self, vpath: str) -> ChirpStat:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            try:
-                return ChirpStat.from_os(os.stat(real))
-            except OSError as exc:
-                raise wrap_os_error(exc, vpath) from exc
-        ptr = self._read_pointer(real, vpath)
+        path = self.resolve(vpath)
         try:
-            return _stat_from_pointer(ptr, real)
+            if path.isdir():
+                return ChirpStat.from_os(path.stat())
+            ptr = self._read_pointer(path.real, vpath)
+            return _stat_from_pointer(ptr, path.stat())
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
@@ -577,8 +587,11 @@ class CasStore(BlobStore):
 
     def stamp(self, vpath: str):
         """Stamped on the pointer file: rebinding a path rewrites it."""
+        path = self.resolve(vpath)
+        if path.st is None:
+            return None
         try:
-            return stat_stamp(os.stat(self._ns(vpath)))
+            return stat_stamp(path.stat())
         except OSError:
             return None
 
@@ -586,7 +599,7 @@ class CasStore(BlobStore):
         return os.path.exists(self._ns(vpath))
 
     def isdir(self, vpath: str) -> bool:
-        return os.path.isdir(self._ns(vpath))
+        return self.resolve(vpath).isdir()
 
     def listdir(self, vpath: str) -> list[str]:
         try:
@@ -595,9 +608,7 @@ class CasStore(BlobStore):
             raise wrap_os_error(exc, vpath) from exc
 
     def unlink(self, vpath: str) -> None:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         with self._lock:
             ptr = self._read_pointer(real, vpath)
             try:
@@ -646,9 +657,7 @@ class CasStore(BlobStore):
         self._fsync_dir(os.path.dirname(real))
 
     def truncate(self, vpath: str, size: int) -> None:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         ptr = self._read_pointer(real, vpath)
         if size == ptr.size:
             return
@@ -663,8 +672,9 @@ class CasStore(BlobStore):
         self._repoint(vpath, key, len(data), ptr.mode, ptr.atime, None)
 
     def utime(self, vpath: str, atime: int, mtime: int) -> None:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
+        path = self.resolve(vpath)
+        real = path.real
+        if path.isdir():
             try:
                 os.utime(real, (atime, mtime))
             except OSError as exc:
@@ -684,9 +694,7 @@ class CasStore(BlobStore):
         replica intact forever.  The content is gone, so this raises
         DoesNotExist just as reading the file would.
         """
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         key = self._read_pointer(real, vpath).key
         if key != EMPTY_KEY and not os.path.exists(self._object_path(key)):
             raise DoesNotExistError(f"{vpath}: object {key} is missing")
@@ -748,9 +756,7 @@ class CasStore(BlobStore):
             return False
 
     def link_key(self, vpath: str, key: str, mode: int = 0o644) -> int:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         if not os.path.isdir(os.path.dirname(real)):
             raise DoesNotExistError(vpath)
         try:
@@ -762,9 +768,7 @@ class CasStore(BlobStore):
         return size
 
     def key_of(self, vpath: str) -> str:
-        real = self._ns(vpath)
-        if os.path.isdir(real):
-            raise IsADirectoryError_(vpath)
+        real = self._file_ns(vpath)
         return self._read_pointer(real, vpath).key
 
     # -- integrity ------------------------------------------------------

@@ -354,10 +354,13 @@ class FaultyStore(BlobStore):
             raise AttributeError(name)
         return getattr(self.inner, name)
 
+    def resolve(self, vpath: str, known: Optional[str] = None) -> str:
+        return self.inner.resolve(vpath, known)
+
     # -- file I/O -------------------------------------------------------
 
     def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
-        return _FaultyHandle(self, self.inner.open(vpath, flags, mode), vpath)
+        return _FaultyHandle(self, self.inner.open(vpath, flags, mode), str(vpath))
 
     # -- namespace (transparent) ----------------------------------------
 

@@ -8,7 +8,10 @@ the server's abstraction layer (ACLs, quotas, fd bookkeeping in
 :mod:`repro.chirp.backend`) needs underneath it:
 
 - a POSIX-ish namespace of files and directories addressed by *virtual*
-  absolute paths (``/a/b/c``), normalized and confined by the store;
+  absolute paths (``/a/b/c``).  The store normalizes and confines each
+  path it is given, unless the path is one its own ``resolve`` returned:
+  that one comes back already walked, so the layer above can resolve a
+  request path once and hand the result to every call of the request;
 - random-access file handles (:class:`FileHandle`) with explicit-offset
   reads and writes, mirroring the wire protocol's ``pread``/``pwrite``;
 - whole-blob helpers used by the layer above for its own bookkeeping
@@ -40,7 +43,8 @@ from abc import ABC, abstractmethod
 from typing import Hashable, Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.util.errors import InvalidRequestError, UnknownError
+from repro.util.errors import InvalidRequestError, NotAuthorizedError, UnknownError
+from repro.util.paths import PathEscapeError, normalize_virtual
 
 __all__ = [
     "BlobStore",
@@ -199,7 +203,8 @@ class BlobStore(ABC):
     """Abstract storage resource behind one Chirp server (see module doc).
 
     All paths are *virtual* absolute paths; the store normalizes and
-    confines them itself.  Errors surface as
+    confines them itself, once per path: a path its :meth:`resolve`
+    returned is not walked again.  Errors surface as
     :class:`~repro.util.errors.ChirpError` subclasses so the protocol
     layer maps them without translation.
 
@@ -218,6 +223,24 @@ class BlobStore(ABC):
     def __init__(self):
         self._lock = threading.RLock()
         self._counters: dict[str, int] = {}
+
+    # -- paths ----------------------------------------------------------
+
+    def resolve(self, vpath: str, known: Optional[str] = None) -> str:
+        """``vpath`` normalized and confined, to hand back to this store.
+
+        Stores on a disk walk the path here and return a
+        :class:`~repro.util.paths.Resolved` that carries the walk; every
+        method of the store accepts it in place of ``vpath`` and reuses
+        the walk.  ``known`` is an earlier result of this method: the
+        directories its walk saw are not walked again.  This default,
+        for stores with no disk, normalizes only.  An escaping path
+        raises :class:`~repro.util.errors.NotAuthorizedError`.
+        """
+        try:
+            return normalize_virtual(vpath)
+        except PathEscapeError as exc:
+            raise NotAuthorizedError(str(exc)) from exc
 
     # -- file I/O -------------------------------------------------------
 
@@ -270,6 +293,7 @@ class BlobStore(ABC):
         alone); otherwise it is None.  Stores that can answer both from
         one open override this two-step default.
         """
+        vpath = self.resolve(vpath)
         st = self.stat(vpath)
         if limit < 0 or not st.is_file or st.size > limit:
             return st, None

@@ -32,7 +32,7 @@ from repro.util.errors import (
     NotAuthorizedError,
     wrap_os_error,
 )
-from repro.util.paths import PathEscapeError, confine
+from repro.util.paths import PathEscapeError, Resolved, resolve
 
 __all__ = ["LocalDirStore", "STAGING_PREFIX"]
 
@@ -43,8 +43,8 @@ __all__ = ["LocalDirStore", "STAGING_PREFIX"]
 STAGING_PREFIX = ".tss-tmp."
 
 
-def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[bytes]]:
-    """``os.stat`` of ``real`` plus its bytes when it is a regular file of
+def stat_read_path(path: Resolved, limit: int) -> tuple[os.stat_result, Optional[bytes]]:
+    """The stat of ``path`` plus its bytes when it is a regular file of
     at most ``limit`` bytes, from one open/fstat/pread/close.
 
     The open is non-blocking, so a FIFO or device is stat'ed and never
@@ -54,7 +54,7 @@ def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[byte
     """
     if limit >= 0:
         try:
-            fd = os.open(real, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY)
+            fd = os.open(path.real, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY)
         except OSError:
             pass
         else:
@@ -65,7 +65,7 @@ def stat_read_path(real: str, limit: int) -> tuple[os.stat_result, Optional[byte
                 return st, os.pread(fd, st.st_size, 0)
             finally:
                 os.close(fd)
-    return os.stat(real), None
+    return path.stat(), None
 
 
 class _OsFdHandle(FileHandle):
@@ -172,11 +172,14 @@ class LocalDirStore(BlobStore):
 
     # -- path plumbing --------------------------------------------------
 
-    def _real(self, vpath: str) -> str:
+    def resolve(self, vpath: str, known: Optional[str] = None) -> Resolved:
         try:
-            return confine(self.root, vpath)
+            return resolve(self.root, vpath, known)
         except PathEscapeError as exc:
             raise NotAuthorizedError(str(exc)) from exc
+
+    def _real(self, vpath: str) -> str:
+        return self.resolve(vpath).real
 
     # -- usage accounting -----------------------------------------------
 
@@ -229,11 +232,11 @@ class LocalDirStore(BlobStore):
     # -- file I/O -------------------------------------------------------
 
     def open(self, vpath: str, flags: OpenFlags, mode: int) -> FileHandle:
-        real = self._real(vpath)
-        if os.path.isdir(real):
+        path = self.resolve(vpath)
+        if path.isdir():
             raise IsADirectoryError_(vpath)
         try:
-            fd = os.open(real, flags.to_os_flags(), mode & 0o777)
+            fd = os.open(path.real, flags.to_os_flags(), mode & 0o777)
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
         self._count("open")
@@ -243,26 +246,29 @@ class LocalDirStore(BlobStore):
 
     def stat(self, vpath: str) -> ChirpStat:
         try:
-            return ChirpStat.from_os(os.stat(self._real(vpath)))
+            return ChirpStat.from_os(self.resolve(vpath).stat())
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
     def lstat(self, vpath: str) -> ChirpStat:
         try:
-            return ChirpStat.from_os(os.lstat(self._real(vpath)))
+            return ChirpStat.from_os(self.resolve(vpath).lstat())
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
     def stat_read(self, vpath: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         try:
-            st, data = stat_read_path(self._real(vpath), limit)
+            st, data = stat_read_path(self.resolve(vpath), limit)
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
         return ChirpStat.from_os(st), data
 
     def stamp(self, vpath: str):
+        path = self.resolve(vpath)
+        if path.st is None:
+            return None
         try:
-            return stat_stamp(os.stat(self._real(vpath)))
+            return stat_stamp(path.stat())
         except OSError:
             return None
 
@@ -270,7 +276,7 @@ class LocalDirStore(BlobStore):
         return os.path.exists(self._real(vpath))
 
     def isdir(self, vpath: str) -> bool:
-        return os.path.isdir(self._real(vpath))
+        return self.resolve(vpath).isdir()
 
     def listdir(self, vpath: str) -> list[str]:
         try:
@@ -291,7 +297,9 @@ class LocalDirStore(BlobStore):
 
     def rename(self, vold: str, vnew: str) -> None:
         real_old, real_new = self._real(vold), self._real(vnew)
-        clobbered = self._size_if_file(real_new) if self.tracking_usage else 0
+        clobbered = 0
+        if self.tracking_usage and real_new != real_old:  # onto itself: a no-op
+            clobbered = self._size_if_file(real_new)
         try:
             os.rename(real_old, real_new)
         except OSError as exc:

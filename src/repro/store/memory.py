@@ -248,7 +248,12 @@ class MemoryStore(BlobStore):
             dst_parent, dst_name = self._parent_of(vnew)
             if not dst_name:
                 raise InvalidRequestError("cannot rename onto the root")
+            if normalize_virtual(vnew).startswith(normalize_virtual(vold) + "/"):
+                # POSIX EINVAL: the move would detach the subtree from the tree.
+                raise InvalidRequestError(f"cannot move {vold!r} into itself")
             dst = dst_parent.entries.get(dst_name)
+            if dst is src:
+                return  # POSIX: renaming an entry onto itself does nothing
             if dst is not None:
                 if isinstance(src, _Dir):
                     if not isinstance(dst, _Dir):

@@ -14,9 +14,16 @@ from __future__ import annotations
 
 import os
 import posixpath
-import stat
+from stat import S_ISDIR, S_ISLNK
 
-__all__ = ["PathEscapeError", "normalize_virtual", "confine", "split_virtual"]
+__all__ = [
+    "PathEscapeError",
+    "Resolved",
+    "confine",
+    "normalize_virtual",
+    "resolve",
+    "split_virtual",
+]
 
 
 class PathEscapeError(Exception):
@@ -55,6 +62,95 @@ def split_virtual(path: str) -> tuple[str, str]:
     return (parent or "/", base)
 
 
+class Resolved(str):
+    """A normal virtual path, confined, with what its one walk saw.
+
+    The string is the normal virtual path, so a ``Resolved`` goes
+    wherever a path does.  The attributes are the walk's:
+
+    - ``root``: the real root it was confined under;
+    - ``real``: the real path, guaranteed to lie under ``root``;
+    - ``st``: the leaf's ``lstat``, None when the leaf does not exist;
+    - ``dir_prefix``: the deepest virtual prefix (``""`` for the root) that
+      the walk found to be a directory, with no symlink on the way.
+
+    It describes the moment of its walk: use it for one request, never
+    keep it.
+    """
+
+    def stat(self) -> os.stat_result:
+        """The leaf's ``stat`` (a symlink followed); ``OSError`` when absent."""
+        st = self.st
+        if st is None or S_ISLNK(st.st_mode):
+            return os.stat(self.real)
+        return st
+
+    def lstat(self) -> os.stat_result:
+        """The leaf's ``lstat``; ``OSError`` when absent."""
+        return os.lstat(self.real) if self.st is None else self.st
+
+    def isdir(self) -> bool:
+        """Whether the leaf is a directory (a symlink followed)."""
+        st = self.st
+        if st is None:
+            return False
+        if S_ISLNK(st.st_mode):
+            return os.path.isdir(self.real)
+        return S_ISDIR(st.st_mode)
+
+
+def resolve(root: str, virtual_path: str, known: Resolved | None = None) -> Resolved:
+    """Normalize ``virtual_path`` and confine it under ``root`` in one walk.
+
+    The walk takes one ``lstat`` per component below the root.  Without
+    a symlink on the way, the lexically normalised path *is* the
+    resolved one and the last ``lstat`` describes the leaf; a missing
+    component ends the walk, since nothing below it can exist.  A
+    symlink sends the path through :func:`_resolve_links`, which
+    resolves it and checks that it stays under ``root``.
+
+    A ``virtual_path`` that is already a ``Resolved`` under ``root`` is
+    returned as it is: its walk is not repeated.
+
+    :param root: real filesystem directory exported by the server, already
+        resolved (``os.path.realpath``): it is not resolved again here.
+    :param known: an earlier resolution under the same ``root`` (say, a
+        request's target when its ancestors' ACL files are looked up).
+        Directories it walked need no second ``lstat``: the walk starts
+        below the deepest of them that contains the new path's parent.
+    :raises PathEscapeError: on any escape attempt.
+    """
+    if isinstance(virtual_path, Resolved) and virtual_path.root == root:
+        return virtual_path
+    norm = normalize_virtual(virtual_path)
+    res = Resolved(norm)
+    res.root = root
+    res.real = os.path.join(root, norm.lstrip("/"))
+    res.st = None
+    base = ""
+    if isinstance(known, Resolved) and known.root == root:
+        base = known.dir_prefix
+        parent = norm.rpartition("/")[0]
+        while base and parent != base and not parent.startswith(base + "/"):
+            base = base.rpartition("/")[0]
+    res.dir_prefix = base
+    path = root.rstrip("/") + base
+    for name in norm[len(base) + 1:].split("/"):
+        # The name is empty only when the path is the root itself.
+        path = path + "/" + name if name else root
+        try:
+            st = os.lstat(path)
+        except OSError:
+            return res
+        if S_ISLNK(st.st_mode):
+            res.real, res.st = _resolve_links(root, virtual_path, res.real)
+            return res
+        if name and S_ISDIR(st.st_mode):
+            res.dir_prefix = res.dir_prefix + "/" + name
+    res.st = st
+    return res
+
+
 def confine(root: str, virtual_path: str, *, check_symlinks: bool = True) -> str:
     """Map a virtual path to a real path guaranteed to lie under ``root``.
 
@@ -68,38 +164,31 @@ def confine(root: str, virtual_path: str, *, check_symlinks: bool = True) -> str
         still checked when it resolves.
     :raises PathEscapeError: on any escape attempt.
     """
-    norm = normalize_virtual(virtual_path)
-    candidate = os.path.join(root, norm.lstrip("/"))
     if not check_symlinks:
-        return candidate
-    # One lstat per component below the root.  Without a symlink on the
-    # way, the lexically normalised candidate *is* the resolved path; a
-    # missing component ends the walk, since nothing below it can exist.
-    path = root.rstrip("/")
-    for name in norm[1:].split("/"):
-        path = path + "/" + name
-        try:
-            mode = os.lstat(path).st_mode
-        except OSError:
-            return candidate
-        if stat.S_ISLNK(mode):
-            return _confine_resolved(root, virtual_path, candidate)
-    return candidate
+        return os.path.join(root, normalize_virtual(virtual_path).lstrip("/"))
+    return resolve(root, virtual_path).real
 
 
-def _confine_resolved(root_real: str, virtual_path: str, candidate: str) -> str:
-    """``confine`` for a path with a symlink on it: resolve and check."""
+def _resolve_links(
+    root_real: str, virtual_path: str, candidate: str
+) -> tuple[str, os.stat_result | None]:
+    """The real path and leaf ``lstat`` of a path with a symlink on it,
+    checked to stay under ``root_real``."""
     # Resolve the parent fully; the leaf may not exist yet (create paths).
     parent = os.path.dirname(candidate)
     parent_real = os.path.realpath(parent)
     if parent_real != root_real and not parent_real.startswith(root_real + os.sep):
         raise PathEscapeError(f"path {virtual_path!r} escapes export root")
     resolved_leaf = os.path.join(parent_real, os.path.basename(candidate))
+    try:
+        st = os.lstat(resolved_leaf)
+    except OSError:
+        return resolved_leaf, None
     # If the leaf itself is a symlink, make sure its target stays inside.
-    if os.path.islink(resolved_leaf):
+    if S_ISLNK(st.st_mode):
         target_real = os.path.realpath(resolved_leaf)
         if target_real != root_real and not target_real.startswith(root_real + os.sep):
             raise PathEscapeError(
                 f"symlink at {virtual_path!r} points outside export root"
             )
-    return resolved_leaf
+    return resolved_leaf, st

@@ -125,6 +125,12 @@ class TestCommonSemantics:
         stubfs.utime("/x", 100, 200)
         assert stubfs.stat("/x").mtime == 200
 
+    def test_utime_on_a_directory(self, stubfs):
+        stubfs.mkdir("/d")
+        stubfs.utime("/d", 100, 200)
+        st = stubfs.stat("/d")
+        assert st.is_dir and st.mtime == 200
+
     def test_statfs_aggregates_servers(self, stubfs):
         fs = stubfs.statfs()
         one = stubfs.pool.get(*stubfs.servers[0]).statfs()

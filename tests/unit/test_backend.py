@@ -583,3 +583,221 @@ class TestAclCacheOverTheWire:
         finally:
             owner.close()
             visitor.close()
+
+
+# ---------------------------------------------------------------------------
+# One resolution per request: the store walks a request path once, and the
+# ACL lookups and the store call reuse that walk.
+# ---------------------------------------------------------------------------
+
+VISITOR = "unix:visitor"
+
+
+@pytest.fixture()
+def ledger_backend(tmp_path):
+    """``/vol/t0d1/f`` on a local store, under a settled root-only ACL
+    that grants ``VISITOR`` ``rl``."""
+    backend = Backend(LocalDirStore(str(tmp_path)), OWNER)
+    backend.mkdir(OWNER, "/vol", 0o755)
+    backend.mkdir(OWNER, "/vol/t0d1", 0o755)
+    write(backend, OWNER, "/vol/t0d1/f", b"payload")
+    backend.setacl(OWNER, "/", VISITOR, "rl")
+    time.sleep(SETTLE_S)
+    return backend
+
+
+class TestSyscallLedger:
+    """Path syscalls per ``Backend`` call, counted in-process.
+
+    Before one resolution per request (commit d37907d), each of these
+    calls resolved its path up to four times: three ``confine`` walks
+    to stamp ACL blobs and one to reach the target.  Owner and visitor
+    paid the same:
+
+    =============  ==============================
+    stat           9 ``lstat`` + 4 ``stat``
+    open           9 ``lstat`` + 4 ``stat`` + 1 ``open``
+    getdir         8 ``lstat`` + 3 ``stat``
+    visitor stat   9 ``lstat`` + 4 ``stat``
+    =============  ==============================
+    """
+
+    CALLS = ("lstat", "stat", "open", "fstat")
+
+    def ledger(self, monkeypatch, call) -> dict:
+        call()  # warm: the ACL cache holds the root ACL from here on
+        counts = dict.fromkeys(self.CALLS, 0)
+        for name in self.CALLS:
+            real = getattr(os, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counting)
+        try:
+            call()
+        finally:
+            monkeypatch.undo()
+        return {name: n for name, n in counts.items() if n}
+
+    def test_owner_stat(self, ledger_backend, monkeypatch):
+        call = lambda: ledger_backend.stat(OWNER, "/vol/t0d1/f")  # noqa: E731
+        assert self.ledger(monkeypatch, call) == {"lstat": 3}
+
+    def test_owner_open(self, ledger_backend, monkeypatch):
+        handles = []
+        call = lambda: handles.append(ledger_backend.open(OWNER, "/vol/t0d1/f", R, 0))  # noqa: E731
+        try:
+            assert self.ledger(monkeypatch, call) == {"lstat": 3, "open": 1}
+        finally:
+            for handle in handles:
+                handle.close()
+
+    def test_owner_getdir(self, ledger_backend, monkeypatch):
+        call = lambda: ledger_backend.getdir(OWNER, "/vol/t0d1")  # noqa: E731
+        assert self.ledger(monkeypatch, call) == {"lstat": 2}
+
+    def test_visitor_stat(self, ledger_backend, monkeypatch):
+        call = lambda: ledger_backend.stat(VISITOR, "/vol/t0d1/f")  # noqa: E731
+        counts = self.ledger(monkeypatch, call)
+        assert counts.get("lstat", 0) <= 6
+        assert set(counts) <= {"lstat"}
+
+
+def _outside(tmp_path):
+    """A directory beside the export root, with a file and a permissive ACL."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "f").write_bytes(b"secret")
+    (outside / "acl").write_text(f"{VISITOR} rwlda\n")
+    return outside
+
+
+@pytest.fixture(params=["local", "cas"])
+def exported(request, tmp_path):
+    """A backend over a store rooted in ``tmp_path/root``, and the real
+    directory its namespace lives in (a CAS store's ``ns/``)."""
+    root = tmp_path / "root"
+    root.mkdir()
+    store = make_store(request.param, str(root))
+    backend = Backend(store, OWNER)
+    backend.setacl(OWNER, "/", VISITOR, "rwl")
+    return backend, getattr(store, "ns_root", store.root)
+
+
+class TestSingleWalkConfinement:
+    """Escapes fail closed, for the owner and for visitors alike."""
+
+    @pytest.mark.parametrize("subject", [OWNER, VISITOR])
+    def test_escaping_intermediate_symlink(self, exported, tmp_path, subject):
+        backend, ns = exported
+        os.symlink(str(_outside(tmp_path)), os.path.join(ns, "evil"))
+        for call in (
+            lambda: backend.stat(subject, "/evil/f"),
+            lambda: backend.stat_read(subject, "/evil/f", 4096),
+            lambda: backend.open(subject, "/evil/f", R, 0),
+            lambda: backend.open(subject, "/evil/new", W, 0o644),
+            lambda: backend.getdir(subject, "/evil"),
+            lambda: backend.mkdir(subject, "/evil/d", 0o755),
+        ):
+            with pytest.raises(E.NotAuthorizedError):
+                call()
+        assert sorted(os.listdir(tmp_path / "outside")) == ["acl", "f"]
+
+    @pytest.mark.parametrize("subject", [OWNER, VISITOR])
+    def test_escaping_leaf_symlink(self, exported, tmp_path, subject):
+        backend, ns = exported
+        os.symlink(str(_outside(tmp_path) / "f"), os.path.join(ns, "link"))
+        for call in (
+            lambda: backend.stat(subject, "/link"),
+            lambda: backend.lstat(subject, "/link"),
+            lambda: backend.stat_read(subject, "/link", 4096),
+            lambda: backend.open(subject, "/link", R, 0),
+            lambda: backend.open(subject, "/link", W, 0o644),
+            lambda: backend.unlink(subject, "/link"),
+        ):
+            with pytest.raises(E.NotAuthorizedError):
+                call()
+        assert (tmp_path / "outside" / "f").read_bytes() == b"secret"
+
+
+    @pytest.mark.parametrize("kind", ["local", "memory", "cas"])
+    def test_backslash_and_nul_are_refused(self, kind, tmp_path):
+        # Before the store resolved request paths, these escaped the
+        # backend as a bare PathEscapeError and the server dropped the
+        # connection instead of answering.
+        backend = Backend(make_store(kind, str(tmp_path)), OWNER)
+        for path in ("/a\\b", "/a\x00b"):
+            with pytest.raises(E.NotAuthorizedError):
+                backend.stat(OWNER, path)
+            with pytest.raises(E.NotAuthorizedError):
+                backend.getdir(OWNER, path)
+
+
+class TestSingleWalkAcls:
+    """ACL lookups that reuse the target's walk see what a fresh walk sees."""
+
+    def test_acl_symlinked_out_of_the_root_refuses_the_visitor(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        backend = Backend(LocalDirStore(str(root)), OWNER)
+        backend.mkdir(OWNER, "/d", 0o755)
+        write(backend, OWNER, "/d/f", b"1")
+        os.symlink(str(_outside(tmp_path) / "acl"), str(root / "d" / ACL_FILE_NAME))
+        time.sleep(SETTLE_S)
+        for call in (
+            lambda: backend.stat(VISITOR, "/d/f"),
+            lambda: backend.getdir(VISITOR, "/d"),
+            lambda: read(backend, VISITOR, "/d/f"),
+            lambda: write(backend, VISITOR, "/d/g", b"2"),
+            lambda: backend.getacl(VISITOR, "/d"),
+        ):
+            with pytest.raises(E.NotAuthorizedError):
+                call()
+        assert not (root / "d" / "g").exists()
+
+    def test_acl_symlinked_inside_the_root_is_followed(self, backend, tmp_path):
+        backend.mkdir(OWNER, "/acls", 0o755)
+        backend.mkdir(OWNER, "/d", 0o755)
+        write(backend, OWNER, "/d/f", b"1")
+        (tmp_path / "acls" / "d").write_text(f"{VISITOR} rl\n")
+        os.symlink(str(tmp_path / "acls" / "d"), str(tmp_path / "d" / ACL_FILE_NAME))
+        time.sleep(SETTLE_S)
+        assert backend.getdir(VISITOR, "/d") == ["f"]
+        assert read(backend, VISITOR, "/d/f") == b"1"
+        with pytest.raises(E.NotAuthorizedError):
+            write(backend, VISITOR, "/d/g", b"2")
+
+    def test_acl_under_a_symlinked_directory(self, backend, tmp_path):
+        backend.mkdir(OWNER, "/real", 0o755)
+        write(backend, OWNER, "/real/f", b"1")
+        backend.setacl(OWNER, "/real", VISITOR, "rl")
+        os.symlink(str(tmp_path / "real"), str(tmp_path / "alias"))
+        time.sleep(SETTLE_S)
+        assert backend.stat(VISITOR, "/alias/f").size == 1
+        assert backend.getdir(VISITOR, "/alias") == ["f"]
+        with pytest.raises(E.NotAuthorizedError):
+            backend.getdir(VISITOR, "/")
+
+    @pytest.mark.parametrize("settled", [False, True], ids=["fresh", "settled"])
+    def test_in_place_rewrite_refuses_a_stranger(self, stamped, settled):
+        stamped.mkdir(OWNER, "/vol", 0o755)
+        stamped.mkdir(OWNER, "/vol/t0d1", 0o755)
+        write(stamped, OWNER, "/vol/t0d1/f", b"1")
+        stamped.setacl(OWNER, "/vol", VISITOR, "rl")
+        if settled:
+            time.sleep(SETTLE_S)
+        assert stamped.stat(VISITOR, "/vol/t0d1/f").size == 1
+        # The visitor's entry now names someone else: the visitor is a
+        # stranger to this ACL and the root's.
+        rewrite_in_place(stamped.store, "/vol/" + ACL_FILE_NAME, VISITOR, "unix:mallory")
+        for call in (
+            lambda: stamped.stat(VISITOR, "/vol/t0d1/f"),
+            lambda: stamped.stat_read(VISITOR, "/vol/t0d1/f", 4096),
+            lambda: stamped.getdir(VISITOR, "/vol/t0d1"),
+            lambda: read(stamped, VISITOR, "/vol/t0d1/f"),
+        ):
+            with pytest.raises(E.NotAuthorizedError):
+                call()
+        assert stamped.stat("unix:mallory", "/vol/t0d1/f").size == 1

@@ -180,11 +180,33 @@ class TestStoreConformance:
         backend.rename(OWNER, "/a", "/a")
         assert read_file(backend, "/a") == b"stay"
 
+    def test_rename_onto_itself_changes_nothing(self, backend):
+        backend.mkdir(OWNER, "/d", 0o755)
+        write_file(backend, "/d/f", b"stay")
+        used = backend.store.used_bytes()
+        backend.rename(OWNER, "/d/f", "/d/f")
+        backend.rename(OWNER, "/d", "/d")
+        assert backend.getdir(OWNER, "/d") == ["f"]
+        assert read_file(backend, "/d/f") == b"stay"
+        assert backend.store.used_bytes() == used
+
     def test_rename_into_subdirectory(self, backend):
         backend.mkdir(OWNER, "/d", 0o755)
         write_file(backend, "/f", b"move me")
         backend.rename(OWNER, "/f", "/d/f")
         assert read_file(backend, "/d/f") == b"move me"
+
+    def test_rename_into_own_subtree_is_refused(self, backend):
+        backend.mkdir(OWNER, "/d", 0o755)
+        backend.mkdir(OWNER, "/d/sub", 0o755)
+        write_file(backend, "/d/f", b"keep me")
+        used = backend.store.used_bytes()
+        for target in ("/d/sub", "/d/sub/deeper", "/d/new"):
+            with pytest.raises(E.InvalidRequestError):
+                backend.rename(OWNER, "/d", target)
+        assert read_file(backend, "/d/f") == b"keep me"
+        assert backend.getdir(OWNER, "/d") == ["f", "sub"]
+        assert backend.store.used_bytes() == used
 
     def test_mkdir_rmdir(self, backend):
         backend.mkdir(OWNER, "/d", 0o755)
