@@ -20,9 +20,9 @@ owner holds every right whatever an ACL says, so an owner's request
 looks up no ACL at all.
 
 Each request path is resolved once: the store's ``resolve`` normalizes
-and confines it in one walk, and the ACL lookups and the store call of
-that request reuse the walk (an ancestor's ACL blob costs one ``lstat``
-in a directory the walk has just seen).
+and confines it in one walk, and the store call of that request reuses
+the walk.  A visitor's ACL blobs are resolved the same way, one walk
+per ancestor directory.
 
 Rights required per operation (one judgment call documented here: the
 paper presents ``D`` as a way to grant *delete-but-not-modify* to others,
@@ -144,8 +144,7 @@ class Backend:
 
         ``path`` is the store's :meth:`~repro.store.BlobStore.resolve`
         of ``vpath``: normal, so nothing here normalizes it again, and
-        carrying the store's walk to the ACL lookups and the store call
-        of this request.  ``parent`` is its normal parent directory and
+        carrying the store's walk to the store call of this request.  ``parent`` is its normal parent directory and
         ``name`` its basename (empty for the root).
         """
         path = self.store.resolve(vpath)
@@ -166,17 +165,16 @@ class Backend:
             return None
         return Acl.from_text(data.decode("utf-8"))
 
-    def _load_acl(self, vdir: str, near: Optional[str] = None) -> Acl | None:
+    def _load_acl(self, vdir: str) -> Acl | None:
         """The ACL stored in the normal directory ``vdir`` itself (None
-        when it has none).  ``near`` is a path the store resolved at or
-        below ``vdir``: the blob's lookup reuses its walk.
+        when it has none).
 
         The returned object may be shared with the cache: never mutate it.
         """
         vpath = self._acl_vpath(vdir)
         if not self.store.supports_stamp:
             return self._read_acl(vpath)
-        blob = self.store.resolve(vpath, near)
+        blob = self.store.resolve(vpath)
         stamp = self.store.stamp(blob)
         if stamp is None:
             self._acl_cache.pop(vpath, None)
@@ -213,15 +211,15 @@ class Backend:
         if name == ACL_FILE_NAME:
             raise NotAuthorizedError("ACL files are managed via getacl/setacl")
 
-    def effective_acl(self, vdir: str, near: Optional[str] = None) -> Acl:
+    def effective_acl(self, vdir: str) -> Acl:
         """The ACL governing the normal directory ``vdir``: its own, else
-        the nearest ancestor's.  ``near`` is as for :meth:`_load_acl`.
+        the nearest ancestor's.
 
         The result may be shared with other callers: never mutate it.
         """
         while True:
             # Under a non-directory the ACL blob is simply absent.
-            acl = self._load_acl(vdir, near)
+            acl = self._load_acl(vdir)
             if acl is not None:
                 return acl
             if vdir == "/":
@@ -238,18 +236,16 @@ class Backend:
                 f"{rights!r} on {vdir!r}"
             )
 
-    def _check(
-        self, subject: str, vdir: str, rights: str, near: Optional[str] = None
-    ) -> Acl | None:
+    def _check(self, subject: str, vdir: str, rights: str) -> Acl | None:
         """Verify ``subject`` holds one of ``rights`` on the normal
         directory ``vdir``; returns the ACL, or None for the owner.
 
         The owner holds every right whatever an ACL says, so its checks
-        walk no ACL.  ``near`` is as for :meth:`_load_acl`.
+        walk no ACL.
         """
         if subject == self.owner_subject:
             return None
-        acl = self.effective_acl(vdir, near)
+        acl = self.effective_acl(vdir)
         self._require(subject, acl, rights, vdir)
         return acl
 
@@ -382,11 +378,11 @@ class Backend:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
         if flags.write or flags.create or flags.truncate:
-            self._check(subject, parent, "w", path)
+            self._check(subject, parent, "w")
             self._refuse_if_read_only()
             self._charge_quota(charge)
             return self._store_write(self.store.open, path, flags, mode)
-        self._check(subject, parent, "r", path)
+        self._check(subject, parent, "r")
         return self.store.open(path, flags, mode)
 
     def close(self, handle) -> None:
@@ -425,7 +421,7 @@ class Backend:
     def stat(self, subject: str, vpath: str) -> ChirpStat:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "l", path)
+        self._check(subject, parent, "l")
         return self.store.stat(path)
 
     def stat_read(
@@ -440,7 +436,7 @@ class Backend:
         """
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        acl = self._check(subject, parent, "l", path)
+        acl = self._check(subject, parent, "l")
         if acl is not None and not acl.check(subject, "r"):
             limit = -1
         return self.store.stat_read(path, limit)
@@ -448,7 +444,7 @@ class Backend:
     def lstat(self, subject: str, vpath: str) -> ChirpStat:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "l", path)
+        self._check(subject, parent, "l")
         return self.store.lstat(path)
 
     def access(self, subject: str, vpath: str, rights: str) -> None:
@@ -456,7 +452,7 @@ class Backend:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
         for right in rights or "l":
-            self._check(subject, parent, right, path)
+            self._check(subject, parent, right)
         if not self.store.exists(path):
             raise DoesNotExistError(vpath)
 
@@ -465,7 +461,7 @@ class Backend:
         self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot unlink the root")
-        self._check(subject, parent, "wd", path)
+        self._check(subject, parent, "wd")
         self.store.unlink(path)
 
     def rename(self, subject: str, vold: str, vnew: str) -> None:
@@ -475,8 +471,8 @@ class Backend:
         self._forbid_acl_name(new_name)
         if not old_name or not new_name:
             raise InvalidRequestError("cannot rename the root")
-        self._check(subject, old_parent, "wd", old)
-        self._check(subject, new_parent, "w", new)
+        self._check(subject, old_parent, "wd")
+        self._check(subject, new_parent, "w")
         self._refuse_if_read_only()
         self.store.rename(old, new)
         self._forget_acls(old)
@@ -498,7 +494,7 @@ class Backend:
             # exists) reports EEXIST, which os.makedirs-style callers
             # tolerate.
             raise AlreadyExistsError("/")
-        acl = self._check(subject, parent, "vw", path)
+        acl = self._check(subject, parent, "vw")
         reserved = acl is not None and acl.check(subject, "v")
         self._refuse_if_read_only()
         self.store.mkdir(path, mode)
@@ -510,7 +506,7 @@ class Backend:
         self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot rmdir the root")
-        self._check(subject, parent, "wd", path)
+        self._check(subject, parent, "wd")
         # A directory whose only content is its ACL file counts as empty.
         entries = self.store.listdir(path)
         if entries == [ACL_FILE_NAME]:
@@ -523,14 +519,14 @@ class Backend:
 
     def getdir(self, subject: str, vpath: str) -> list[str]:
         path, _, _ = self._resolve(vpath)
-        self._check(subject, path, "l", path)
+        self._check(subject, path, "l")
         names = self.store.listdir(path)
         return sorted(n for n in names if n != ACL_FILE_NAME)
 
     def truncate(self, subject: str, vpath: str, size: int) -> None:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "w", path)
+        self._check(subject, parent, "w")
         if size < 0:
             raise InvalidRequestError("negative size")
         self._refuse_if_read_only()
@@ -539,7 +535,7 @@ class Backend:
     def utime(self, subject: str, vpath: str, atime: int, mtime: int) -> None:
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "w", path)
+        self._check(subject, parent, "w")
         self._refuse_if_read_only()
         self.store.utime(path, atime, mtime)
 
@@ -551,7 +547,7 @@ class Backend:
         """
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "r", path)
+        self._check(subject, parent, "r")
         return self.store.checksum(path)
 
     # ------------------------------------------------------------------
@@ -574,7 +570,7 @@ class Backend:
         self._forbid_acl_name(name)
         if not name:
             raise InvalidRequestError("cannot putkey the root")
-        self._check(subject, parent, "w", path)
+        self._check(subject, parent, "w")
         self._refuse_if_read_only()
         return self._store_write(self.store.link_key, path, key, mode)
 
@@ -582,7 +578,7 @@ class Backend:
         """The content key a path is bound to (metadata-only audit)."""
         path, parent, name = self._resolve(vpath)
         self._forbid_acl_name(name)
-        self._check(subject, parent, "r", path)
+        self._check(subject, parent, "r")
         return self.store.key_of(path)
 
     # ------------------------------------------------------------------
@@ -591,7 +587,7 @@ class Backend:
 
     def getacl(self, subject: str, vpath: str) -> Acl:
         path, _, _ = self._resolve(vpath)
-        acl = self.effective_acl(path, path)
+        acl = self.effective_acl(path)
         self._require(subject, acl, "l", path)
         if not self.store.isdir(path):
             raise DoesNotExistError(vpath)
@@ -601,7 +597,7 @@ class Backend:
         self._refuse_if_read_only()
         with self._lock:
             path, _, _ = self._resolve(vpath)
-            acl = self.effective_acl(path, path)
+            acl = self.effective_acl(path)
             self._require(subject, acl, "a", path)
             if not self.store.isdir(path):
                 raise DoesNotExistError(vpath)
@@ -609,7 +605,7 @@ class Backend:
             # inherited one, so the edit affects only this subtree.  The
             # loaded ACL may be cached and must keep matching the blob
             # even when the write below fails.
-            own = self._load_acl(path, path)
+            own = self._load_acl(path)
             own = Acl(list((acl if own is None else own).entries))
             rights = parse_rights(rights_text) if rights_text not in ("n", "none") else None
             if rights is None:

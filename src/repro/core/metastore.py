@@ -116,7 +116,7 @@ class LocalMetadataStore(StoreFilesystem, MetadataStore):
         # create being durable; that requires syncing the parent
         # directory's entry table, not just the new file's data.
         if self.store.sync_meta:
-            fsync_dir(os.path.dirname(self.store._real(path)))
+            fsync_dir(os.path.dirname(self.store.resolve(path).real))
         return True
 
 

@@ -230,7 +230,7 @@ class _CasWriteHandle(FileHandle):
         self._check_open()
         with self._store._lock:
             size = self._size()
-        ptr_real = self._store._ns(self._vpath)
+        ptr_real = self._store.resolve(self._vpath).real
         try:
             pst = os.stat(ptr_real)
         except OSError as exc:
@@ -348,14 +348,11 @@ class CasStore(BlobStore):
 
     # -- plumbing -------------------------------------------------------
 
-    def resolve(self, vpath: str, known: Optional[str] = None) -> Resolved:
+    def resolve(self, vpath: str) -> Resolved:
         try:
-            return resolve(self.ns_root, vpath, known)
+            return resolve(self.ns_root, vpath)
         except PathEscapeError as exc:
             raise NotAuthorizedError(str(exc)) from exc
-
-    def _ns(self, vpath: str) -> str:
-        return self.resolve(vpath).real
 
     def _file_ns(self, vpath: str) -> str:
         """The pointer file of ``vpath``; a directory is refused."""
@@ -502,7 +499,7 @@ class CasStore(BlobStore):
     def _repoint(self, vpath: str, key: str, size: int, mode: int,
                  atime: int | None = None, mtime: int | None = None) -> None:
         """Atomically bind ``vpath`` to ``key``, releasing the old blob."""
-        real = self._ns(vpath)
+        real = self.resolve(vpath).real
         now = int(time.time())
         ptr = _Pointer(key, size, mode, atime if atime is not None else now,
                        mtime if mtime is not None else now)
@@ -596,14 +593,14 @@ class CasStore(BlobStore):
             return None
 
     def exists(self, vpath: str) -> bool:
-        return os.path.exists(self._ns(vpath))
+        return os.path.exists(self.resolve(vpath).real)
 
     def isdir(self, vpath: str) -> bool:
         return self.resolve(vpath).isdir()
 
     def listdir(self, vpath: str) -> list[str]:
         try:
-            return os.listdir(self._ns(vpath))
+            return os.listdir(self.resolve(vpath).real)
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
@@ -619,12 +616,14 @@ class CasStore(BlobStore):
         self._fsync_dir(os.path.dirname(real))
 
     def rename(self, vold: str, vnew: str) -> None:
-        real_old, real_new = self._ns(vold), self._ns(vnew)
+        old, new = self.resolve(vold), self.resolve(vnew)
+        real_old, real_new = old.real, new.real
         with self._lock:
             clobbered = None
-            # Renaming a file onto itself is a no-op (POSIX): its blob
-            # is still named, so it must not be released.
-            if (real_old != real_new and os.path.isfile(real_new)
+            # Renaming a file onto itself, or onto a hard link to itself,
+            # is a no-op (POSIX): its blob is still named, so it must not
+            # be released.
+            if (not old.same_entry(new) and os.path.isfile(real_new)
                     and not os.path.isdir(real_old)):
                 try:
                     clobbered = self._read_pointer(real_new, vnew).key
@@ -641,7 +640,7 @@ class CasStore(BlobStore):
             self._fsync_dir(os.path.dirname(real_old))
 
     def mkdir(self, vpath: str, mode: int) -> None:
-        real = self._ns(vpath)
+        real = self.resolve(vpath).real
         try:
             os.mkdir(real, mode & 0o777)
         except OSError as exc:
@@ -649,7 +648,7 @@ class CasStore(BlobStore):
         self._fsync_dir(os.path.dirname(real))
 
     def rmdir(self, vpath: str) -> None:
-        real = self._ns(vpath)
+        real = self.resolve(vpath).real
         try:
             os.rmdir(real)
         except OSError as exc:

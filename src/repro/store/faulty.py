@@ -49,6 +49,7 @@ from repro.store.cas import EMPTY_KEY
 from repro.store.interface import BlobStore, FileHandle
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.errors import InvalidRequestError, NoSpaceError, UnknownError
+from repro.util.paths import Resolved
 
 __all__ = [
     "DiskFaultScript",
@@ -354,8 +355,8 @@ class FaultyStore(BlobStore):
             raise AttributeError(name)
         return getattr(self.inner, name)
 
-    def resolve(self, vpath: str, known: Optional[str] = None) -> str:
-        return self.inner.resolve(vpath, known)
+    def resolve(self, vpath: str) -> str:
+        return self.inner.resolve(vpath)
 
     # -- file I/O -------------------------------------------------------
 
@@ -453,8 +454,8 @@ class FaultyStore(BlobStore):
         if inner.supports_cas and hasattr(inner, "_object_path"):
             obj = inner._object_path(inner.key_of(vpath))
             idx = self._flip_file(obj, sealed=True)
-        elif hasattr(inner, "_real"):
-            idx = self._flip_file(inner._real(vpath))
+        elif isinstance(path := inner.resolve(vpath), Resolved):
+            idx = self._flip_file(path.real)
         elif hasattr(inner, "_node"):
             with inner._lock:
                 node = inner._node(vpath)

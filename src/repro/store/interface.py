@@ -226,16 +226,15 @@ class BlobStore(ABC):
 
     # -- paths ----------------------------------------------------------
 
-    def resolve(self, vpath: str, known: Optional[str] = None) -> str:
+    def resolve(self, vpath: str) -> str:
         """``vpath`` normalized and confined, to hand back to this store.
 
         Stores on a disk walk the path here and return a
         :class:`~repro.util.paths.Resolved` that carries the walk; every
         method of the store accepts it in place of ``vpath`` and reuses
-        the walk.  ``known`` is an earlier result of this method: the
-        directories its walk saw are not walked again.  This default,
-        for stores with no disk, normalizes only.  An escaping path
-        raises :class:`~repro.util.errors.NotAuthorizedError`.
+        the walk.  This default, for stores with no disk, normalizes
+        only.  An escaping path raises
+        :class:`~repro.util.errors.NotAuthorizedError`.
         """
         try:
             return normalize_virtual(vpath)

@@ -172,14 +172,11 @@ class LocalDirStore(BlobStore):
 
     # -- path plumbing --------------------------------------------------
 
-    def resolve(self, vpath: str, known: Optional[str] = None) -> Resolved:
+    def resolve(self, vpath: str) -> Resolved:
         try:
-            return resolve(self.root, vpath, known)
+            return resolve(self.root, vpath)
         except PathEscapeError as exc:
             raise NotAuthorizedError(str(exc)) from exc
-
-    def _real(self, vpath: str) -> str:
-        return self.resolve(vpath).real
 
     # -- usage accounting -----------------------------------------------
 
@@ -273,19 +270,19 @@ class LocalDirStore(BlobStore):
             return None
 
     def exists(self, vpath: str) -> bool:
-        return os.path.exists(self._real(vpath))
+        return os.path.exists(self.resolve(vpath).real)
 
     def isdir(self, vpath: str) -> bool:
         return self.resolve(vpath).isdir()
 
     def listdir(self, vpath: str) -> list[str]:
         try:
-            return os.listdir(self._real(vpath))
+            return os.listdir(self.resolve(vpath).real)
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
     def unlink(self, vpath: str) -> None:
-        real = self._real(vpath)
+        real = self.resolve(vpath).real
         freed = self._size_if_file(real) if self.tracking_usage else 0
         try:
             os.unlink(real)
@@ -296,9 +293,11 @@ class LocalDirStore(BlobStore):
             fsync_dir(os.path.dirname(real))
 
     def rename(self, vold: str, vnew: str) -> None:
-        real_old, real_new = self._real(vold), self._real(vnew)
+        old, new = self.resolve(vold), self.resolve(vnew)
+        real_old, real_new = old.real, new.real
         clobbered = 0
-        if self.tracking_usage and real_new != real_old:  # onto itself: a no-op
+        # Onto itself, or onto a hard link to itself, rename does nothing.
+        if self.tracking_usage and not old.same_entry(new):
             clobbered = self._size_if_file(real_new)
         try:
             os.rename(real_old, real_new)
@@ -313,7 +312,7 @@ class LocalDirStore(BlobStore):
                 fsync_dir(os.path.dirname(real_old))
 
     def mkdir(self, vpath: str, mode: int) -> None:
-        real = self._real(vpath)
+        real = self.resolve(vpath).real
         try:
             os.mkdir(real, mode & 0o777)
         except OSError as exc:
@@ -322,7 +321,7 @@ class LocalDirStore(BlobStore):
             fsync_dir(os.path.dirname(real))
 
     def rmdir(self, vpath: str) -> None:
-        real = self._real(vpath)
+        real = self.resolve(vpath).real
         try:
             os.rmdir(real)
         except OSError as exc:
@@ -331,7 +330,7 @@ class LocalDirStore(BlobStore):
             fsync_dir(os.path.dirname(real))
 
     def truncate(self, vpath: str, size: int) -> None:
-        real = self._real(vpath)
+        real = self.resolve(vpath).real
         before = self._size_if_file(real) if self.tracking_usage else 0
         try:
             os.truncate(real, size)
@@ -342,13 +341,13 @@ class LocalDirStore(BlobStore):
 
     def utime(self, vpath: str, atime: int, mtime: int) -> None:
         try:
-            os.utime(self._real(vpath), (atime, mtime))
+            os.utime(self.resolve(vpath).real, (atime, mtime))
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
     def checksum(self, vpath: str) -> str:
         try:
-            return checksum_mod.file_checksum(self._real(vpath))
+            return checksum_mod.file_checksum(self.resolve(vpath).real)
         except OSError as exc:
             raise wrap_os_error(exc, vpath) from exc
 
@@ -359,7 +358,7 @@ class LocalDirStore(BlobStore):
 
         ACL files are persisted through this path.
         """
-        real = self._real(vpath)
+        real = self.resolve(vpath).real
         before = self._size_if_file(real) if self.tracking_usage else 0
         tmp = os.path.join(
             os.path.dirname(real), STAGING_PREFIX + os.path.basename(real)

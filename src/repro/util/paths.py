@@ -70,9 +70,7 @@ class Resolved(str):
 
     - ``root``: the real root it was confined under;
     - ``real``: the real path, guaranteed to lie under ``root``;
-    - ``st``: the leaf's ``lstat``, None when the leaf does not exist;
-    - ``dir_prefix``: the deepest virtual prefix (``""`` for the root) that
-      the walk found to be a directory, with no symlink on the way.
+    - ``st``: the leaf's ``lstat``, None when the leaf does not exist.
 
     It describes the moment of its walk: use it for one request, never
     keep it.
@@ -89,6 +87,15 @@ class Resolved(str):
         """The leaf's ``lstat``; ``OSError`` when absent."""
         return os.lstat(self.real) if self.st is None else self.st
 
+    def same_entry(self, other: "Resolved") -> bool:
+        """Whether both walks ended on one existing inode (the same
+        name, or two hard links to one file)."""
+        return (
+            self.st is not None
+            and other.st is not None
+            and os.path.samestat(self.st, other.st)
+        )
+
     def isdir(self) -> bool:
         """Whether the leaf is a directory (a symlink followed)."""
         st = self.st
@@ -99,7 +106,7 @@ class Resolved(str):
         return S_ISDIR(st.st_mode)
 
 
-def resolve(root: str, virtual_path: str, known: Resolved | None = None) -> Resolved:
+def resolve(root: str, virtual_path: str) -> Resolved:
     """Normalize ``virtual_path`` and confine it under ``root`` in one walk.
 
     The walk takes one ``lstat`` per component below the root.  Without
@@ -114,10 +121,6 @@ def resolve(root: str, virtual_path: str, known: Resolved | None = None) -> Reso
 
     :param root: real filesystem directory exported by the server, already
         resolved (``os.path.realpath``): it is not resolved again here.
-    :param known: an earlier resolution under the same ``root`` (say, a
-        request's target when its ancestors' ACL files are looked up).
-        Directories it walked need no second ``lstat``: the walk starts
-        below the deepest of them that contains the new path's parent.
     :raises PathEscapeError: on any escape attempt.
     """
     if isinstance(virtual_path, Resolved) and virtual_path.root == root:
@@ -127,15 +130,8 @@ def resolve(root: str, virtual_path: str, known: Resolved | None = None) -> Reso
     res.root = root
     res.real = os.path.join(root, norm.lstrip("/"))
     res.st = None
-    base = ""
-    if isinstance(known, Resolved) and known.root == root:
-        base = known.dir_prefix
-        parent = norm.rpartition("/")[0]
-        while base and parent != base and not parent.startswith(base + "/"):
-            base = base.rpartition("/")[0]
-    res.dir_prefix = base
-    path = root.rstrip("/") + base
-    for name in norm[len(base) + 1:].split("/"):
+    path = root.rstrip("/")
+    for name in norm[1:].split("/"):
         # The name is empty only when the path is the root itself.
         path = path + "/" + name if name else root
         try:
@@ -145,8 +141,6 @@ def resolve(root: str, virtual_path: str, known: Resolved | None = None) -> Reso
         if S_ISLNK(st.st_mode):
             res.real, res.st = _resolve_links(root, virtual_path, res.real)
             return res
-        if name and S_ISDIR(st.st_mode):
-            res.dir_prefix = res.dir_prefix + "/" + name
     res.st = st
     return res
 

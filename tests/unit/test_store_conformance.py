@@ -190,6 +190,19 @@ class TestStoreConformance:
         assert read_file(backend, "/d/f") == b"stay"
         assert backend.store.used_bytes() == used
 
+    @pytest.mark.parametrize("kind", ["local", "cas"])
+    def test_rename_onto_a_hard_link_to_itself_changes_nothing(self, tmp_path, kind):
+        backend = _make_backend(kind, tmp_path)
+        store = backend.store
+        write_file(backend, "/a", b"stay")
+        # A second name for the same file, made behind the server's back.
+        os.link(store.resolve("/a").real, store.resolve("/b").real)
+        used = store.used_bytes()
+        backend.rename(OWNER, "/a", "/b")
+        assert sorted(backend.getdir(OWNER, "/")) == ["a", "b"]
+        assert read_file(backend, "/a") == read_file(backend, "/b") == b"stay"
+        assert store.used_bytes() == used
+
     def test_rename_into_subdirectory(self, backend):
         backend.mkdir(OWNER, "/d", 0o755)
         write_file(backend, "/f", b"move me")
