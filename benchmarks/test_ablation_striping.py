@@ -29,7 +29,6 @@ import pytest
 from repro.auth.methods import AuthContext, ClientCredentials
 from repro.chirp.server import FileServer, ServerConfig
 from repro.core.cfs import CFS
-from repro.core.metastore import ChirpMetadataStore
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS
@@ -66,7 +65,7 @@ def setup(tmp_path_factory):
         c.mkdir("/tssdata")
         c.mkdir("/tssdata/svol")
     striped = StripedFS(
-        ChirpMetadataStore(dir_client, "/svol", policy),
+        CFS(dir_client, "/svol", policy),
         pool,
         [s.address for s in servers[1:]],
         "/tssdata/svol",
@@ -87,7 +86,7 @@ def _reader(dir_addr, data_addrs, policy, **kwargs):
         max_conns_per_endpoint=kwargs.pop("max_conns_per_endpoint", None) or 4,
     )
     fs = StripedFS(
-        ChirpMetadataStore(pool.get(*dir_addr), "/svol", policy),
+        CFS(pool.get(*dir_addr), "/svol", policy),
         pool,
         data_addrs,
         "/tssdata/svol",

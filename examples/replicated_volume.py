@@ -25,7 +25,7 @@ from repro import (
     OpenFlags,
     ServerConfig,
 )
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.replfs import ReplicatedFS
 from repro.transport.recovery import RetryPolicy
 
@@ -54,7 +54,7 @@ def run(workspace: str) -> None:
         c.mkdir("/tssdata")
         c.mkdir("/tssdata/rvol")
     fs = ReplicatedFS(
-        ChirpMetadataStore(dir_client, "/rvol", policy),
+        CFS(dir_client, "/rvol", policy),
         pool,
         [s.address for s in servers[1:]],
         "/tssdata/rvol",

@@ -221,6 +221,18 @@ class CFS(Filesystem):
         target = self._path(path)
         return self._run(lambda: self.client.getfile(target))
 
+    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """One ``statget``."""
+        target = self._path(path)
+        return self._run(lambda: self.client.statget(target, limit))
+
+    def put(self, path: str, data: bytes, flags: OpenFlags, mode: int = 0o644) -> int:
+        """One ``putflags``: the flags travel with the bytes."""
+        if self.sync_writes and not flags.sync:
+            flags = replace(flags, sync=True)
+        target = self._path(path)
+        return self._run(lambda: self.client.putflags(target, data, flags, mode))
+
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
         """Whole-file replacement as a single ``putfile`` exchange.
 

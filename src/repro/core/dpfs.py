@@ -15,13 +15,22 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from repro.core.metastore import LocalMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
+from repro.core.storefs import StoreFilesystem
+from repro.store.localdir import LocalDirStore
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubfs import StubFilesystem, _ensure_remote_dirs
+from repro.core.stubfs import StubFilesystem, read_config, write_config
 
 __all__ = ["DPFS"]
+
+
+def _private_tree(meta_root: str) -> StoreFilesystem:
+    """The local directory tree, with the file server's confinement,
+    error mapping and directory fsyncs: just another storage resource.
+    Its exclusive creates are durable (see ``StoreFilesystem.put``)."""
+    os.makedirs(meta_root, exist_ok=True)
+    return StoreFilesystem(LocalDirStore(meta_root, sync_meta=True))
 
 
 class DPFS(StubFilesystem):
@@ -36,7 +45,7 @@ class DPFS(StubFilesystem):
         **kwargs,
     ):
         self.meta_root = os.path.realpath(meta_root)
-        super().__init__(LocalMetadataStore(meta_root), pool, servers, data_dir, **kwargs)
+        super().__init__(_private_tree(meta_root), pool, servers, data_dir, **kwargs)
 
     @classmethod
     def create(
@@ -56,9 +65,6 @@ class DPFS(StubFilesystem):
         """
         servers = [(h, int(p)) for h, p in servers]
         data_dir = f"/tssdata/{name}"
-        meta = LocalMetadataStore(meta_root)
-        meta.write_config({"name": name, "servers": servers, "data_dir": data_dir})
-        _ensure_remote_dirs(pool, servers, data_dir)
         fs = cls(
             meta_root,
             pool,
@@ -67,6 +73,8 @@ class DPFS(StubFilesystem):
             placement=placement,
             policy=policy,
         )
+        write_config(fs.meta, {"name": name, "servers": servers, "data_dir": data_dir})
+        fs.make_data_dirs(servers)
         return fs
 
     @classmethod
@@ -79,8 +87,7 @@ class DPFS(StubFilesystem):
         sync_writes: bool = False,
     ) -> "DPFS":
         """Open an existing DPFS volume from its local metadata root."""
-        meta = LocalMetadataStore(meta_root)
-        doc = meta.read_config()
+        doc = read_config(_private_tree(meta_root))
         return cls(
             meta_root,
             pool,

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.metastore import ChirpMetadataStore
 from repro.core.placement import PlacementPolicy
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubfs import StubFilesystem, _ensure_remote_dirs
+from repro.core.stubfs import StubFilesystem, chirp_member, read_config, write_config
 from repro.util.paths import normalize_virtual
 
 __all__ = ["DSFS"]
 
 
 class DSFS(StubFilesystem):
-    """A stub filesystem whose directory tree lives on a file server."""
+    """A stub filesystem whose directory tree lives on a file server: a
+    :class:`~repro.core.cfs.CFS` over the volume root there."""
 
     def __init__(
         self,
@@ -42,9 +42,7 @@ class DSFS(StubFilesystem):
         self.dir_endpoint = (dir_host, int(dir_port))
         self.dir_root = normalize_virtual(dir_root)
         policy = policy or RetryPolicy()
-        meta = ChirpMetadataStore(
-            pool.get(dir_host, int(dir_port)), self.dir_root, policy
-        )
+        meta = chirp_member(pool, self.dir_endpoint, policy, self.dir_root)
         super().__init__(meta, pool, servers, data_dir, policy=policy, **kwargs)
 
     @classmethod
@@ -63,8 +61,7 @@ class DSFS(StubFilesystem):
         directory server, storing data across ``servers``."""
         servers = [(h, int(p)) for h, p in servers]
         data_dir = f"/tssdata/{name}"
-        _ensure_remote_dirs(pool, [(dir_host, dir_port)], dir_root)
-        _ensure_remote_dirs(pool, servers, data_dir)
+        chirp_member(pool, (dir_host, int(dir_port)), policy).makedirs(dir_root)
         fs = cls(
             pool,
             dir_host,
@@ -75,7 +72,8 @@ class DSFS(StubFilesystem):
             placement=placement,
             policy=policy,
         )
-        fs.meta.write_config({"name": name, "servers": servers, "data_dir": data_dir})
+        fs.make_data_dirs(servers)
+        write_config(fs.meta, {"name": name, "servers": servers, "data_dir": data_dir})
         return fs
 
     @classmethod
@@ -90,12 +88,8 @@ class DSFS(StubFilesystem):
         sync_writes: bool = False,
     ) -> "DSFS":
         """Open an existing shared volume by directory-server address."""
-        meta = ChirpMetadataStore(
-            pool.get(dir_host, int(dir_port)),
-            normalize_virtual(dir_root),
-            policy or RetryPolicy(),
-        )
-        doc = meta.read_config()
+        tree = chirp_member(pool, (dir_host, int(dir_port)), policy, normalize_virtual(dir_root))
+        doc = read_config(tree)
         return cls(
             pool,
             dir_host,

@@ -9,8 +9,8 @@ interrupted ``heal``/replication, can strand data no stub points to).
 
 ``fsck_volume`` walks the directory tree and every data server's volume
 directory, classifies both kinds, and (optionally) removes them.  It
-needs nothing beyond the Unix interface -- one more dividend of recursive
-abstraction.
+works on every layout and needs nothing beyond the Unix interface of the
+volume's tree and members -- one more dividend of recursive abstraction.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import posixpath
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.core.stubfs import StubFilesystem
 from repro.util.errors import ChirpError, DisconnectedError, DoesNotExistError
@@ -68,19 +69,43 @@ def _walk_stubs(fs: StubFilesystem, report: FsckReport):
                 report.dangling_stubs[path] = "unreadable stub"
 
 
+def _dangling(fs: StubFilesystem, stub) -> Optional[str]:
+    """Why ``stub``'s current data cannot be read, or None when it can.
+
+    A redundant layout's stub is dangling only when every copy is
+    missing; any other layout's is dangling when any member is.
+    """
+    members = fs.layout.members(stub)
+    errors = []
+    for member in members:
+        try:
+            fs.member(member.endpoint).stat(member.path)
+        except ChirpError as exc:
+            errors.append(exc)
+    if not errors or (fs.layout.redundant and len(errors) < len(members)):
+        return None
+    missing = sum(isinstance(e, DoesNotExistError) for e in errors)
+    if missing == len(members) or (missing and not fs.layout.redundant):
+        return "no data file"
+    if any(isinstance(e, DisconnectedError) for e in errors):
+        return "server unreachable"
+    return f"error: {next(e for e in errors if not isinstance(e, DoesNotExistError))}"
+
+
 def fsck_volume(
     fs: StubFilesystem,
     *,
     remove_dangling: bool = False,
     remove_orphans: bool = False,
 ) -> FsckReport:
-    """Audit (and optionally repair) one DPFS/DSFS volume.
+    """Audit (and optionally repair) one volume of any layout.
 
     Repair is conservative: dangling stubs whose data server is merely
     *unreachable* are reported but never removed -- the server may come
-    back.  Only stubs whose server answered "no such file" are eligible
-    for removal, and only orphan files in this volume's own data
-    directory are eligible for deletion.
+    back.  Only stubs whose data the servers answered "no such file"
+    for are eligible for removal (what else such a stub referenced is an
+    orphan from then on), and only orphan files in this volume's own
+    data directory are eligible for deletion.
     """
     report = FsckReport()
     referenced: dict[tuple[str, int], set[str]] = {
@@ -89,37 +114,30 @@ def fsck_volume(
 
     # Pass 1: every stub must point at live data.
     for path, stub in _walk_stubs(fs, report):
-        endpoint = stub.endpoint
-        referenced.setdefault(endpoint, set()).add(stub.path)
-        client = fs.pool.try_get(*endpoint)
-        if client is None:
-            report.dangling_stubs[path] = "server unreachable"
-            continue
-        try:
-            client.stat(stub.path)
+        reason = _dangling(fs, stub)
+        if reason is None:
             report.healthy += 1
-        except DoesNotExistError:
-            report.dangling_stubs[path] = "no data file"
-            if remove_dangling:
+        else:
+            report.dangling_stubs[path] = reason
+            if remove_dangling and reason == "no data file":
                 try:
                     fs.meta.unlink(path)
                     report.removed_stubs += 1
+                    continue
                 except ChirpError:
                     pass
-        except DisconnectedError:
-            report.dangling_stubs[path] = "server unreachable"
-        except ChirpError as exc:
-            report.dangling_stubs[path] = f"error: {exc}"
+        for member in fs.layout.referenced(stub):
+            referenced.setdefault(member.endpoint, set()).add(member.path)
 
     # Pass 2: every data file must be referenced by some stub.
     for endpoint in fs.servers:
         endpoint = tuple(endpoint)
-        client = fs.pool.try_get(*endpoint)
-        if client is None:
+        try:
+            member = fs.member(endpoint)
+            names = member.listdir(fs.data_dir)
+        except DisconnectedError:
             report.unreachable_servers.append(endpoint)
             continue
-        try:
-            names = client.getdir(fs.data_dir)
         except ChirpError:
             continue
         known = referenced.get(endpoint, set())
@@ -130,7 +148,7 @@ def fsck_volume(
             report.orphan_data.append((endpoint[0], endpoint[1], data_path))
             if remove_orphans:
                 try:
-                    client.unlink(data_path)
+                    member.unlink(data_path)
                     report.removed_orphans += 1
                 except ChirpError:
                     pass

@@ -18,7 +18,7 @@ filesystem handle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.store.interface import FileHandle, write_all
@@ -114,6 +114,14 @@ class Filesystem(ABC):
 
     # -- bulk convenience built on the primitive interface ---------------
 
+    def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
+        """An entry's stat and, for a regular file of at most ``limit``
+        bytes, its content (None otherwise): what a stub lookup needs."""
+        st = self.stat(path)
+        if limit < 0 or not st.is_file or st.size > limit:
+            return st, None
+        return st, self.read_file(path)
+
     def read_file(self, path: str) -> bytes:
         """Read a whole file via the handle interface."""
         with self.open(path, OpenFlags(read=True)) as h:
@@ -128,8 +136,13 @@ class Filesystem(ABC):
             return b"".join(chunks)
 
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
-        """Create/replace a whole file via the handle interface."""
-        flags = OpenFlags(write=True, create=True, truncate=True)
+        """Create/replace a whole file."""
+        return self.put(path, data, OpenFlags(write=True, create=True, truncate=True), mode)
+
+    def put(self, path: str, data: bytes, flags: OpenFlags, mode: int = 0o644) -> int:
+        """A whole file written under ``flags``: ``wcx`` creates it
+        exclusively (:class:`~repro.util.errors.AlreadyExistsError` when
+        it exists), ``wt`` replaces one that must exist."""
         with self.open(path, flags, mode) as h:
             return write_all(h, data)
 

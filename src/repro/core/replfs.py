@@ -3,7 +3,7 @@
 The paper's conclusion leaves this open: "One may imagine filesystems
 that transparently stripe, replicate, and version data."  This module is
 that extension for replication, built with exactly the pieces the TSS
-already provides -- a metadata store, exclusive create, and file servers
+already provides -- a directory tree, exclusive create, and file servers
 -- demonstrating the architecture's claim that new abstractions need no
 new server machinery.  It is a :class:`Replicated` layout of the stub
 engine (:mod:`repro.core.stubfs`), which owns the create protocol,
@@ -28,18 +28,14 @@ policy-driven repair belongs to a GEMS-style auditor, not the filesystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.chirp.protocol import ChirpStat
-from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle
-from repro.core.metastore import MetadataStore
-from repro.core.placement import PlacementPolicy
+from repro.core.interface import FileHandle, Filesystem
 from repro.core.pool import ClientPool
-from repro.core.stubfs import Layout, StubFilesystem, close_quietly, fan_out
+from repro.core.stubfs import WCX, Layout, StubFilesystem, close_quietly, fan_out
 from repro.core.stubs import Stub, decode_doc, encode_doc, parse_locations, unique_data_name
 from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
-from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     AlreadyExistsError,
     ChirpError,
@@ -88,16 +84,19 @@ class ReplicatedHandle(FileHandle):
 
     def __init__(
         self,
-        handles: list[ChirpFileHandle],
+        replicas: list[tuple[Stub, FileHandle]],
         fanout: Optional[FanoutPool] = None,
+        quarantined: Callable[[Stub], bool] = lambda member: False,
     ):
-        if not handles:
+        if not replicas:
             raise DoesNotExistError("no replica could be opened")
-        self._handles = handles
+        #: ``(member, handle)`` per live replica, in read preference order.
+        self._replicas = replicas
+        self._quarantined = quarantined
         self.dropped = 0
         #: ``host:port`` of every replica dropped from this handle.
         self.suspects: list[str] = []
-        self.fanout = fanout or FanoutPool(min(len(handles), DEFAULT_FANOUT))
+        self.fanout = fanout or FanoutPool(min(len(replicas), DEFAULT_FANOUT))
 
     @property
     def degraded(self) -> bool:
@@ -105,30 +104,28 @@ class ReplicatedHandle(FileHandle):
 
     @property
     def width(self) -> int:
-        return len(self._handles)
+        return len(self._replicas)
 
-    @staticmethod
-    def _quarantined(handle: ChirpFileHandle) -> bool:
-        health = getattr(handle.client.endpoint, "health", None)
-        return health is not None and health.is_open
-
-    def _pick_reader(self) -> ChirpFileHandle:
-        """The first replica whose breaker is not open.
+    def _pick_reader(self) -> tuple[Stub, FileHandle]:
+        """The first replica whose server is not quarantined.
 
         When every surviving replica is quarantined, the first is used
         anyway: a read against a suspect server beats refusing outright,
         and its failure feeds the breaker it would have consulted.
         """
-        return next((h for h in self._handles if not self._quarantined(h)), self._handles[0])
+        return next(
+            (r for r in self._replicas if not self._quarantined(r[0])), self._replicas[0]
+        )
 
-    def _survivors_after(self, dead: ChirpFileHandle) -> None:
-        self._handles.remove(dead)
+    def _survivors_after(self, dead: tuple[Stub, FileHandle]) -> None:
+        self._replicas.remove(dead)
         self.dropped += 1
-        label = f"{dead.client.host}:{dead.client.port}"
+        member, handle = dead
+        label = f"{member.host}:{member.port}"
         if label not in self.suspects:
             self.suspects.append(label)
-        close_quietly(dead)
-        if not self._handles:
+        close_quietly(handle)
+        if not self._replicas:
             raise DisconnectedError("every replica of this file is unreachable")
 
     def _fanout_all(self, op) -> list:
@@ -138,23 +135,23 @@ class ReplicatedHandle(FileHandle):
         DisconnectedError are dropped afterwards (raising only when none
         survive).  Other errors propagate.
         """
-        outcomes = fan_out(self.fanout, list(self._handles), op)
+        outcomes = fan_out(self.fanout, list(self._replicas), lambda r: op(r[1]))
         for _, _, exc in outcomes:
             if exc is not None and not isinstance(exc, DisconnectedError):
                 raise exc
-        for handle, _, exc in outcomes:
+        for replica, _, exc in outcomes:
             if exc is not None:
-                self._survivors_after(handle)
+                self._survivors_after(replica)
         return [result for _, result, exc in outcomes if exc is None]
 
     def _read_any(self, op):
         """``op`` on the first healthy replica, failing over in order."""
         while True:
-            handle = self._pick_reader()
+            replica = self._pick_reader()
             try:
-                return op(handle)
+                return op(replica[1])
             except DisconnectedError:
-                self._survivors_after(handle)
+                self._survivors_after(replica)
 
     def pread(self, length: int, offset: int, deadline=None) -> bytes:
         """Read from the first healthy replica, failing over in order.
@@ -163,7 +160,10 @@ class ReplicatedHandle(FileHandle):
         it clamps each replica's retry backoff and socket waits, so a
         read against a sick file set returns data or
         :class:`~repro.util.errors.TimedOutError` within the budget.
+        Only a replica handle that takes a deadline is handed one.
         """
+        if deadline is None:
+            return self._read_any(lambda h: h.pread(length, offset))
         return self._read_any(lambda h: h.pread(length, offset, deadline=deadline))
 
     def pwrite(self, data: bytes, offset: int) -> int:
@@ -180,7 +180,7 @@ class ReplicatedHandle(FileHandle):
         return self._read_any(lambda h: h.fstat())
 
     def close(self) -> None:
-        for handle in self._handles:
+        for _, handle in self._replicas:
             close_quietly(handle)
 
 
@@ -206,9 +206,9 @@ class Replicated(Layout):
     def members(self, stub: MultiStub) -> tuple[Stub, ...]:
         return tuple(Stub(*loc) for loc in stub.locations)
 
-    def handle(self, stub: MultiStub, handles, fanout) -> ReplicatedHandle:
-        handle = ReplicatedHandle(handles, fanout=fanout)
-        handle.dropped = len(stub.locations) - len(handles)
+    def handle(self, stub: MultiStub, opened, fs) -> ReplicatedHandle:
+        handle = ReplicatedHandle(opened, fanout=fs.fanout, quarantined=fs.quarantined)
+        handle.dropped = len(stub.locations) - len(opened)
         return handle
 
 
@@ -217,20 +217,19 @@ class ReplicatedFS(StubFilesystem):
 
     def __init__(
         self,
-        meta: MetadataStore,
-        pool: ClientPool,
+        meta: Filesystem,
+        pool: Optional[ClientPool],
         servers: Sequence[tuple[str, int]],
         data_dir: str,
         copies: int = 2,
-        placement: Optional[PlacementPolicy] = None,
-        policy: Optional[RetryPolicy] = None,
         fanout_workers: Optional[int] = None,
+        **kwargs,
     ):
         if copies < 1:
             raise ValueError("copies must be >= 1")
         if len(servers) < copies:
             raise ValueError("need at least as many servers as copies")
-        super().__init__(meta, pool, servers, data_dir, placement=placement, policy=policy)
+        super().__init__(meta, pool, servers, data_dir, **kwargs)
         self.copies = copies
         self.layout = Replicated(copies)
         if fanout_workers is not None:
@@ -379,8 +378,10 @@ class ReplicatedFS(StubFilesystem):
         added = len(new_locations) - len(good)
         # swing the stub to the healed location set, then retire bad data
         self.meta.unlink(path)
-        if not self.meta.create_exclusive(path, MultiStub(tuple(new_locations)).encode()):
-            raise AlreadyExistsError(f"{path}: concurrent recreation during heal")
+        try:
+            self.meta.put(path, MultiStub(tuple(new_locations)).encode(), WCX)
+        except AlreadyExistsError:
+            raise AlreadyExistsError(f"{path}: concurrent recreation during heal") from None
         for location in stub.locations:
             if location not in new_locations and health[location] == "diverged":
                 self._discard(Stub(*location), None)

@@ -11,11 +11,14 @@ store's own handles are the filesystem's handles.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
 from repro.core.interface import FileHandle, Filesystem
-from repro.store.interface import BlobStore
+from repro.store.interface import BlobStore, write_all
+from repro.util.jsonlog import fsync_dir
+from repro.util.paths import Resolved
 
 __all__ = ["StoreFilesystem"]
 
@@ -37,6 +40,24 @@ class StoreFilesystem(Filesystem):
 
     def stat_read(self, path: str, limit: int) -> tuple[ChirpStat, Optional[bytes]]:
         return self.store.stat_read(path, limit)
+
+    def put(self, path: str, data: bytes, flags: OpenFlags, mode: int = 0o644) -> int:
+        """A whole-file put; an exclusive create on a store that syncs
+        its metadata is durable when this returns.
+
+        The file is fsynced, and on a store with a disk so is the
+        directory holding the new entry: the stub engine's crash-safe
+        create (the stub before the data) rests on that.
+        """
+        where = self.store.resolve(path)
+        durable = flags.exclusive and getattr(self.store, "sync_meta", False)
+        with self.store.open(where, flags, mode) as handle:
+            written = write_all(handle, data)
+            if durable:
+                handle.fsync()
+        if durable and isinstance(where, Resolved):
+            fsync_dir(os.path.dirname(where.real))
+        return written
 
     def listdir(self, path: str) -> list[str]:
         return sorted(self.store.listdir(path))

@@ -34,14 +34,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro.chirp.protocol import ChirpStat
-from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle
-from repro.core.metastore import MetadataStore
+from repro.core.interface import FileHandle, Filesystem
 from repro.core.pool import ClientPool
 from repro.core.stubfs import Layout, StubFilesystem, close_quietly, fan_out
 from repro.core.stubs import Stub, decode_doc, encode_doc, parse_locations
 from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
-from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     DisconnectedError,
     DoesNotExistError,
@@ -153,15 +150,16 @@ class StripedHandle(FileHandle):
 
     def __init__(
         self,
-        handles: list[ChirpFileHandle],
+        stripes: list[tuple[Stub, FileHandle]],
         stripe_size: int,
         fanout: Optional[FanoutPool] = None,
     ):
-        if not handles:
+        if not stripes:
             raise DoesNotExistError("no stripe could be opened")
-        self._handles = handles
+        self._members = [member for member, _ in stripes]
+        self._handles = [handle for _, handle in stripes]
         self.stripe_size = stripe_size
-        self.fanout = fanout or FanoutPool(min(len(handles), DEFAULT_FANOUT))
+        self.fanout = fanout or FanoutPool(min(len(stripes), DEFAULT_FANOUT))
 
     @property
     def width(self) -> int:
@@ -182,8 +180,8 @@ class StripedHandle(FileHandle):
         failures = []
         for stripe, _, exc in sorted(outcomes, key=lambda o: o[0]):
             if exc is not None:
-                client = self._handles[stripe].client
-                label = f"{client.host}:{client.port}"
+                member = self._members[stripe]
+                label = f"{member.host}:{member.port}"
                 failures.append((stripe, label, str(exc) or "disconnected"))
         if failures:
             raise PartialFailureError(
@@ -285,8 +283,8 @@ class Striped(Layout):
     def members(self, stub: StripeStub) -> tuple[Stub, ...]:
         return tuple(Stub(*loc) for loc in stub.locations)
 
-    def handle(self, stub: StripeStub, handles, fanout) -> StripedHandle:
-        return StripedHandle(handles, stub.stripe_size, fanout=fanout)
+    def handle(self, stub: StripeStub, opened, fs) -> StripedHandle:
+        return StripedHandle(opened, stub.stripe_size, fanout=fs.fanout)
 
     def merge_stat(self, mst: ChirpStat, stats: list[ChirpStat]) -> ChirpStat:
         newest = max(dst.mtime for dst in stats)
@@ -328,18 +326,18 @@ class StripedFS(StubFilesystem):
 
     def __init__(
         self,
-        meta: MetadataStore,
-        pool: ClientPool,
+        meta: Filesystem,
+        pool: Optional[ClientPool],
         servers: Sequence[tuple[str, int]],
         data_dir: str,
         stripe_size: int = DEFAULT_STRIPE_SIZE,
         stripes: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
         fanout_workers: Optional[int] = None,
+        **kwargs,
     ):
         if stripe_size < 1:
             raise ValueError("stripe_size must be positive")
-        super().__init__(meta, pool, servers, data_dir, policy=policy)
+        super().__init__(meta, pool, servers, data_dir, **kwargs)
         self.stripes = stripes if stripes is not None else len(self.servers)
         if not 1 <= self.stripes <= len(self.servers):
             raise ValueError("stripes must be between 1 and the server count")

@@ -1,9 +1,13 @@
 """The stub engine behind every distributed filesystem here.
 
-The directory tree (wherever it lives -- see
-:mod:`repro.core.metastore`) holds directories and *stub files*; file
-data lives in per-volume directories on data servers.  This module
-implements the paper's semantics over that structure:
+The directory tree holds directories and *stub files*; file data lives
+in per-volume directories on data servers.  Both are plain
+:class:`~repro.core.interface.Filesystem` values: the tree is ``meta``
+(DSFS: a CFS over the volume root on a file server; DPFS: a
+``StoreFilesystem`` over a private local directory), and a data server
+is whatever ``members(endpoint)`` returns (default: a CFS over it), so
+a volume can also run in memory, with no socket, or over other volumes.
+This module implements the paper's semantics over that structure:
 
 - the crash-safe 3-step creation protocol (choose server + unique name;
   exclusively create the stub; exclusively create the data file), whose
@@ -23,25 +27,23 @@ A :class:`Layout` says how one file's bytes sit on its data files (its
 or a version history (:mod:`repro.core.versionfs`).  The layout owns the
 stub codec, the composite handle, the ``stat`` merge and the whole-file
 split; the lookup, the create protocol, failover, the namespace, unlink,
-statfs and the protocol-v4 whole-file paths exist once, here.
+statfs and the whole-file paths exist once, here.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import posixpath
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import ChirpStat, OpenFlags, StatFs
-from repro.core.cfs import CFS, ChirpFileHandle
+from repro.core.cfs import CFS
 from repro.core.interface import FileHandle, Filesystem
-from repro.core.metastore import MetadataStore, VOLUME_FILE
 from repro.core.placement import PlacementPolicy, RoundRobinPlacement
 from repro.core.pool import ClientPool
 from repro.transport.fanout import DEFAULT_FANOUT, FanoutPool
-from repro.transport.health import STATE_OPEN
 from repro.transport.recovery import RetryPolicy
 from repro.core.stubs import STUB_MAX_BYTES, Stub, unique_data_name
 from repro.util.errors import (
@@ -56,11 +58,21 @@ from repro.util.errors import (
 )
 from repro.util.paths import normalize_virtual
 
-__all__ = ["StubFilesystem", "Layout", "SINGLE", "fan_out", "close_quietly"]
+__all__ = [
+    "StubFilesystem", "Layout", "SINGLE", "VOLUME_FILE", "WCX", "chirp_member",
+    "read_config", "write_config", "fan_out", "close_quietly",
+]
 
 _T = TypeVar("_T")
 
-_CREATE_ATTEMPTS = 4  # retries on data-name collision or a dead server
+Endpoint = tuple[str, int]
+
+VOLUME_FILE = ".tssvolume"
+
+#: An exclusive create: the stub protocol's atomic primitive.
+WCX = OpenFlags(write=True, create=True, exclusive=True)
+
+_CREATE_ATTEMPTS = 4  # retries on data-name collision, a dead server or a racing unlink
 _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
 
 # A member that is missing or unreachable; a redundant layout carries on
@@ -68,10 +80,29 @@ _STUB_READ_ATTEMPTS = 5  # retries while a freshly created stub is empty
 _LOST = (DoesNotExistError, DisconnectedError)
 
 
-def _ensure_remote_dirs(pool: ClientPool, servers, data_dir: str) -> None:
-    """mkdir -p ``data_dir`` on every server."""
-    for host, port in servers:
-        CFS(pool.get(host, int(port))).makedirs(data_dir)
+def chirp_member(
+    pool: ClientPool, endpoint: Endpoint, policy: Optional[RetryPolicy] = None, root: str = "/"
+) -> CFS:
+    """The file server at ``endpoint`` (its ``root`` subtree) as a
+    filesystem: the default member of a stub filesystem."""
+    return CFS(pool.get(*endpoint), root, policy)
+
+
+def read_config(tree: Filesystem) -> dict:
+    """The volume configuration at the root of a volume's tree."""
+    doc = json.loads(tree.read_file("/" + VOLUME_FILE).decode("utf-8"))
+    if not isinstance(doc, dict) or doc.get("tss") != "volume":
+        raise ValueError("not a TSS volume")
+    return doc
+
+
+def write_config(tree: Filesystem, doc: dict) -> None:
+    """Make ``tree`` a volume's tree, configured by ``doc``."""
+    content = (json.dumps({**doc, "tss": "volume"}, sort_keys=True) + "\n").encode("utf-8")
+    try:
+        tree.put("/" + VOLUME_FILE, content, WCX)
+    except AlreadyExistsError:
+        raise AlreadyExistsError("volume already initialized here") from None
 
 
 def _one_error(failed: list, total: int) -> Exception:
@@ -126,9 +157,10 @@ class Layout:
         """Every data file ``stub`` references: what ``unlink`` removes."""
         return self.members(stub)
 
-    def handle(self, stub, handles: list[FileHandle], fanout: FanoutPool) -> FileHandle:
-        """One open file over the members' open ``handles``."""
-        return handles[0]
+    def handle(self, stub, opened: list[tuple[Stub, FileHandle]], fs: "StubFilesystem") -> FileHandle:
+        """One open file over the ``(member, handle)`` pairs ``fs``
+        opened, in the order reads should prefer them."""
+        return opened[0][1]
 
     def merge_stat(self, mst: ChirpStat, stats: list[ChirpStat]) -> ChirpStat:
         """Identity (device/inode) from the namespace entry; content
@@ -155,24 +187,29 @@ SINGLE = Layout()
 class StubFilesystem(Filesystem):
     """A distributed filesystem of stubs + data servers.
 
-    Not constructed directly by users; see :class:`repro.core.dpfs.DPFS`
-    and :class:`repro.core.dsfs.DSFS` for volume creation and opening,
-    and the replicated, striped and versioned filesystems, which set
-    their own :attr:`layout`.
+    :param meta: the filesystem holding the directory tree and stubs.
+    :param members: the filesystem of the data server at an endpoint
+        (default: a :class:`~repro.core.cfs.CFS` over ``pool``'s session
+        to it).  Called per operation, so it must be cheap.
+
+    See :class:`repro.core.dpfs.DPFS` and :class:`repro.core.dsfs.DSFS`
+    for volume creation and opening, and the replicated, striped and
+    versioned filesystems, which set their own :attr:`layout`.
     """
 
     layout: Layout = SINGLE
 
     def __init__(
         self,
-        meta: MetadataStore,
-        pool: ClientPool,
-        servers: Sequence[tuple[str, int]],
+        meta: Filesystem,
+        pool: Optional[ClientPool],
+        servers: Sequence[Endpoint],
         data_dir: str,
         placement: Optional[PlacementPolicy] = None,
         policy: Optional[RetryPolicy] = None,
         sync_writes: bool = False,
-        avoid_servers: Optional[Callable[[], Iterable[tuple[str, int]]]] = None,
+        avoid_servers: Optional[Callable[[], Iterable[Endpoint]]] = None,
+        members: Optional[Callable[[Endpoint], Filesystem]] = None,
     ):
         if not servers:
             raise ValueError("a stub filesystem needs at least one data server")
@@ -187,8 +224,24 @@ class StubFilesystem(Filesystem):
         # in the catalog; see DrainingServerView).  Consulted per create;
         # the callable must be cheap and must not raise.
         self.avoid_servers = avoid_servers
-        # Runs per-member RPCs and the statfs probes concurrently.
+        self.member = members or self._chirp_member
+        self._chirp_members: dict[Endpoint, CFS] = {}
+        # Runs per-member calls and the statfs probes concurrently.
         self.fanout = FanoutPool(min(len(self.servers), DEFAULT_FANOUT))
+
+    def _chirp_member(self, endpoint: Endpoint) -> CFS:
+        """The default member: a CFS over the pool's current session, so
+        a session the pool replaced (after ``evict``) is never used."""
+        client = self.pool.get(*endpoint)
+        fs = self._chirp_members.get(endpoint)
+        if fs is None or fs.client is not client:
+            fs = self._chirp_members[endpoint] = chirp_member(self.pool, endpoint, self.policy)
+        return fs
+
+    def quarantined(self, member: Stub) -> bool:
+        """Whether ``member``'s server sits behind an open breaker (so
+        redundant layouts try it last)."""
+        return self.pool is not None and self.pool.health.is_open(*member.endpoint)
 
     # ------------------------------------------------------------------
     # helpers
@@ -205,7 +258,9 @@ class StubFilesystem(Filesystem):
         """The namespace entry at ``path`` and, for a file, its stub.
 
         One metadata lookup (a ``statget`` on a DSFS directory server).
-        A stub still empty because its creator sits between the
+        A stub the lookup saw but did not bring back -- too big, or
+        replaced between the lookup's open and its stat -- is read
+        again.  A stub still empty because its creator sits between the
         exclusive create and the write is re-read a few times before it
         is declared never completed.
         """
@@ -216,9 +271,7 @@ class StubFilesystem(Filesystem):
             if raw is None:
                 if not st.is_file:
                     raise InvalidRequestError(f"{path}: not a stub file")
-                if st.size <= STUB_MAX_BYTES:
-                    raise NotAuthorizedError(f"{path}: stub is not readable")
-                raw = self.meta.read(path)
+                raw = self.meta.read_file(path)
             if raw:
                 return st, self.layout.decode(raw)
             self.policy.clock.sleep(0.01)
@@ -248,13 +301,9 @@ class StubFilesystem(Filesystem):
                     self.policy.clock.sleep(0.01)
         raise DoesNotExistError(f"{path}: dangling stub (no data file)")
 
-    def _call(self, member: Stub, op: Callable[[ChirpClient], _T]) -> _T:
-        """``op`` on the session to ``member``'s server, under the policy."""
-        client = self.pool.get(*member.endpoint)
-        return self.policy.run(lambda: op(client), client.ensure_connected)
-
-    def _each(self, members: Sequence[Stub], op: Callable[[Stub], _T]) -> list[_T]:
-        """``op`` on every member; the results, in member order.
+    def _each(self, members: Sequence[Stub], op: Callable[[Stub], _T]) -> list[tuple[Stub, _T]]:
+        """``op`` on every member; ``(member, result)`` pairs, in member
+        order.
 
         A redundant layout carries on without members that are missing
         or unreachable as long as one answered, and puts healthy servers
@@ -264,24 +313,19 @@ class StubFilesystem(Filesystem):
         opened and raises one error for all of them.
         """
         if len(members) == 1:
-            return [op(members[0])]
+            return [(members[0], op(members[0]))]
         if self.layout.redundant:
-            members = self._healthy_first(members)
+            members = sorted(members, key=self.quarantined)
         outcomes = fan_out(self.fanout, members, op)
         failed = [(i, m, e) for i, (m, _, e) in enumerate(outcomes) if e is not None]
-        done = [r for _, r, e in outcomes if e is None]
+        done = [(m, r) for m, r, e in outcomes if e is None]
         if failed and not (
             self.layout.redundant and done and all(isinstance(e, _LOST) for _, _, e in failed)
         ):
-            for result in done:
+            for _, result in done:
                 close_quietly(result)
             raise _one_error(failed, len(members))
         return done
-
-    def _healthy_first(self, members: Sequence[Stub]) -> list[Stub]:
-        """``members`` with quarantined servers (open breaker) last."""
-        health = self.pool.health
-        return sorted(members, key=lambda m: health.state_of(*m.endpoint) == STATE_OPEN)
 
     def _gather(self, stub, op: Callable[[Stub], _T]) -> list[_T]:
         """``op`` on the members a read needs: the first copy that
@@ -289,25 +333,24 @@ class StubFilesystem(Filesystem):
         every member."""
         members = self.layout.members(stub)
         if not self.layout.redundant:
-            return self._each(members, op)
+            return [result for _, result in self._each(members, op)]
         errors = []
-        for member in self._healthy_first(members):
+        for member in sorted(members, key=self.quarantined):
             try:
                 return [op(member)]
             except _LOST as exc:
                 errors.append(exc)
         raise next((e for e in errors if isinstance(e, DisconnectedError)), errors[0])
 
-    def _data_handle(self, stub: Stub, flags: OpenFlags, mode: int) -> FileHandle:
-        client = self.pool.get(*stub.endpoint)
-        return ChirpFileHandle(client, stub.path, flags, mode, self.policy)
+    def _data_handle(self, member: Stub, flags: OpenFlags, mode: int) -> FileHandle:
+        return self.member(member.endpoint).open(member.path, flags, mode)
 
     def _discard(self, member: Stub, result: Any) -> None:
         """Best-effort removal of a data file whose create succeeded
         while another member's failed."""
         close_quietly(result)
         try:
-            self.pool.get(*member.endpoint).unlink(member.path)
+            self.member(member.endpoint).unlink(member.path)
         except ChirpError:
             pass
 
@@ -327,14 +370,14 @@ class StubFilesystem(Filesystem):
         dflags = replace(flags, create=False, exclusive=False)
 
         def open_members(stub) -> FileHandle:
-            handles = self._each(
+            opened = self._each(
                 self.layout.members(stub), lambda m: self._data_handle(m, dflags, mode)
             )
-            return self.layout.handle(stub, handles, self.fanout)
+            return self.layout.handle(stub, opened, self)
 
         return self._on_data(path, open_members)
 
-    def _place(self, path: str, dead: set[tuple[str, int]]) -> list[Stub]:
+    def _place(self, path: str, dead: set[Endpoint]) -> list[Stub]:
         """Step 1: distinct servers for a new file's members, each with a
         unique data name, never one observed dead.
 
@@ -365,22 +408,21 @@ class StubFilesystem(Filesystem):
 
         ``step3(stub)`` gives the op that exclusively creates one member's
         data file; it runs on every member.  Returns the stub and the
-        ops' results.  Raises :class:`AlreadyExistsError` when ``path``
-        already has a stub.  A step 3 that fails anywhere removes the
-        data files it did make and the step-2 stub again; a server that
-        could not be reached is left out of the next attempt.
+        ``(member, result)`` pairs.  Raises :class:`AlreadyExistsError`
+        when ``path`` already has a stub.  A step 3 that fails anywhere
+        removes the data files it did make and the step-2 stub again; a
+        server that could not be reached is left out of the next attempt.
         """
-        dead: set[tuple[str, int]] = set()
+        dead: set[Endpoint] = set()
         for _ in range(_CREATE_ATTEMPTS):
             stub = self.layout.new_stub(self._place(path, dead))
             # Step 2: exclusively create the stub entry.
-            if not self.meta.create_exclusive(path, stub.encode()):
-                raise AlreadyExistsError(path)
+            self.meta.put(path, stub.encode(), WCX)
             # Step 3: exclusively create the data files.
             outcomes = fan_out(self.fanout, self.layout.members(stub), step3(stub))
             failed = [(m, e) for m, _, e in outcomes if e is not None]
             if not failed:
-                return stub, [r for _, r, _ in outcomes]
+                return stub, [(m, r) for m, r, _ in outcomes]
             for member, result, exc in outcomes:
                 if exc is None:
                     self._discard(member, result)
@@ -394,17 +436,41 @@ class StubFilesystem(Filesystem):
             dead.update(m.endpoint for m, e in failed if isinstance(e, DisconnectedError))
         raise DisconnectedError(f"{path}: no data server accepted the new file")
 
+    def _create_or(self, path: str, create: Callable[[], _T], existing: Callable[[], _T]) -> _T:
+        """``create()``, or ``existing()`` when ``path`` already has a stub.
+
+        A racing ``unlink`` can remove the stub between the two, and
+        ``existing()`` then finds no file; that goes back to the create
+        rather than failing a call that may create.  A dangling stub is
+        still there afterwards and stays "file not found".
+        """
+        for _ in range(_CREATE_ATTEMPTS):
+            try:
+                return create()
+            except AlreadyExistsError:
+                pass
+            try:
+                return existing()
+            except DoesNotExistError:
+                try:
+                    self.meta.lstat(path)
+                except DoesNotExistError:
+                    continue
+                raise
+        raise DoesNotExistError(f"{path}: removed by a racing unlink on every attempt")
+
     def _create_or_open(self, path: str, flags: OpenFlags, mode: int) -> FileHandle:
         dflags = replace(flags, create=True, exclusive=True, write=True)
-        try:
-            stub, handles = self._create(
+
+        def create() -> FileHandle:
+            stub, opened = self._create(
                 path, lambda stub: lambda m: self._data_handle(m, dflags, mode)
             )
-            return self.layout.handle(stub, handles, self.fanout)
-        except AlreadyExistsError:
-            if flags.exclusive:
-                raise
-        return self._open_existing(path, flags, mode)
+            return self.layout.handle(stub, opened, self)
+
+        if flags.exclusive:
+            return create()
+        return self._create_or(path, create, lambda: self._open_existing(path, flags, mode))
 
     # ------------------------------------------------------------------
     # metadata operations
@@ -416,7 +482,7 @@ class StubFilesystem(Filesystem):
         if stub is None:
             return mst
         try:
-            stats = self._gather(stub, lambda m: self._call(m, lambda c: c.stat(m.path)))
+            stats = self._gather(stub, lambda m: self.member(m.endpoint).stat(m.path))
         except DoesNotExistError:
             raise DoesNotExistError(f"{path}: dangling stub (no data file)") from None
         return self.layout.merge_stat(mst, stats)
@@ -442,7 +508,7 @@ class StubFilesystem(Filesystem):
         outcomes = fan_out(
             self.fanout,
             self.layout.referenced(stub),
-            lambda m: self._call(m, lambda c: c.unlink(m.path)),
+            lambda m: self.member(m.endpoint).unlink(m.path),
         )
         for _, _, exc in outcomes:
             # A missing data file leaves nothing to delete on that side.
@@ -469,7 +535,7 @@ class StubFilesystem(Filesystem):
         path = self._guard_name(path)
         stub = self._stub(path)
         sizes = dict(zip(self.layout.members(stub), self.layout.truncate_sizes(stub, size)))
-        self._each(list(sizes), lambda m: self._call(m, lambda c: c.truncate(m.path, sizes[m])))
+        self._each(list(sizes), lambda m: self.member(m.endpoint).truncate(m.path, sizes[m]))
 
     def utime(self, path: str, atime: int, mtime: int) -> None:
         path = self._guard_name(path)
@@ -478,17 +544,14 @@ class StubFilesystem(Filesystem):
             self.meta.utime(path, atime, mtime)
             return
         members = self.layout.members(stub)
-        self._each(members, lambda m: self._call(m, lambda c: c.utime(m.path, atime, mtime)))
+        self._each(members, lambda m: self.member(m.endpoint).utime(m.path, atime, mtime))
 
     def statfs(self) -> StatFs:
         """Aggregate capacity over the *reachable* data servers."""
 
-        def probe(endpoint: tuple[str, int]) -> Optional[StatFs]:
-            client = self.pool.try_get(*endpoint)
-            if client is None:
-                return None
+        def probe(endpoint: Endpoint) -> Optional[StatFs]:
             try:
-                return self.policy.run(client.statfs, client.ensure_connected)
+                return self.member(endpoint).statfs()
             except ChirpError:
                 return None
 
@@ -503,24 +566,30 @@ class StubFilesystem(Filesystem):
             sum(fs.free_bytes for fs in reports) // divisor,
         )
 
+    def make_data_dirs(self, servers: Iterable[Endpoint]) -> None:
+        """mkdir -p the volume's data directory on each of ``servers``."""
+        for endpoint in servers:
+            self.member(endpoint).makedirs(self.data_dir)
+
     def add_server(self, host: str, port: int) -> None:
         """Grow the volume onto a new data server, without downtime."""
         endpoint = (host, int(port))
         if endpoint in self.servers:
             return
-        _ensure_remote_dirs(self.pool, [endpoint], self.data_dir)
+        self.make_data_dirs([endpoint])
         self.servers.append(endpoint)
-        doc = self.meta.read_config()
+        doc = read_config(self.meta)
         doc["servers"] = self.servers
         self.meta.unlink("/" + VOLUME_FILE)
-        self.meta.write_config(doc)
+        write_config(self.meta, doc)
 
     # ------------------------------------------------------------------
-    # streaming fast path
+    # whole-file paths
     # ------------------------------------------------------------------
 
     def read_file(self, path: str) -> bytes:
-        """Whole-file read: one ``getfile`` per member the layout needs.
+        """Whole-file read: one whole-file read per member the layout
+        needs (one ``getfile`` each on file servers).
 
         Mirrors :meth:`_open_existing`'s tolerance of the create window:
         a stub whose data file has not appeared yet gets a few retries
@@ -528,42 +597,40 @@ class StubFilesystem(Filesystem):
         """
         path = self._guard_name(path)
 
-        def getfile(stub) -> bytes:
-            parts = self._gather(stub, lambda m: self._call(m, lambda c: c.getfile(m.path)))
+        def read(stub) -> bytes:
+            parts = self._gather(stub, lambda m: self.member(m.endpoint).read_file(m.path))
             return self.layout.assemble(stub, parts)
 
-        return self._on_data(path, getfile)
+        return self._on_data(path, read)
 
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
         """Whole-file create-or-replace in the fewest round trips.
 
-        Create-first: ``putflags wcx`` of the stub, then ``putflags wcx``
-        of each member's data file -- the 3-step protocol's order, each
-        step one RPC per file, and a failed data write rolls the stub
-        back as :meth:`open` does.  When the stub already exists the file
-        is replaced in place: one lookup, then ``putflags wt`` on its
-        data files, which never creates one, so a dangling stub stays
-        dangling.
+        Create-first: an exclusive ``put`` of the stub, then one of each
+        member's data file -- the 3-step protocol's order, each step one
+        RPC per file on file servers, and a failed data write rolls the
+        stub back as :meth:`open` does.  When the stub already exists
+        the file is replaced in place: one lookup, then a ``wt`` put on
+        its data files, which never creates one, so a dangling stub
+        stays dangling.
         """
         path = self._guard_name(path)
 
         def putter(stub, flags: OpenFlags) -> Callable[[Stub], int]:
             parts = dict(zip(self.layout.members(stub), self.layout.split(stub, data)))
-            return lambda m: self._call(m, lambda c: c.putflags(m.path, parts[m], flags, mode))
+            return lambda m: self.member(m.endpoint).put(m.path, parts[m], flags, mode)
 
-        create = OpenFlags(write=True, create=True, exclusive=True, sync=self.sync_writes)
-        try:
-            self._create(path, lambda stub: putter(stub, create))
+        def create() -> int:
+            flags = replace(WCX, sync=self.sync_writes)
+            self._create(path, lambda stub: putter(stub, flags))
             return len(data)
-        except AlreadyExistsError:
-            pass
-        overwrite = OpenFlags(write=True, truncate=True, sync=self.sync_writes)
 
         def put(stub) -> int:
-            self._each(self.layout.members(stub), putter(stub, overwrite))
+            flags = OpenFlags(write=True, truncate=True, sync=self.sync_writes)
+            self._each(self.layout.members(stub), putter(stub, flags))
             return len(data)
 
-        return self._on_data(path, put)
+        return self._create_or(path, create, lambda: self._on_data(path, put))
 
     # ------------------------------------------------------------------
     # introspection used by tools and tests

@@ -34,15 +34,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.chirp.protocol import ChirpStat, OpenFlags
-from repro.core.cfs import ChirpFileHandle
-from repro.core.interface import FileHandle
-from repro.core.metastore import MetadataStore
-from repro.core.placement import PlacementPolicy
+from repro.core.interface import FileHandle, Filesystem
 from repro.core.pool import ClientPool
-from repro.core.stubfs import Layout, StubFilesystem
+from repro.core.stubfs import WCX, Layout, StubFilesystem
 from repro.core.stubs import Stub, decode_doc, encode_doc
 from repro.store.interface import write_all
-from repro.transport.recovery import RetryPolicy
 from repro.util.errors import (
     AlreadyExistsError,
     ChirpError,
@@ -114,7 +110,7 @@ class VersionStub:
 class _CommitOnClose(FileHandle):
     """Wraps a data handle; commits the new version when closed."""
 
-    def __init__(self, inner: ChirpFileHandle, commit):
+    def __init__(self, inner: FileHandle, commit):
         self._inner = inner
         self._commit = commit
         self._closed = False
@@ -173,15 +169,14 @@ class VersionedFS(StubFilesystem):
 
     def __init__(
         self,
-        meta: MetadataStore,
-        pool: ClientPool,
+        meta: Filesystem,
+        pool: Optional[ClientPool],
         servers: Sequence[tuple[str, int]],
         data_dir: str,
-        placement: Optional[PlacementPolicy] = None,
-        policy: Optional[RetryPolicy] = None,
         now=time.time,
+        **kwargs,
     ):
-        super().__init__(meta, pool, servers, data_dir, placement=placement, policy=policy)
+        super().__init__(meta, pool, servers, data_dir, **kwargs)
         self.now = now
 
     @staticmethod
@@ -210,8 +205,10 @@ class VersionedFS(StubFilesystem):
             self.meta.unlink(tmp)
         except ChirpError:
             pass
-        if not self.meta.create_exclusive(tmp, stub.encode()):
-            raise AlreadyExistsError(f"{path}: concurrent version commit")
+        try:
+            self.meta.put(tmp, stub.encode(), WCX)
+        except AlreadyExistsError:
+            raise AlreadyExistsError(f"{path}: concurrent version commit") from None
         self.meta.rename(tmp, path)
 
     def _commit(self, path: str, member: Stub) -> None:
@@ -219,10 +216,12 @@ class VersionedFS(StubFilesystem):
         current = self._current(path)
         if current is None:
             first = Version(1, member.host, member.port, member.path, self.now())
-            if self.meta.create_exclusive(path, VersionStub((first,)).encode()):
+            try:
+                self.meta.put(path, VersionStub((first,)).encode(), WCX)
                 return
-            # we raced another creator: append to their history
-            current = self._stub(path)
+            except AlreadyExistsError:
+                # we raced another creator: append to their history
+                current = self._stub(path)
         version = Version(
             current.latest.number + 1, member.host, member.port, member.path, self.now()
         )
@@ -257,15 +256,14 @@ class VersionedFS(StubFilesystem):
             dflags = replace(flags, create=True, exclusive=True)
             handle = self._data_handle(member, dflags, mode)
             if seed is not None:
-                write_all(handle, self._call(seed, lambda c: c.getfile(seed.path)))
+                write_all(handle, self.member(seed.endpoint).read_file(seed.path))
         return _CommitOnClose(handle, lambda: self._commit(path, member))
 
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> int:
         """One new version: a fresh data file in one put, then the commit."""
         path = self._guard_name(path)
         member = self._place(path, set())[0]
-        flags = OpenFlags(write=True, create=True, exclusive=True)
-        self._call(member, lambda c: c.putflags(member.path, data, flags, mode))
+        self.member(member.endpoint).put(member.path, data, WCX, mode)
         try:
             self._commit(path, member)
         except Exception:
@@ -280,8 +278,11 @@ class VersionedFS(StubFilesystem):
         the CAS verbs and the target already holds the blob -- always
         true when they are the same server, which is the common snapshot
         case.  Any refusal (non-CAS server, key absent) returns False
-        and the caller streams bytes instead.
+        and the caller streams bytes instead, as it does on a volume
+        whose members are not file servers (no pool).
         """
+        if self.pool is None:
+            return False
         try:
             key = self.pool.get(*source.endpoint).keyof(source.path)
             self.pool.get(*member.endpoint).putkey(member.path, key, mode)
@@ -307,7 +308,7 @@ class VersionedFS(StubFilesystem):
 
     def read_version(self, path: str, number: int) -> bytes:
         version = self.stub_for(path).get(number)
-        return self._call(version.member, lambda c: c.getfile(version.path))
+        return self.member(version.endpoint).read_file(version.path)
 
     def restore(self, path: str, number: int) -> Version:
         """Promote an old version to newest (history stays append-only)."""
@@ -338,7 +339,7 @@ class VersionedFS(StubFilesystem):
             if member in still_referenced:
                 continue
             try:
-                self.pool.get(*member.endpoint).unlink(member.path)
+                self.member(member.endpoint).unlink(member.path)
                 deleted += 1
             except ChirpError:
                 continue

@@ -14,7 +14,7 @@ import pytest
 from repro.adapter.adapter import Adapter
 from repro.adapter.interpose import interposed
 from repro.core.dsfs import DSFS
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.replfs import ReplicatedFS
 from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS
@@ -46,21 +46,21 @@ def mounted(server_factory, pool):
     adapter.mount(
         "/safe",
         ReplicatedFS(
-            ChirpMetadataStore(dir_client, "/r", FAST),
+            CFS(dir_client, "/r", FAST),
             pool, endpoints, "/tssdata/r", copies=2, policy=FAST,
         ),
     )
     adapter.mount(
         "/fast",
         StripedFS(
-            ChirpMetadataStore(dir_client, "/s", FAST),
+            CFS(dir_client, "/s", FAST),
             pool, endpoints, "/tssdata/s", stripe_size=1024, policy=FAST,
         ),
     )
     adapter.mount(
         "/history",
         VersionedFS(
-            ChirpMetadataStore(dir_client, "/v", FAST),
+            CFS(dir_client, "/v", FAST),
             pool, endpoints, "/tssdata/v", policy=FAST,
         ),
     )

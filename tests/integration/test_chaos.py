@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
 from repro.core.replfs import ReplicatedFS
@@ -70,7 +70,7 @@ def chaos_run(seed: int, server_factory, credentials) -> dict:
             c.mkdir("/tssdata")
             c.mkdir("/tssdata/cvol")
         fs = ReplicatedFS(
-            ChirpMetadataStore(dir_client, "/cvol", FAST),
+            CFS(dir_client, "/cvol", FAST),
             setup_pool,
             proxy_addrs,
             "/tssdata/cvol",
@@ -95,7 +95,7 @@ def chaos_run(seed: int, server_factory, credentials) -> dict:
     read_pool = ClientPool(credentials, timeout=5.0, metrics=MetricsRegistry())
     try:
         fs = ReplicatedFS(
-            ChirpMetadataStore(read_pool.get(*dir_server.address), "/cvol", FAST),
+            CFS(read_pool.get(*dir_server.address), "/cvol", FAST),
             read_pool,
             proxy_addrs,
             "/tssdata/cvol",

@@ -17,7 +17,7 @@ import pytest
 from repro.chirp.client import ChirpClient
 from repro.chirp.protocol import OpenFlags
 from repro.core.dsfs import DSFS
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.pool import ClientPool
 from repro.core.replfs import ReplicatedFS
 from repro.core.stripefs import StripedFS
@@ -260,9 +260,9 @@ class LayoutRig:
         dsfs = DSFS.create(self.pool, *dir_server.address, "/vol", data, name="layouts")
         dir_client = self.pool.get(*dir_server.address)
 
-        def meta(root: str) -> ChirpMetadataStore:
+        def meta(root: str) -> CFS:
             dir_client.mkdir(root)
-            return ChirpMetadataStore(dir_client, root)
+            return CFS(dir_client, root)
 
         self.fs = {
             "dsfs": dsfs,

@@ -6,6 +6,8 @@ tested once against both via parametrized fixtures; the differences
 tests.
 """
 
+import os
+
 import pytest
 
 from repro.chirp.protocol import OpenFlags
@@ -272,3 +274,40 @@ class TestSharing:
         # config persisted: a fresh open sees the new server
         again = DSFS.open_volume(fs.pool, *fs.dir_endpoint, "/vol", policy=FAST)
         assert tuple(new_server.address) in {tuple(s) for s in again.servers}
+
+
+class TestDpfsDurableCreate:
+    """A DPFS stub create is durable before the data file is made: the
+    new stub is fsynced, then its directory, and nothing else in the
+    private tree is."""
+
+    @pytest.fixture()
+    def tree_fsyncs(self, monkeypatch, tmp_path):
+        """The private tree's paths ``os.fsync`` is called on, relative
+        to the tree ("." is the tree's root directory)."""
+        root = str((tmp_path / "meta").resolve())
+        seen: list[str] = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            if target == root or target.startswith(root + "/"):
+                seen.append(os.path.relpath(target, root))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return seen
+
+    def test_write_file_fsyncs_the_stub_and_its_directory(self, cluster, tmp_path, tree_fsyncs):
+        fs = make_dpfs(cluster, tmp_path)
+        fs.mkdir("/sub")
+        del tree_fsyncs[:]
+        fs.write_file("/sub/a", b"payload")
+        assert tree_fsyncs == ["sub/a", "sub"]
+
+    def test_open_create_fsyncs_the_stub_and_its_directory(self, cluster, tmp_path, tree_fsyncs):
+        fs = make_dpfs(cluster, tmp_path)
+        del tree_fsyncs[:]
+        with fs.open("/b", OpenFlags(write=True, create=True)) as handle:
+            handle.pwrite(b"payload", 0)
+        assert tree_fsyncs == ["b", "."]

@@ -16,11 +16,11 @@ import time
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
-from repro.core.stubfs import StubFilesystem
+from repro.core.stubfs import WCX, StubFilesystem
 from repro.core.stubs import Stub, unique_data_name
 from repro.transport.faults import FaultyListener
 from repro.transport.health import BreakerPolicy, HealthRegistry
@@ -60,7 +60,7 @@ class CrashRig:
         self.data_client = data_client
         meta_client = self.pool.get(*self.meta_proxy.address)
         self.fs = StubFilesystem(
-            ChirpMetadataStore(meta_client, "/vol", FAST),
+            CFS(meta_client, "/vol", FAST),
             self.pool,
             [self.data_proxy.address],
             "/tssdata/vol",
@@ -106,7 +106,7 @@ class TestCrashAfterStub:
         # the stub names a data file that was never exclusively created.
         host, port = rig.data_proxy.address
         stub = Stub(host, port, rig.fs.data_dir + "/" + unique_data_name())
-        assert rig.fs.meta.create_exclusive(path, stub.encode())
+        rig.fs.meta.put(path, stub.encode(), WCX)
         return stub
 
     def test_open_says_file_not_found(self, rig):

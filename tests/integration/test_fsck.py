@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.cfs import CFS
 from repro.core.dsfs import DSFS
 from repro.core.fsck import fsck_volume
 from repro.core.placement import RoundRobinPlacement
+from repro.core.replfs import ReplicatedFS
+from repro.core.stripefs import StripedFS
 from repro.transport.recovery import RetryPolicy
 
 FAST = RetryPolicy(max_attempts=3, initial_delay=0.05)
@@ -143,3 +146,69 @@ class TestFsckCli:
         capsys.readouterr()
         assert tss_main(["fsck", spec]) == 0  # clean now
         assert "clean" in capsys.readouterr().out
+
+
+class TestFsckOnMultiMemberLayouts:
+    """fsck walks every member a stub references, whatever the layout."""
+
+    @pytest.fixture()
+    def layout(self, server_factory, pool):
+        def make(cls, **kwargs):
+            dir_client = pool.get(*server_factory.new().address)
+            dir_client.mkdir("/vol")
+            servers = [server_factory.new().address for _ in range(3)]
+            fs = cls(CFS(dir_client, "/vol", FAST), pool, servers, "/tssdata/vol",
+                     policy=FAST, **kwargs)
+            fs.make_data_dirs(servers)
+            return fs
+
+        return make
+
+    @staticmethod
+    def lose(pool, member) -> None:
+        pool.get(member.host, member.port).unlink(member.path)
+
+    def test_replicated_copy_lost_is_not_dangling(self, layout, pool):
+        fs = layout(ReplicatedFS, copies=2)
+        fs.write_file("/f", b"two copies")
+        first, second = fs.layout.members(fs.stub_for("/f"))
+        self.lose(pool, first)
+        report = fsck_volume(fs)
+        assert report.healthy == 1 and report.clean
+
+    def test_replicated_every_copy_lost_is_dangling(self, layout, pool):
+        fs = layout(ReplicatedFS, copies=2)
+        fs.write_file("/f", b"two copies")
+        fs.write_file("/g", b"kept")
+        for member in fs.layout.members(fs.stub_for("/f")):
+            self.lose(pool, member)
+        report = fsck_volume(fs, remove_dangling=True)
+        assert report.dangling_stubs == {"/f": "no data file"}
+        assert report.removed_stubs == 1
+        assert fs.listdir("/") == ["g"]
+        assert fsck_volume(fs).clean
+
+    def test_striped_stripe_lost_is_dangling_and_strands_the_rest(self, layout, pool):
+        fs = layout(StripedFS, stripe_size=4)
+        fs.write_file("/f", b"0123456789ab")
+        stripes = fs.layout.members(fs.stub_for("/f"))
+        self.lose(pool, stripes[1])
+        report = fsck_volume(fs)
+        assert report.dangling_stubs == {"/f": "no data file"}
+        assert report.orphan_data == []  # the stub still references them
+        report = fsck_volume(fs, remove_dangling=True, remove_orphans=True)
+        assert report.removed_stubs == 1
+        # The stripes the removed stub left behind are orphans now.
+        assert sorted(path for _, _, path in report.orphan_data) == sorted(
+            m.path for m in (stripes[0], stripes[2])
+        )
+        assert report.removed_orphans == 2
+        assert fsck_volume(fs).clean
+
+    def test_healthy_layouts_are_clean(self, layout):
+        for cls, kwargs in ((ReplicatedFS, {"copies": 2}), (StripedFS, {"stripe_size": 4})):
+            fs = layout(cls, **kwargs)
+            for i in range(4):
+                fs.write_file(f"/f{i}", b"x" * (i * 5))
+            report = fsck_volume(fs)
+            assert report.clean and report.healthy == 4, cls

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RandomPlacement
 from repro.core.replfs import MultiStub, ReplicatedFS
 from repro.core.stripefs import StripedFS, StripeStub
@@ -64,7 +64,7 @@ def make_volume(server_factory, pool, n_data: int, name: str):
         c = pool.get(*s.address)
         c.mkdir("/tssdata")
         c.mkdir(f"/tssdata/{name}")
-    return servers, ChirpMetadataStore(dir_client, f"/{name}", FAST)
+    return servers, CFS(dir_client, f"/{name}", FAST)
 
 
 class TestCreateAroundADeadServer:
@@ -101,7 +101,7 @@ class TestCreateAroundADeadServer:
             assert fs.read_file(f"/f{i}") == data
 
 
-class BlippingStore(ChirpMetadataStore):
+class BlippingStore(CFS):
     """A directory server whose next ``blips`` stub reads fail on the wire."""
 
     blips = 0
@@ -111,9 +111,9 @@ class BlippingStore(ChirpMetadataStore):
             self.blips -= 1
             raise DisconnectedError("metadata server blip")
 
-    def read(self, path: str) -> bytes:
+    def read_file(self, path: str) -> bytes:
         self._blip()
-        return super().read(path)
+        return super().read_file(path)
 
     def stat_read(self, path: str, limit: int):
         self._blip()

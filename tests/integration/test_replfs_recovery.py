@@ -12,7 +12,7 @@ import pytest
 
 from repro.chirp.protocol import OpenFlags
 from repro.core.dsdb import DSDB
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.core.replfs import MultiStub, ReplicatedFS
 from repro.transport.recovery import RetryPolicy
@@ -34,7 +34,7 @@ def replfs(server_factory, pool):
         c = pool.get(*s.address)
         c.mkdir("/tssdata")
         c.mkdir("/tssdata/rvol")
-    meta = ChirpMetadataStore(dir_client, "/rvol", FAST)
+    meta = CFS(dir_client, "/rvol", FAST)
     fs = ReplicatedFS(
         meta,
         pool,
@@ -163,7 +163,7 @@ class TestReplicatedFS:
             c = pool.get(*s.address)
             c.mkdir("/tssdata")
             c.mkdir("/tssdata/rv")
-        meta = ChirpMetadataStore(dir_client, "/rv", FAST)
+        meta = CFS(dir_client, "/rv", FAST)
         fs = ReplicatedFS(
             meta, pool, [s.address for s in servers], "/tssdata/rv",
             copies=2, placement=RoundRobinPlacement(seed=3), policy=FAST,
@@ -289,7 +289,7 @@ class TestThreeCopyMajority:
             c = pool.get(*s.address)
             c.mkdir("/tssdata")
             c.mkdir("/tssdata/r3")
-        meta = ChirpMetadataStore(dir_client, "/r3", FAST)
+        meta = CFS(dir_client, "/r3", FAST)
         return ReplicatedFS(
             meta, pool, [s.address for s in servers], "/tssdata/r3",
             copies=3, placement=RoundRobinPlacement(seed=5), policy=FAST,

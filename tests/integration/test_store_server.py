@@ -10,7 +10,7 @@ import pytest
 
 from repro.chirp.protocol import OpenFlags
 from repro.core.dsdb import DSDB
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.core.pool import ClientPool
 from repro.transport.recovery import RetryPolicy
@@ -254,7 +254,7 @@ class TestVersionedSnapshotSharing:
             return clock["now"]
 
         fs = VersionedFS(
-            ChirpMetadataStore(dir_client, "/vvol", FAST),
+            CFS(dir_client, "/vvol", FAST),
             pool,
             [data_server.address],
             "/tssdata/vvol",

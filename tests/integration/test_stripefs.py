@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.transport.recovery import RetryPolicy
 from repro.core.stripefs import StripedFS, StripeStub
 from repro.util import errors as E
@@ -23,7 +23,7 @@ def stripefs(server_factory, pool):
         c.mkdir("/tssdata")
         c.mkdir("/tssdata/svol")
     fs = StripedFS(
-        ChirpMetadataStore(dir_client, "/svol", FAST),
+        CFS(dir_client, "/svol", FAST),
         pool,
         [s.address for s in servers],
         "/tssdata/svol",

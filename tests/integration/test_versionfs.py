@@ -7,7 +7,7 @@ on-line perusal, recovery, and forensic analysis of data over time."
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.transport.recovery import RetryPolicy
 from repro.core.versionfs import VersionedFS, VersionStub, Version
@@ -33,7 +33,7 @@ def vfs(server_factory, pool):
         return clock["now"]
 
     fs = VersionedFS(
-        ChirpMetadataStore(dir_client, "/vvol", FAST),
+        CFS(dir_client, "/vvol", FAST),
         pool,
         [s.address for s in servers],
         "/tssdata/vvol",

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.chirp.protocol import OpenFlags
-from repro.core.metastore import ChirpMetadataStore
+from repro.core.cfs import CFS
 from repro.core.placement import RoundRobinPlacement
 from repro.transport.recovery import RetryPolicy
 from repro.core.versionfs import VersionedFS
@@ -24,7 +24,7 @@ def vfs(server_factory, pool):
         c.mkdir("/tssdata")
         c.mkdir("/tssdata/vvol")
     return VersionedFS(
-        ChirpMetadataStore(dir_client, "/vvol", FAST),
+        CFS(dir_client, "/vvol", FAST),
         pool,
         [s.address for s in servers],
         "/tssdata/vvol",
